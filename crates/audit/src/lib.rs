@@ -403,14 +403,23 @@ struct ChannelState {
 /// let report = auditor.finalize();
 /// assert!(report.is_clean());
 /// ```
+///
+/// A long run need not hold its whole stream: once the emitter can vouch
+/// that no command dated below some instant is still to come, it
+/// [`release`](Self::release)s that watermark and the auditor replays the
+/// commands dated below it right away. Releases cut the stream into
+/// disjoint, increasing time ranges, so the report is identical to one
+/// [`finalize`](Self::finalize) over the whole stream. A command ingested
+/// below an already-released watermark would break that equivalence and
+/// panics.
 #[derive(Debug, Clone)]
 pub struct ProtocolAuditor {
-    cfg: DramTimingConfig,
-    channels: usize,
-    ranks_per_channel: usize,
-    banks_per_rank: usize,
-    initial: MemFreq,
-    events: Vec<CmdEvent>,
+    replay: Replay,
+    /// Ingested commands not yet replayed.
+    pending: Vec<CmdEvent>,
+    /// Every command dated strictly below this instant has been replayed.
+    released: Picos,
+    commands_checked: usize,
 }
 
 impl ProtocolAuditor {
@@ -432,38 +441,62 @@ impl ProtocolAuditor {
             "auditor needs a non-empty topology"
         );
         ProtocolAuditor {
-            cfg: cfg.clone(),
-            channels,
-            ranks_per_channel,
-            banks_per_rank,
-            initial,
-            events: Vec::new(),
+            replay: Replay::new(cfg, channels, ranks_per_channel, banks_per_rank, initial),
+            pending: Vec::new(),
+            released: Picos::ZERO,
+            commands_checked: 0,
         }
     }
 
     /// Adds events to the stream under audit (any order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an event is dated below an already-released watermark.
     pub fn ingest(&mut self, events: &[CmdEvent]) {
-        self.events.extend_from_slice(events);
+        for e in events {
+            assert!(
+                e.at >= self.released,
+                "command {e} dated below the released audit watermark {}",
+                self.released
+            );
+        }
+        self.pending.extend_from_slice(events);
     }
 
-    /// Replays the ingested stream and reports every violation found.
-    pub fn finalize(self) -> AuditReport {
-        let mut events = self.events;
-        events.sort_by_key(|e| (e.at, replay_priority(&e.kind)));
-        let mut replay = Replay::new(
-            &self.cfg,
-            self.channels,
-            self.ranks_per_channel,
-            self.banks_per_rank,
-            self.initial,
-        );
-        for e in &events {
-            replay.step(e);
-        }
+    /// Replays every ingested event dated strictly below `watermark`. The
+    /// caller vouches that every event dated below it has been ingested;
+    /// later events are held until a higher watermark or
+    /// [`finalize`](Self::finalize).
+    pub fn release(&mut self, watermark: Picos) {
+        self.replay_pending(Some(watermark));
+        self.released = self.released.max(watermark);
+    }
+
+    /// Replays the rest of the stream and reports every violation found.
+    pub fn finalize(mut self) -> AuditReport {
+        self.replay_pending(None);
         AuditReport {
-            violations: replay.violations,
-            commands_checked: events.len(),
+            violations: self.replay.violations,
+            commands_checked: self.commands_checked,
         }
+    }
+
+    /// Stable-sorts the held events and replays those below `watermark`
+    /// (all of them without one). Stability keeps same-instant,
+    /// same-priority events in ingest order, so a stream released in
+    /// batches replays exactly as it would sorted whole.
+    fn replay_pending(&mut self, watermark: Option<Picos>) {
+        self.pending
+            .sort_by_key(|e| (e.at, replay_priority(&e.kind)));
+        let n = watermark.map_or(self.pending.len(), |w| {
+            self.pending.partition_point(|e| e.at < w)
+        });
+        for e in &self.pending[..n] {
+            self.replay.step(e);
+        }
+        self.commands_checked += n;
+        self.pending.drain(..n);
     }
 }
 
@@ -482,6 +515,7 @@ fn replay_priority(kind: &CmdKind) -> u8 {
     }
 }
 
+#[derive(Debug, Clone)]
 struct Replay {
     cfg: DramTimingConfig,
     channels: Vec<ChannelState>,
@@ -1019,10 +1053,8 @@ impl Replay {
         self.channels[e.channel.index()].ranks[e.rank.index()].last_ref = Some((e.at, end));
     }
 
-    fn on_pd_enter(&mut self, e: &CmdEvent, _fast: bool) {
-        let rank = &self.channels[e.channel.index()].ranks[e.rank.index()];
-        let power = rank.power;
-        let banks = rank.banks.clone();
+    fn on_pd_enter(&mut self, e: &CmdEvent, fast: bool) {
+        let power = self.channels[e.channel.index()].ranks[e.rank.index()].power;
         if let Power::Down { since, .. } | Power::DeepDown { since } = power {
             self.violate(
                 e,
@@ -1033,42 +1065,37 @@ impl Replay {
             return;
         }
         // Precharge powerdown requires every bank idle and precharged.
-        for (i, bank) in banks.iter().enumerate() {
-            match *bank {
-                BankState::Open { act_at, .. } => {
-                    self.violations.push(Violation {
-                        rule: Rule::BankState,
-                        channel: e.channel,
-                        rank: e.rank,
-                        bank: Some(BankId(i)),
-                        at: e.at,
-                        reference: act_at,
-                        detail: format!(
-                            "powerdown entry with a row open since the ACT at {act_at}"
-                        ),
-                    });
-                }
-                BankState::Closed { ready } => {
-                    if e.at < ready {
-                        self.violations.push(Violation {
-                            rule: Rule::BankState,
-                            channel: e.channel,
-                            rank: e.rank,
-                            bank: Some(BankId(i)),
-                            at: e.at,
-                            reference: ready,
-                            detail: format!(
-                                "powerdown entry before the precharge completes at {ready}"
-                            ),
-                        });
-                    }
-                }
-            }
+        self.check_banks_idle(e, "powerdown entry");
+        self.channels[e.channel.index()].ranks[e.rank.index()].power =
+            Power::Down { fast, since: e.at };
+    }
+
+    /// Flags every bank of the event's rank that is open or still
+    /// precharging at `e.at`, in bank order; `what` names the entry.
+    fn check_banks_idle(&mut self, e: &CmdEvent, what: &str) {
+        let (ch, rk) = (e.channel.index(), e.rank.index());
+        for i in 0..self.channels[ch].ranks[rk].banks.len() {
+            let (reference, detail) = match self.channels[ch].ranks[rk].banks[i] {
+                BankState::Open { act_at, .. } => (
+                    act_at,
+                    format!("{what} with a row open since the ACT at {act_at}"),
+                ),
+                BankState::Closed { ready } if e.at < ready => (
+                    ready,
+                    format!("{what} before the precharge completes at {ready}"),
+                ),
+                BankState::Closed { .. } => continue,
+            };
+            self.violations.push(Violation {
+                rule: Rule::BankState,
+                channel: e.channel,
+                rank: e.rank,
+                bank: Some(BankId(i)),
+                at: e.at,
+                reference,
+                detail,
+            });
         }
-        self.channels[e.channel.index()].ranks[e.rank.index()].power = Power::Down {
-            fast: _fast,
-            since: e.at,
-        };
     }
 
     fn on_pd_exit(&mut self, e: &CmdEvent, fast: bool, entered_at: Picos, ready: Picos) {
@@ -1143,9 +1170,7 @@ impl Replay {
                 format!("{gen}: deep power-down entry on a generation without it"),
             );
         }
-        let rank = &self.channels[e.channel.index()].ranks[e.rank.index()];
-        let power = rank.power;
-        let banks = rank.banks.clone();
+        let power = self.channels[e.channel.index()].ranks[e.rank.index()].power;
         if let Power::Down { since, .. } | Power::DeepDown { since } = power {
             self.violate(
                 e,
@@ -1157,38 +1182,7 @@ impl Replay {
         }
         // Like precharge powerdown, deep power-down requires every bank idle
         // and precharged.
-        for (i, bank) in banks.iter().enumerate() {
-            match *bank {
-                BankState::Open { act_at, .. } => {
-                    self.violations.push(Violation {
-                        rule: Rule::BankState,
-                        channel: e.channel,
-                        rank: e.rank,
-                        bank: Some(BankId(i)),
-                        at: e.at,
-                        reference: act_at,
-                        detail: format!(
-                            "deep power-down entry with a row open since the ACT at {act_at}"
-                        ),
-                    });
-                }
-                BankState::Closed { ready } => {
-                    if e.at < ready {
-                        self.violations.push(Violation {
-                            rule: Rule::BankState,
-                            channel: e.channel,
-                            rank: e.rank,
-                            bank: Some(BankId(i)),
-                            at: e.at,
-                            reference: ready,
-                            detail: format!(
-                                "deep power-down entry before the precharge completes at {ready}"
-                            ),
-                        });
-                    }
-                }
-            }
-        }
+        self.check_banks_idle(e, "deep power-down entry");
         self.channels[e.channel.index()].ranks[e.rank.index()].power =
             Power::DeepDown { since: e.at };
     }
@@ -1396,6 +1390,47 @@ mod tests {
         evs.reverse();
         a.ingest(&evs);
         assert!(a.finalize().is_clean());
+    }
+
+    #[test]
+    fn released_batches_replay_like_the_whole_stream() {
+        let stream = [
+            act(0, 0, 0, 7),
+            read_cas(10, 0, 0), // tRCD violation
+            pre(35, 0, 0),
+            act(40, 0, 1, 3),
+            act(42, 0, 2, 3), // tRRD violation
+            read_cas(55, 0, 1),
+            pre(75, 0, 1),
+        ];
+        let mut whole = auditor();
+        whole.ingest(&stream);
+        let whole = whole.finalize();
+
+        let mut streamed = auditor();
+        streamed.ingest(&stream[..3]);
+        // The PRE at 35 stays held until a watermark above it.
+        streamed.release(Picos::from_ns(35));
+        streamed.ingest(&stream[3..]);
+        streamed.release(Picos::from_ns(50));
+        assert_eq!(streamed.finalize(), whole);
+        assert_eq!(rules(&whole), vec![Rule::TRcd, Rule::TRrd]);
+    }
+
+    #[test]
+    fn command_below_a_released_watermark_panics() {
+        let mut a = auditor();
+        a.ingest(&clean_read());
+        a.release(Picos::from_ns(40));
+        let late = act(39, 1, 3, 2);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| a.ingest(&[late])))
+            .expect_err("ingest below the watermark must panic");
+        let msg = err
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        assert!(msg.contains(&late.to_string()), "{msg}");
+        assert!(msg.contains("watermark 40ns"), "{msg}");
     }
 
     #[test]

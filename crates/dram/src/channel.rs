@@ -153,18 +153,51 @@ impl DramChannel {
     ///
     /// Drain once, at end of simulation: committing an auto-precharge
     /// forfeits its reopen window in the audit stream, so a later same-row
-    /// reopen would disagree with the replay.
+    /// reopen would disagree with the replay. To stream the audit during a
+    /// run, use [`drain_events_below`](Self::drain_events_below).
     #[cfg(feature = "audit")]
     pub fn drain_events(&mut self) -> Vec<CmdEvent> {
         self.commit_pending_pre();
-        let mut events = std::mem::take(&mut self.events);
+        let mut events = Vec::new();
+        self.drain_events_below(Picos::MAX, &mut events);
+        events
+    }
+
+    /// Moves the recorded events dated strictly below `watermark` to `out`
+    /// — channel-level events first, then each rank's, every source in
+    /// recording order — re-tagging rank-level events with their rank id.
+    /// Pending auto-precharges are not drained;
+    /// [`event_watermark`](Self::event_watermark) never exceeds them.
+    #[cfg(feature = "audit")]
+    pub fn drain_events_below(&mut self, watermark: Picos, out: &mut Vec<CmdEvent>) {
+        crate::drain_below(&mut self.events, watermark, out);
         for (i, rank) in self.ranks.iter_mut().enumerate() {
-            for mut e in rank.drain_events() {
+            let start = out.len();
+            rank.drain_events_below(watermark, out);
+            for e in &mut out[start..] {
                 e.rank = RankId(i);
-                events.push(e);
             }
         }
-        events
+    }
+
+    /// The audit watermark at `now`: no event this channel records from
+    /// here on is dated strictly below it, provided every later call passes
+    /// a time at or after `now`. ACT, CAS, explicit PRE, powerdown exits
+    /// and frequency switches are dated at or after their call's time; the
+    /// exceptions are bounded by each rank's
+    /// [`event_floor`](Rank::event_floor) and by the pending
+    /// auto-precharges.
+    #[cfg(feature = "audit")]
+    pub fn event_watermark(&self, now: Picos) -> Picos {
+        let pending = self.pending_pre.iter().flatten().map(|e| e.at);
+        let ranks = self.ranks.iter().map(Rank::event_floor);
+        pending.chain(ranks).fold(now, Picos::min)
+    }
+
+    /// Recorded events not yet drained (pending auto-precharges excluded).
+    #[cfg(feature = "audit")]
+    pub fn held_events(&self) -> usize {
+        self.events.len() + self.ranks.iter().map(Rank::held_events).sum::<usize>()
     }
 
     /// Current operating point.

@@ -46,3 +46,20 @@ pub use generation::GenerationModel;
 pub use rank::PowerDownMode;
 pub use stats::{ChannelStats, RankStats};
 pub use timing::TimingSet;
+
+/// Moves the events of `events` dated strictly below `watermark` to `out`,
+/// keeping the relative order of both the moved and the kept events.
+#[cfg(feature = "audit")]
+fn drain_below(
+    events: &mut Vec<memscale_types::events::CmdEvent>,
+    watermark: memscale_types::time::Picos,
+    out: &mut Vec<memscale_types::events::CmdEvent>,
+) {
+    events.retain(|e| {
+        let release = e.at < watermark;
+        if release {
+            out.push(*e);
+        }
+        !release
+    });
+}

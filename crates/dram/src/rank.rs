@@ -280,11 +280,31 @@ impl Rank {
         self.recording = on;
     }
 
-    /// Drains the recorded events. Rank ids are left at `RankId(0)` for the
-    /// owning channel to re-tag.
+    /// Moves the recorded events dated strictly below `watermark` to `out`,
+    /// in recording order. Rank ids are left at `RankId(0)` for the owning
+    /// channel to re-tag.
     #[cfg(feature = "audit")]
-    pub fn drain_events(&mut self) -> Vec<CmdEvent> {
-        std::mem::take(&mut self.events)
+    pub fn drain_events_below(&mut self, watermark: Picos, out: &mut Vec<CmdEvent>) {
+        crate::drain_below(&mut self.events, watermark, out);
+    }
+
+    /// Recorded events not yet drained.
+    #[cfg(feature = "audit")]
+    #[inline]
+    pub fn held_events(&self) -> usize {
+        self.events.len()
+    }
+
+    /// A lower bound on the dates of the events this rank can still record
+    /// behind the caller's clock: REF arrears replay from the next
+    /// scheduled refresh, and an auto-powerdown entry is synthesized at the
+    /// activity horizon. Both only move forward.
+    #[cfg(feature = "audit")]
+    pub fn event_floor(&self) -> Picos {
+        match self.auto_pd {
+            Some(_) => self.next_refresh.min(self.activity_horizon),
+            None => self.next_refresh,
+        }
     }
 
     /// Records one command event (no-op unless recording). `bank` is set for

@@ -7,11 +7,15 @@
 //! switches landing in the middle of open `tFAW`/`tRRD` activate windows,
 //! DDR4 bank-group `tCCD_L`/`tRRD_L` chains, or LPDDR3 deep power-down
 //! intervals — must replay clean.
+//!
+//! The same streams also check the streamed audit: releasing a stream to
+//! the auditor in batches below the channel's watermark must report
+//! exactly what one replay of the whole stream reports.
 
-use memscale_audit::{ProtocolAuditor, Rule};
+use memscale_audit::{AuditReport, ProtocolAuditor, Rule};
 use memscale_dram::channel::{AccessKind, DramChannel};
 use memscale_dram::rank::PowerDownMode;
-use memscale_types::config::DramTimingConfig;
+use memscale_types::config::{DramTimingConfig, MemGeneration};
 use memscale_types::freq::MemFreq;
 use memscale_types::ids::{BankId, RankId};
 use memscale_types::time::Picos;
@@ -49,23 +53,21 @@ fn access_strategy() -> impl Strategy<Value = Access> {
         })
 }
 
-/// Replays `accesses` through a recording channel of `ranks` × `banks` at
-/// `cfg`, injecting a frequency switch before every `switch_every`-th access
-/// (targeting a pseudo-random operating point derived from the access) and —
-/// when `deep_pd_every` is nonzero — opportunistically dropping the access's
-/// rank into deep power-down before every `deep_pd_every`-th access, then
-/// audits the stream against the same configuration.
-fn run_and_audit_cfg(
-    cfg: &DramTimingConfig,
-    ranks: usize,
-    banks: usize,
+/// Drives `accesses` through `ch` (of `ranks` × `banks`), injecting a
+/// frequency switch before every `switch_every`-th access (targeting a
+/// pseudo-random operating point derived from the access) and — when
+/// `pd_every` is nonzero — opportunistically dropping another rank into
+/// `pd_mode` before every `pd_every`-th access. `after` sees the channel
+/// and the access's dispatch time after each access.
+fn drive(
+    ch: &mut DramChannel,
+    (ranks, banks): (usize, usize),
     accesses: &[Access],
     switch_every: usize,
-    deep_pd_every: usize,
-    initial: MemFreq,
-) -> memscale_audit::AuditReport {
-    let mut ch = DramChannel::new(cfg, ranks, banks, initial);
-    ch.set_event_recording(true);
+    pd_every: usize,
+    pd_mode: PowerDownMode,
+    mut after: impl FnMut(&mut DramChannel, Picos),
+) {
     let mut now = Picos::ZERO;
     for (i, a) in accesses.iter().enumerate() {
         now += Picos::from_ns(a.gap_ns);
@@ -73,13 +75,13 @@ fn run_and_audit_cfg(
             let target = MemFreq::ALL[(usize::try_from(a.row).unwrap() + i) % MemFreq::ALL.len()];
             ch.set_frequency(target, now);
         }
-        if deep_pd_every > 0 && i % deep_pd_every == deep_pd_every - 1 {
+        if pd_every > 0 && i % pd_every == pd_every - 1 {
             // Power down a rank other than the one about to be accessed, so
             // the entry gets a chance to accumulate residency before a later
             // access wakes it.
             let rank = RankId((a.rank + 1) % ranks);
             if ch.can_power_down(rank, now) {
-                ch.enter_power_down(rank, PowerDownMode::Deep, now);
+                ch.enter_power_down(rank, pd_mode, now);
             }
         }
         let kind = if a.write {
@@ -95,7 +97,33 @@ fn run_and_audit_cfg(
             now,
             a.keep_open,
         );
+        after(ch, now);
     }
+}
+
+/// Replays `accesses` through a recording channel of `ranks` × `banks` at
+/// `cfg` (see [`drive`]; `deep_pd_every` enters deep power-down), then
+/// audits the whole stream against the same configuration.
+fn run_and_audit_cfg(
+    cfg: &DramTimingConfig,
+    ranks: usize,
+    banks: usize,
+    accesses: &[Access],
+    switch_every: usize,
+    deep_pd_every: usize,
+    initial: MemFreq,
+) -> AuditReport {
+    let mut ch = DramChannel::new(cfg, ranks, banks, initial);
+    ch.set_event_recording(true);
+    drive(
+        &mut ch,
+        (ranks, banks),
+        accesses,
+        switch_every,
+        deep_pd_every,
+        PowerDownMode::Deep,
+        |_, _| {},
+    );
     let events = ch.drain_events();
     let mut auditor = ProtocolAuditor::new(cfg, 1, ranks, banks, initial);
     auditor.ingest(&events);
@@ -103,17 +131,166 @@ fn run_and_audit_cfg(
 }
 
 /// DDR3 shorthand for [`run_and_audit_cfg`].
-fn run_and_audit(
-    accesses: &[Access],
-    switch_every: usize,
-    initial: MemFreq,
-) -> memscale_audit::AuditReport {
+fn run_and_audit(accesses: &[Access], switch_every: usize, initial: MemFreq) -> AuditReport {
     let cfg = DramTimingConfig::default();
     run_and_audit_cfg(&cfg, RANKS, BANKS, accesses, switch_every, 0, initial)
 }
 
 fn freq_strategy() -> impl Strategy<Value = MemFreq> {
     (0usize..MemFreq::ALL.len()).prop_map(|i| MemFreq::ALL[i])
+}
+
+/// Timing weakenings as in `crates/audit/tests/mutation.rs`: the channel
+/// runs the weakened numbers, the auditor keeps the strict reference, so
+/// the stream carries violations.
+const WEAKENINGS: [fn(&mut DramTimingConfig); 4] = [
+    |c| c.t_rcd_ns = 5.0,
+    |c| c.t_rp_ns = 2.0,
+    |c| c.t_rrd_ns = 1.0,
+    |c| {
+        c.t_xp_ns = 1.0;
+        c.t_xpdll_ns = 2.0;
+        c.t_xdpd_ns = 50.0;
+    },
+];
+
+/// One stream setup of the streamed-versus-whole comparison.
+#[derive(Debug, Clone)]
+struct StreamCase {
+    generation: MemGeneration,
+    /// The auto-powerdown policy (deep only where the generation has it).
+    auto_pd: Option<PowerDownMode>,
+    /// Index into [`WEAKENINGS`], or `None` for the strict engine.
+    weakening: Option<usize>,
+    switch_every: usize,
+    pd_every: usize,
+    initial: MemFreq,
+    accesses: Vec<Access>,
+    /// Accesses between releases, cycled.
+    release_gaps: Vec<usize>,
+}
+
+impl StreamCase {
+    fn topology(&self) -> (usize, usize) {
+        match self.generation {
+            MemGeneration::Ddr4 => (2, 16),
+            _ => (RANKS, BANKS),
+        }
+    }
+
+    fn pd_mode(&self) -> PowerDownMode {
+        self.auto_pd.unwrap_or(PowerDownMode::Fast)
+    }
+
+    /// A channel running the (possibly weakened) engine, plus an auditor
+    /// holding the strict reference.
+    fn setup(&self) -> (DramChannel, ProtocolAuditor) {
+        let strict = DramTimingConfig::for_generation(self.generation);
+        let mut engine = strict.clone();
+        if let Some(w) = self.weakening {
+            WEAKENINGS[w](&mut engine);
+        }
+        let (ranks, banks) = self.topology();
+        let mut ch = DramChannel::new(&engine, ranks, banks, self.initial);
+        ch.set_event_recording(true);
+        ch.set_auto_power_down(self.auto_pd);
+        let auditor = ProtocolAuditor::new(&strict, 1, ranks, banks, self.initial);
+        (ch, auditor)
+    }
+
+    /// Drives the case's accesses through `ch` (see [`drive`]).
+    fn drive(&self, ch: &mut DramChannel, after: impl FnMut(&mut DramChannel, Picos)) {
+        let (switch, pd, mode) = (self.switch_every, self.pd_every, self.pd_mode());
+        drive(ch, self.topology(), &self.accesses, switch, pd, mode, after);
+    }
+
+    /// Audits the whole stream at once.
+    fn whole(&self) -> AuditReport {
+        let (mut ch, mut auditor) = self.setup();
+        self.drive(&mut ch, |_, _| {});
+        auditor.ingest(&ch.drain_events());
+        auditor.finalize()
+    }
+
+    /// Audits the stream released at the channel's watermark after every
+    /// `release_gaps` accesses; also returns how many commands replayed
+    /// before the final drain.
+    fn streamed(&self) -> (AuditReport, usize) {
+        let (mut ch, mut auditor) = self.setup();
+        let mut gaps = self.release_gaps.iter().cycle();
+        let mut until_release = *gaps.next().unwrap();
+        let mut batch = Vec::new();
+        let mut released = 0;
+        self.drive(&mut ch, |ch, now| {
+            until_release -= 1;
+            if until_release == 0 {
+                let watermark = ch.event_watermark(now);
+                ch.drain_events_below(watermark, &mut batch);
+                released += batch.len();
+                auditor.ingest(&batch);
+                batch.clear();
+                auditor.release(watermark);
+                until_release = *gaps.next().unwrap();
+            }
+        });
+        auditor.ingest(&ch.drain_events());
+        (auditor.finalize(), released)
+    }
+}
+
+fn stream_case_strategy() -> impl Strategy<Value = StreamCase> {
+    (
+        (0usize..MemGeneration::ALL.len(), 0usize..4, 0usize..8),
+        (0usize..9, 0usize..7, freq_strategy()),
+        (1u64..40, any::<bool>()),
+        prop::collection::vec(access_strategy(), 1..150),
+        prop::collection::vec(1usize..20, 1..8),
+    )
+        .prop_map(
+            |(
+                (g, pd, weak),
+                (switch_every, pd_every, initial),
+                (gap_scale, sparse_rank),
+                mut accesses,
+                release_gaps,
+            )| {
+                let generation = MemGeneration::ALL[g];
+                let deep = generation.has_deep_power_down();
+                let auto_pd = match pd {
+                    0 => None,
+                    1 => Some(PowerDownMode::Fast),
+                    2 => Some(PowerDownMode::Slow),
+                    _ => Some(if deep {
+                        PowerDownMode::Deep
+                    } else {
+                        PowerDownMode::Slow
+                    }),
+                };
+                // Stretched gaps and a rarely touched rank 0 leave refresh
+                // arrears and long-pending auto-precharges behind the
+                // other ranks' traffic. Auto-powerdown runs closed-page, as
+                // the controller drives it: the model drops CKE at the
+                // activity horizon without closing a kept-open row.
+                for (i, a) in accesses.iter_mut().enumerate() {
+                    a.gap_ns *= gap_scale;
+                    a.keep_open &= auto_pd.is_none();
+                    if sparse_rank && a.rank == 0 && i % 16 != 0 {
+                        a.rank = 1;
+                    }
+                }
+                StreamCase {
+                    generation,
+                    auto_pd,
+                    // Half the cases run a weakened engine.
+                    weakening: weak.checked_sub(WEAKENINGS.len()),
+                    switch_every,
+                    pd_every,
+                    initial,
+                    accesses,
+                    release_gaps,
+                }
+            },
+        )
 }
 
 proptest! {
@@ -245,5 +422,56 @@ proptest! {
         let report =
             run_and_audit_cfg(&cfg, RANKS, BANKS, &accesses, switch_every, pd_every, initial);
         prop_assert!(report.is_clean(), "{}", report);
+    }
+
+    /// Releasing a stream at the channel's watermark in random batches —
+    /// on every generation, with frequency switches, explicit powerdown and
+    /// every auto-powerdown mode, on strict and weakened engines — reports
+    /// the same violations in the same order, and the same command count,
+    /// as auditing the whole stream at once.
+    #[test]
+    fn streamed_audit_equals_whole_stream_audit(case in stream_case_strategy()) {
+        let whole = case.whole();
+        let (streamed, _) = case.streamed();
+        prop_assert_eq!(&streamed, &whole);
+        if case.weakening.is_none() {
+            prop_assert!(whole.is_clean(), "{}", whole);
+        }
+    }
+}
+
+/// The watermark does not lag far: a long stream releases most of its
+/// commands before the end of the run.
+#[test]
+fn watermark_releases_most_commands_before_the_end() {
+    let accesses: Vec<Access> = (0..2_000u64)
+        .map(|i| Access {
+            rank: usize::try_from(i % 4).unwrap(),
+            bank: usize::try_from((i / 4) % 8).unwrap(),
+            row: i % 13,
+            write: i % 5 == 0,
+            keep_open: false,
+            gap_ns: 20 + i % 50,
+        })
+        .collect();
+    for generation in MemGeneration::ALL {
+        let case = StreamCase {
+            generation,
+            auto_pd: Some(PowerDownMode::Fast),
+            weakening: None,
+            switch_every: 97,
+            pd_every: 0,
+            initial: MemFreq::F800,
+            accesses: accesses.clone(),
+            release_gaps: vec![16],
+        };
+        let (streamed, released) = case.streamed();
+        assert_eq!(streamed, case.whole());
+        assert!(streamed.is_clean(), "{streamed}");
+        assert!(
+            released * 10 >= streamed.commands_checked * 9,
+            "{generation}: only {released} of {} commands released early",
+            streamed.commands_checked
+        );
     }
 }

@@ -412,7 +412,8 @@ impl MemoryController {
 
     /// Drains every channel's recorded command events, re-tagged with their
     /// channel ids. Drain once, at end of simulation (see
-    /// [`DramChannel::drain_events`]).
+    /// [`DramChannel::drain_events`]); during a run, drain below
+    /// [`command_watermark`](Self::command_watermark) instead.
     #[cfg(feature = "audit")]
     pub fn drain_command_events(&mut self) -> Vec<memscale_types::events::CmdEvent> {
         let mut events = Vec::new();
@@ -423,6 +424,42 @@ impl MemoryController {
             }
         }
         events
+    }
+
+    /// The audit watermark at `now`: no command recorded from here on is
+    /// dated strictly below it, provided every later call passes a time at
+    /// or after `now` (see [`DramChannel::event_watermark`]).
+    #[cfg(feature = "audit")]
+    pub fn command_watermark(&self, now: Picos) -> Picos {
+        self.channels
+            .iter()
+            .map(|c| c.event_watermark(now))
+            .fold(now, Picos::min)
+    }
+
+    /// Moves the recorded commands dated strictly below `watermark` (from
+    /// [`command_watermark`](Self::command_watermark)) to `out`, channel by
+    /// channel in the order [`drain_command_events`](Self::drain_command_events)
+    /// uses, re-tagged with their channel ids.
+    #[cfg(feature = "audit")]
+    pub fn drain_command_events_below(
+        &mut self,
+        watermark: Picos,
+        out: &mut Vec<memscale_types::events::CmdEvent>,
+    ) {
+        for (i, channel) in self.channels.iter_mut().enumerate() {
+            let start = out.len();
+            channel.drain_events_below(watermark, out);
+            for e in &mut out[start..] {
+                e.channel = ChannelId(i);
+            }
+        }
+    }
+
+    /// Recorded commands held across every channel, not yet drained.
+    #[cfg(feature = "audit")]
+    pub fn held_command_events(&self) -> usize {
+        self.channels.iter().map(DramChannel::held_events).sum()
     }
 }
 

@@ -33,6 +33,87 @@ const WATCHDOG_EVENTS: u64 = 1 << 16;
 /// replays the previous window.
 type StaleCache = Option<(Vec<AppSample>, McCounters)>;
 
+/// Fewest held commands that trigger an audit release; above it the
+/// release cadence doubles with what the previous release left held.
+#[cfg(feature = "audit")]
+const MIN_AUDIT_RELEASE: usize = 4096;
+
+/// Accesses between two looks at the held count: summing every rank's
+/// buffer on each access would cost a few percent of the run.
+#[cfg(feature = "audit")]
+const AUDIT_POLL_STRIDE: u32 = 16;
+
+/// The run's protocol audit, streamed: recorded commands are released to
+/// the auditor below the controller's watermark whenever the held count
+/// has doubled since the last release, so audit memory stays bounded by
+/// the watermark's lag instead of growing with the horizon.
+#[cfg(feature = "audit")]
+#[derive(Debug)]
+struct AuditStream {
+    auditor: memscale_audit::ProtocolAuditor,
+    /// Reused buffer of one release's commands.
+    batch: Vec<memscale_types::events::CmdEvent>,
+    /// Accesses since the held count was last looked at.
+    unpolled: u32,
+    /// Held count at which the next release happens.
+    release_at: usize,
+    /// Most commands held at once so far.
+    peak_held: usize,
+}
+
+#[cfg(feature = "audit")]
+impl AuditStream {
+    /// Audits `system` (the *modified* config: it includes the
+    /// decoupled-DIMM CAS lag) with the rule pack of its generation.
+    fn new(system: &memscale_types::config::SystemConfig, initial: MemFreq) -> Self {
+        let t = &system.topology;
+        AuditStream {
+            auditor: memscale_audit::ProtocolAuditor::new(
+                &system.timing,
+                t.channels as usize,
+                t.ranks_per_channel() as usize,
+                t.banks_per_rank as usize,
+                initial,
+            ),
+            batch: Vec::new(),
+            unpolled: 0,
+            release_at: MIN_AUDIT_RELEASE,
+            peak_held: 0,
+        }
+    }
+
+    /// Called after every access at `now`: releases the commands dated
+    /// below the controller's watermark once enough are held. Held
+    /// commands only accumulate between releases, so the peak is sampled
+    /// here and at finish.
+    fn poll(&mut self, mc: &mut MemoryController, now: Picos) {
+        self.unpolled += 1;
+        if self.unpolled < AUDIT_POLL_STRIDE {
+            return;
+        }
+        self.unpolled = 0;
+        let held = mc.held_command_events();
+        if held < self.release_at {
+            return;
+        }
+        self.peak_held = self.peak_held.max(held);
+        let watermark = mc.command_watermark(now);
+        mc.drain_command_events_below(watermark, &mut self.batch);
+        self.auditor.ingest(&self.batch);
+        self.batch.clear();
+        self.auditor.release(watermark);
+        self.release_at = (2 * mc.held_command_events()).max(MIN_AUDIT_RELEASE);
+    }
+
+    /// Replays the rest of the stream; returns the report and the peak
+    /// held count.
+    fn finish(mut self, mc: &mut MemoryController) -> (memscale_audit::AuditReport, usize) {
+        self.peak_held = self.peak_held.max(mc.held_command_events());
+        self.auditor.ingest(&mc.drain_command_events());
+        (self.auditor.finalize(), self.peak_held)
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CorePhase {
     Computing,
@@ -97,10 +178,9 @@ pub struct Simulation {
     stale_decide: StaleCache,
     stale_measured: StaleCache,
 
-    /// Operating point the controller started at (the auditor's initial
-    /// channel frequency).
+    /// The streamed conformance audit of the run's command stream.
     #[cfg(feature = "audit")]
-    initial_freq: MemFreq,
+    audit: AuditStream,
 }
 
 impl Simulation {
@@ -185,7 +265,7 @@ impl Simulation {
         #[cfg(feature = "audit")]
         mc.set_event_recording(true);
         #[cfg(feature = "audit")]
-        let initial_freq = policy.initial_frequency();
+        let audit = AuditStream::new(&system, policy.initial_frequency());
 
         let n = system.cpu.cores;
         let rank_zero = mc.rank_stats();
@@ -233,7 +313,7 @@ impl Simulation {
             stale_decide: None,
             stale_measured: None,
             #[cfg(feature = "audit")]
-            initial_freq,
+            audit,
         })
     }
 
@@ -429,6 +509,9 @@ impl Simulation {
                     self.mc.writeback(wb, t);
                 }
                 let res = self.mc.read(ev.addr, t);
+                // Every later controller call is at or after `t`.
+                #[cfg(feature = "audit")]
+                self.audit.poll(&mut self.mc, t);
                 self.cores[c].start_memory_wait(t);
                 self.phase[c] = CorePhase::WaitingMemory;
                 self.heap.push(Reverse((res.completion, c)));
@@ -690,24 +773,10 @@ impl Simulation {
     fn finish(mut self, end: Picos, rest_w: f64) -> RunResult {
         self.mc.sync(end.max(self.now));
         self.integrate_segment(end.max(self.seg_start));
-        // Replay the run's full command stream through the independent
-        // conformance checker, whose rule pack follows the configured
-        // generation. The audited timing must be the *modified* system
-        // config (it includes the decoupled-DIMM CAS lag).
+        // Replay the rest of the run's command stream through the
+        // independent conformance checker.
         #[cfg(feature = "audit")]
-        let audit = {
-            let events = self.mc.drain_command_events();
-            let t = &self.cfg.system.topology;
-            let mut auditor = memscale_audit::ProtocolAuditor::new(
-                &self.cfg.system.timing,
-                t.channels as usize,
-                t.ranks_per_channel() as usize,
-                t.banks_per_rank as usize,
-                self.initial_freq,
-            );
-            auditor.ingest(&events);
-            Some(auditor.finalize())
-        };
+        let (audit, audit_peak_held) = self.audit.finish(&mut self.mc);
         let mut energy = self.energy;
         energy.rest_j = rest_w * energy.elapsed.as_secs_f64();
         let work = self
@@ -755,7 +824,9 @@ impl Simulation {
                 .as_ref()
                 .map(memscale_arrivals::RequestTracker::finalize),
             #[cfg(feature = "audit")]
-            audit,
+            audit: Some(audit),
+            #[cfg(feature = "audit")]
+            audit_peak_held,
         }
     }
 }

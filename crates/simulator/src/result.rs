@@ -59,6 +59,11 @@ pub struct RunResult {
     /// (feature `audit`; `None` only if auditing was disabled mid-run).
     #[cfg(feature = "audit")]
     pub audit: Option<memscale_audit::AuditReport>,
+    /// Most DRAM commands held at once between recording and audit replay
+    /// (feature `audit`): a deterministic measure of audit memory, kept out
+    /// of the report and of every output format.
+    #[cfg(feature = "audit")]
+    pub audit_peak_held: usize,
 }
 
 impl RunResult {
@@ -135,6 +140,8 @@ mod tests {
             requests: None,
             #[cfg(feature = "audit")]
             audit: None,
+            #[cfg(feature = "audit")]
+            audit_peak_held: 0,
         }
     }
 

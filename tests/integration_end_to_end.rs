@@ -132,6 +132,32 @@ fn full_runs_replay_clean_through_the_conformance_checker() {
 
 #[cfg(feature = "audit")]
 #[test]
+fn streamed_audit_memory_does_not_grow_with_the_horizon() {
+    // The audit replays commands as the run goes, holding only those above
+    // the controller's watermark: quadrupling an audited MEM1 run's
+    // horizon quadruples the commands checked but leaves the high-water
+    // mark of held commands nearly unchanged.
+    let mix = Mix::by_name("MEM1").unwrap();
+    let run = |us: u64| {
+        let run = Simulation::new(&mix, PolicyKind::MemScale, &quick())
+            .unwrap()
+            .run_for(Picos::from_us(us), 40.0)
+            .unwrap();
+        let audit = run.audit.as_ref().expect("audit enabled in test builds");
+        assert!(audit.is_clean(), "{us} us: {}", audit.summary());
+        (run.audit_peak_held, audit.commands_checked)
+    };
+    let (short_peak, short_cmds) = run(500);
+    let (long_peak, long_cmds) = run(2_000);
+    assert!(long_cmds > 3 * short_cmds, "{short_cmds} -> {long_cmds}");
+    assert!(
+        4 * long_peak <= 5 * short_peak,
+        "held-command peak grew from {short_peak} to {long_peak} over 4x the horizon"
+    );
+}
+
+#[cfg(feature = "audit")]
+#[test]
 fn ddr4_and_lpddr3_full_runs_replay_clean() {
     // One configuration switch selects the generation; the run is audited
     // against that generation's rule pack (bank groups on DDR4, deep
