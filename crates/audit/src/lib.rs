@@ -379,10 +379,74 @@ impl RankState {
 #[derive(Debug, Clone)]
 struct ChannelState {
     freq: MemFreq,
+    /// A data burst (`burst_cycles`) at `freq`.
+    burst: Picos,
+    /// Same-bank-group CAS spacing (`tCCD_L`) at `freq`.
+    t_ccd_l: Picos,
     bus_busy_until: Picos,
     /// Start and end of the most recent re-lock window.
     relock: Option<(Picos, Picos)>,
     ranks: Vec<RankState>,
+}
+
+impl ChannelState {
+    /// Locks the channel at `freq` and re-derives its cycle-based
+    /// latencies, so CAS replay does no division.
+    fn lock(&mut self, freq: MemFreq, cfg: &DramTimingConfig) {
+        self.freq = freq;
+        self.burst = freq.cycle() * u64::from(cfg.burst_cycles);
+        self.t_ccd_l = freq.cycle() * u64::from(cfg.t_ccd_l_cycles);
+    }
+}
+
+/// The config's nanosecond latencies as simulator time, resolved once when
+/// the auditor is built so replay does no float arithmetic per command.
+#[derive(Debug, Clone, Copy)]
+struct Latencies {
+    t_rcd: Picos,
+    t_rp: Picos,
+    t_cl: Picos,
+    t_ras: Picos,
+    t_rtp: Picos,
+    t_wr: Picos,
+    t_rrd: Picos,
+    t_faw: Picos,
+    t_rrd_l: Picos,
+    t_rfc: Picos,
+    t_rfc_pb: Picos,
+    t_refi: Picos,
+    /// The per-bank refresh interval, `tREFI / banks`.
+    t_refi_pb: Picos,
+    t_xp: Picos,
+    t_xpdll: Picos,
+    t_xdpd: Picos,
+    /// The fixed part of the re-lock penalty.
+    relock_extra: Picos,
+}
+
+impl Latencies {
+    fn new(cfg: &DramTimingConfig, banks_per_rank: usize) -> Self {
+        let t_refi = cfg.t_refi();
+        Latencies {
+            t_rcd: cfg.t_rcd(),
+            t_rp: cfg.t_rp(),
+            t_cl: cfg.t_cl(),
+            t_ras: cfg.t_ras(),
+            t_rtp: cfg.t_rtp(),
+            t_wr: cfg.t_wr(),
+            t_rrd: cfg.t_rrd(),
+            t_faw: cfg.t_faw(),
+            t_rrd_l: cfg.t_rrd_l(),
+            t_rfc: cfg.t_rfc(),
+            t_rfc_pb: cfg.t_rfc_pb(),
+            t_refi,
+            t_refi_pb: t_refi.scale(1.0 / banks_per_rank as f64),
+            t_xp: cfg.t_xp(),
+            t_xpdll: cfg.t_xpdll(),
+            t_xdpd: cfg.t_xdpd(),
+            relock_extra: Picos::from_ns_f64(cfg.relock_extra_ns),
+        }
+    }
 }
 
 /// Replays a [`CmdEvent`] stream against the DDR3 rules of one
@@ -415,8 +479,11 @@ struct ChannelState {
 #[derive(Debug, Clone)]
 pub struct ProtocolAuditor {
     replay: Replay,
-    /// Ingested commands not yet replayed.
+    /// Ingested commands not yet replayed, in ingest order.
     pending: Vec<CmdEvent>,
+    /// Sort keys of one release's commands (see
+    /// [`replay_pending`](Self::replay_pending)), reused across releases.
+    keys: Vec<u64>,
     /// Every command dated strictly below this instant has been replayed.
     released: Picos,
     commands_checked: usize,
@@ -428,7 +495,9 @@ impl ProtocolAuditor {
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero.
+    /// Panics if any dimension is zero, or if a timing of `cfg` resolves to
+    /// a non-finite or negative latency. Every latency is resolved here,
+    /// when the auditor is built, not when a command first needs it.
     pub fn new(
         cfg: &DramTimingConfig,
         channels: usize,
@@ -443,6 +512,7 @@ impl ProtocolAuditor {
         ProtocolAuditor {
             replay: Replay::new(cfg, channels, ranks_per_channel, banks_per_rank, initial),
             pending: Vec::new(),
+            keys: Vec::new(),
             released: Picos::ZERO,
             commands_checked: 0,
         }
@@ -482,22 +552,63 @@ impl ProtocolAuditor {
         }
     }
 
-    /// Stable-sorts the held events and replays those below `watermark`
-    /// (all of them without one). Stability keeps same-instant,
-    /// same-priority events in ingest order, so a stream released in
-    /// batches replays exactly as it would sorted whole.
+    /// Replays the held events below `watermark` (all of them without
+    /// one) in `(at, replay_priority, ingest index)` order and keeps the
+    /// rest in ingest order.
+    ///
+    /// Each event is sorted by a `u64` key: its time as an offset from a
+    /// window base, then its priority, then its index in `pending`. The
+    /// index makes every key unique, so the unstable key sort yields
+    /// exactly the stable order by `(at, replay_priority)`: same-instant,
+    /// same-priority events replay in ingest order, and a stream released
+    /// in batches replays exactly as it would sorted whole. The offset gets
+    /// the bits the index leaves (`2^37` ps, about 137 ms, while fewer than
+    /// 16 M events are held); events beyond that replay in later windows,
+    /// so in practice every batch is one window. A `u128` key would hold
+    /// any time without windows, but sorts measurably slower.
     fn replay_pending(&mut self, watermark: Option<Picos>) {
-        self.pending
-            .sort_by_key(|e| (e.at, replay_priority(&e.kind)));
-        let n = watermark.map_or(self.pending.len(), |w| {
-            self.pending.partition_point(|e| e.at < w)
-        });
-        for e in &self.pending[..n] {
-            self.replay.step(e);
+        let below = |e: &CmdEvent| watermark.is_none_or(|w| e.at < w);
+        let index_bits = usize::BITS - self.pending.len().leading_zeros();
+        let time_shift = PRIORITY_BITS + index_bits;
+        let index_mask = (1 << index_bits) - 1;
+        // Every held event is dated at or after the released watermark.
+        let mut base = self.released;
+        loop {
+            let offset = |e: &CmdEvent| (e.at - base).as_ps();
+            let fits = |e: &CmdEvent| offset(e) >> (u64::BITS - time_shift) == 0;
+            // The earliest due event beyond this window, if any.
+            let mut later: Option<Picos> = None;
+            self.keys.clear();
+            for (i, e) in self.pending.iter().enumerate().filter(|(_, e)| below(e)) {
+                if fits(e) {
+                    let priority = u64::from(replay_priority(&e.kind));
+                    self.keys
+                        .push((offset(e) << time_shift) | (priority << index_bits) | i as u64);
+                } else {
+                    later = Some(later.map_or(e.at, |t| t.min(e.at)));
+                }
+            }
+            self.keys.sort_unstable();
+            for &key in &self.keys {
+                self.replay.step(&self.pending[key_index(key, index_mask)]);
+            }
+            self.commands_checked += self.keys.len();
+            self.pending.retain(|e| !(below(e) && fits(e)));
+            match later {
+                Some(t) => base = t,
+                None => return,
+            }
         }
-        self.commands_checked += n;
-        self.pending.drain(..n);
     }
+}
+
+/// Bits a replay key spends on the [`replay_priority`].
+const PRIORITY_BITS: u32 = 3;
+
+/// The `pending` index a replay key carries in its low bits.
+#[allow(clippy::cast_possible_truncation)] // the index was a usize
+fn key_index(key: u64, index_mask: u64) -> usize {
+    (key & index_mask) as usize
 }
 
 /// Tie-break for same-instant events: state transitions that *enable*
@@ -518,6 +629,7 @@ fn replay_priority(kind: &CmdKind) -> u8 {
 #[derive(Debug, Clone)]
 struct Replay {
     cfg: DramTimingConfig,
+    lat: Latencies,
     channels: Vec<ChannelState>,
     violations: Vec<Violation>,
 }
@@ -532,26 +644,29 @@ impl Replay {
     ) -> Self {
         Replay {
             cfg: cfg.clone(),
+            lat: Latencies::new(cfg, banks_per_rank),
             channels: (0..channels)
-                .map(|_| ChannelState {
-                    freq: initial,
-                    bus_busy_until: Picos::ZERO,
-                    relock: None,
-                    ranks: (0..ranks_per_channel)
-                        .map(|_| RankState::new(banks_per_rank, usize::from(cfg.bank_groups)))
-                        .collect(),
+                .map(|_| {
+                    let mut ch = ChannelState {
+                        freq: initial,
+                        burst: Picos::ZERO,
+                        t_ccd_l: Picos::ZERO,
+                        bus_busy_until: Picos::ZERO,
+                        relock: None,
+                        ranks: (0..ranks_per_channel)
+                            .map(|_| RankState::new(banks_per_rank, usize::from(cfg.bank_groups)))
+                            .collect(),
+                    };
+                    ch.lock(initial, cfg);
+                    ch
                 })
                 .collect(),
             violations: Vec::new(),
         }
     }
 
-    fn burst_len(&self, freq: MemFreq) -> Picos {
-        freq.cycle() * u64::from(self.cfg.burst_cycles)
-    }
-
     fn relock_penalty(&self, to: MemFreq) -> Picos {
-        to.cycle() * self.cfg.relock_cycles + Picos::from_ns_f64(self.cfg.relock_extra_ns)
+        to.cycle() * self.cfg.relock_cycles + self.lat.relock_extra
     }
 
     fn violate(&mut self, e: &CmdEvent, rule: Rule, reference: Picos, detail: String) {
@@ -678,9 +793,9 @@ impl Replay {
 
     fn on_activate(&mut self, e: &CmdEvent, row: u64) {
         self.check_operational(e);
-        let t_rp = self.cfg.t_rp();
-        let t_rrd = self.cfg.t_rrd();
-        let t_faw = self.cfg.t_faw();
+        let Latencies {
+            t_rp, t_rrd, t_faw, ..
+        } = self.lat;
         let Some(bank_id) = e.bank else {
             self.violate(
                 e,
@@ -694,7 +809,7 @@ impl Replay {
         let rank = &self.channels[e.channel.index()].ranks[e.rank.index()];
         let bank_state = rank.banks[bank_id.index()];
         let last_act = rank.acts.back().copied();
-        let last_group_act = rank.group_acts[group % rank.group_acts.len()];
+        let last_group_act = rank.group_acts[group];
         let four_deep = (rank.acts.len() == 4).then(|| rank.acts[0]);
 
         // Bank must be precharged, and the precharge must have completed.
@@ -751,7 +866,7 @@ impl Replay {
 
         // DDR4 rule pack: same-bank-group ACTs must also respect tRRD_L.
         if self.cfg.bank_groups > 1 {
-            let t_rrd_l = self.cfg.t_rrd_l();
+            let t_rrd_l = self.lat.t_rrd_l;
             if let Some(last) = last_group_act {
                 if e.at < last + t_rrd_l {
                     self.violate(
@@ -772,8 +887,7 @@ impl Replay {
             rank.acts.pop_front();
         }
         rank.acts.push_back(e.at);
-        let slot = group % rank.group_acts.len();
-        rank.group_acts[slot] = Some(e.at);
+        rank.group_acts[group] = Some(e.at);
         rank.banks[bank_id.index()] = BankState::Open {
             row,
             act_at: e.at,
@@ -784,8 +898,7 @@ impl Replay {
 
     fn on_cas(&mut self, e: &CmdEvent, burst_start: Picos, burst_end: Picos, is_write: bool) {
         self.check_operational(e);
-        let t_rcd = self.cfg.t_rcd();
-        let t_cl = self.cfg.t_cl();
+        let Latencies { t_rcd, t_cl, .. } = self.lat;
         let Some(bank_id) = e.bank else {
             self.violate(
                 e,
@@ -796,18 +909,21 @@ impl Replay {
             return;
         };
         let ch_idx = e.channel.index();
-        let freq = self.channels[ch_idx].freq;
-        let burst = self.burst_len(freq);
-        let bus_free = self.channels[ch_idx].bus_busy_until;
+        let ChannelState {
+            freq,
+            burst,
+            t_ccd_l,
+            bus_busy_until: bus_free,
+            ..
+        } = self.channels[ch_idx];
         let bank_state = self.channels[ch_idx].ranks[e.rank.index()].banks[bank_id.index()];
         let group = self.cfg.bank_group_of(bank_id);
 
         // DDR4 rule pack: same-bank-group CAS pairs must respect tCCD_L,
         // which exceeds the burst (tCCD_S) that bus serialization enforces.
         if self.cfg.bank_groups > 1 {
-            let t_ccd_l = freq.cycle() * u64::from(self.cfg.t_ccd_l_cycles);
             let rank = &self.channels[ch_idx].ranks[e.rank.index()];
-            if let Some(last) = rank.group_cas[group % rank.group_cas.len()] {
+            if let Some(last) = rank.group_cas[group] {
                 if e.at < last + t_ccd_l {
                     self.violate(
                         e,
@@ -878,8 +994,7 @@ impl Replay {
         let ch = &mut self.channels[ch_idx];
         ch.bus_busy_until = ch.bus_busy_until.max(burst_end);
         let rank = &mut ch.ranks[e.rank.index()];
-        let slot = group % rank.group_cas.len();
-        rank.group_cas[slot] = Some(e.at);
+        rank.group_cas[group] = Some(e.at);
         if let BankState::Open {
             last_read_cas,
             last_write_end,
@@ -907,10 +1022,13 @@ impl Replay {
             );
             return;
         };
-        let t_ras = self.cfg.t_ras();
-        let t_rtp = self.cfg.t_rtp();
-        let t_wr = self.cfg.t_wr();
-        let t_rp = self.cfg.t_rp();
+        let Latencies {
+            t_ras,
+            t_rtp,
+            t_wr,
+            t_rp,
+            ..
+        } = self.lat;
         let rank = &self.channels[e.channel.index()].ranks[e.rank.index()];
         let power = rank.power;
         let bank_state = rank.banks[bank_id.index()];
@@ -977,18 +1095,10 @@ impl Replay {
         // effective interval to tREFI / banks and requires a bank tag.
         let per_bank = self.cfg.per_bank_refresh;
         let gen = self.cfg.generation;
-        let (t_rfc, dur_rule) = if per_bank {
-            (self.cfg.t_rfc_pb(), Rule::TRfcPb)
+        let (t_rfc, dur_rule, t_refi) = if per_bank {
+            (self.lat.t_rfc_pb, Rule::TRfcPb, self.lat.t_refi_pb)
         } else {
-            (self.cfg.t_rfc(), Rule::TRfc)
-        };
-        let banks = self.channels[e.channel.index()].ranks[e.rank.index()]
-            .banks
-            .len();
-        let t_refi = if per_bank {
-            self.cfg.t_refi().scale(1.0 / banks as f64)
-        } else {
-            self.cfg.t_refi()
+            (self.lat.t_rfc, Rule::TRfc, self.lat.t_refi)
         };
         let ch = &self.channels[e.channel.index()];
         let relock = ch.relock;
@@ -1100,9 +1210,9 @@ impl Replay {
 
     fn on_pd_exit(&mut self, e: &CmdEvent, fast: bool, entered_at: Picos, ready: Picos) {
         let exit = if fast {
-            self.cfg.t_xp()
+            self.lat.t_xp
         } else {
-            self.cfg.t_xpdll()
+            self.lat.t_xpdll
         };
         let rule = if fast { Rule::TXp } else { Rule::TXpdll };
         let power = self.channels[e.channel.index()].ranks[e.rank.index()].power;
@@ -1188,7 +1298,7 @@ impl Replay {
     }
 
     fn on_dpd_exit(&mut self, e: &CmdEvent, entered_at: Picos, ready: Picos) {
-        let t_xdpd = self.cfg.t_xdpd();
+        let t_xdpd = self.lat.t_xdpd;
         let power = self.channels[e.channel.index()].ranks[e.rank.index()].power;
         match power {
             Power::Up => {
@@ -1262,7 +1372,7 @@ impl Replay {
         // re-locks from precharge powerdown), every bank closes, and the bus
         // stalls until `ready`.
         let ch = &mut self.channels[ch_idx];
-        ch.freq = to;
+        ch.lock(to, &self.cfg);
         ch.bus_busy_until = ch.bus_busy_until.max(ready);
         ch.relock = Some((e.at, ready));
         for rank in &mut ch.ranks {
@@ -1415,6 +1525,85 @@ mod tests {
         streamed.release(Picos::from_ns(50));
         assert_eq!(streamed.finalize(), whole);
         assert_eq!(rules(&whole), vec![Rule::TRcd, Rule::TRrd]);
+    }
+
+    /// Two read CASes at 20 ns on ranks 0 and 1 (rows opened at 0 and
+    /// 5 ns), both bursting 35..40 ns on the shared bus, in ingest order.
+    fn tied_reads(first_rank: usize) -> (Vec<CmdEvent>, CmdEvent, CmdEvent) {
+        let acts = vec![act(0, 0, 0, 1), act(5, 1, 0, 1)];
+        (
+            acts,
+            read_cas(20, first_rank, 0),
+            read_cas(20, 1 - first_rank, 0),
+        )
+    }
+
+    /// The lone violation of a tied-reads stream: the bus overlap of the
+    /// CAS that replayed second.
+    fn overlapping_rank(report: &AuditReport) -> RankId {
+        assert_eq!(rules(report), vec![Rule::BusOverlap], "{report}");
+        let v = &report.violations[0];
+        assert_eq!(
+            (v.at, v.reference),
+            (Picos::from_ns(20), Picos::from_ns(40))
+        );
+        v.rank
+    }
+
+    #[test]
+    fn same_instant_same_priority_commands_replay_in_ingest_order() {
+        for first in [0, 1] {
+            let (acts, a, b) = tied_reads(first);
+            let mut whole = auditor();
+            whole.ingest(&acts);
+            whole.ingest(&[a, b]);
+            assert_eq!(overlapping_rank(&whole.finalize()), b.rank);
+        }
+    }
+
+    #[test]
+    fn a_held_command_replays_before_a_tie_ingested_after_it() {
+        for first in [0, 1] {
+            let (acts, a, b) = tied_reads(first);
+            let mut streamed = auditor();
+            streamed.ingest(&acts);
+            streamed.ingest(&[a]);
+            // The watermark sits at the CAS's own instant, so it is held.
+            streamed.release(Picos::from_ns(20));
+            assert_eq!((streamed.commands_checked, streamed.pending.len()), (2, 1));
+            streamed.ingest(&[b]);
+            assert_eq!(overlapping_rank(&streamed.finalize()), b.rank);
+        }
+    }
+
+    #[test]
+    fn events_beyond_one_key_window_replay_in_time_order() {
+        // 2^50 ns is about 2^60 ps, more than a key's time offset holds
+        // beside six indices, so the stream replays in two windows.
+        const FAR: u64 = 1 << 50;
+        let mut a = auditor();
+        a.ingest(&[
+            act(FAR + 5, 1, 0, 1),
+            act(FAR, 0, 1, 1),
+            read_cas(FAR + 20, 1, 0),
+            // Tied with the CAS above and ingested after it: its burst
+            // overlaps.
+            read_cas(FAR + 20, 0, 1),
+        ]);
+        // Replays first despite the ingest order: a tRCD violation.
+        a.ingest(&[read_cas(10, 0, 0), act(0, 0, 0, 7)]);
+        let r = a.finalize();
+        assert_eq!(r.commands_checked, 6);
+        assert_eq!(rules(&r), vec![Rule::TRcd, Rule::BusOverlap], "{r}");
+        assert_eq!(r.violations[1].rank, RankId(0), "{r}");
+    }
+
+    #[test]
+    fn invalid_latency_panics_when_the_auditor_is_built() {
+        let mut bad = cfg();
+        bad.t_xdpd_ns = f64::NAN; // DDR3 never replays a deep power-down exit
+        let built = std::panic::catch_unwind(|| ProtocolAuditor::new(&bad, 1, 2, 8, MemFreq::F800));
+        assert!(built.is_err());
     }
 
     #[test]

@@ -116,6 +116,15 @@ fn bench_sharded_sweep(c: &mut Criterion) {
         errors,
         "parallel and sequential sweeps must fail identically"
     );
+    // Miss records the sequential sweep replayed, over every shard (each
+    // shard replays most of the trace), and whether it audited: some shard
+    // ran, and every shard that ran carries an audit report.
+    let seq_runs: Vec<_> = seq.iter().filter_map(|(_, r)| r.as_ref().ok()).collect();
+    let seq_records: u64 = seq_runs
+        .iter()
+        .map(|(run, _)| run.counters.reads + run.counters.writes)
+        .sum();
+    let audited = !seq_runs.is_empty() && seq_runs.iter().all(|(run, _)| run.audit.is_some());
 
     // `sim_duration_ms` is the *simulated* horizon; every wall clock goes
     // under a `_s` key, with `wall_clock_s` covering the whole sweep (the
@@ -132,6 +141,13 @@ fn bench_sharded_sweep(c: &mut Criterion) {
         .push_count("threads", rayon::current_num_threads())
         .seconds("record", record_s)
         .seconds("sequential", sequential_s)
+        .push_int("sequential_miss_records", seq_records)
+        .push_f64(
+            "sequential_records_per_s",
+            seq_records as f64 / sequential_s,
+            0,
+        )
+        .push_bool("audited", audited)
         .seconds("sharded", sharded_s)
         .push_f64("speedup", sequential_s / sharded_s, 3)
         .wall_clock_s(record_s + sequential_s + sharded_s);

@@ -130,6 +130,12 @@ impl BenchArtifact {
         self
     }
 
+    /// Appends a boolean field.
+    pub fn push_bool(&mut self, key: &str, value: bool) -> &mut Self {
+        self.push_raw(key, value.to_string());
+        self
+    }
+
     /// Appends a usize count field.
     pub fn push_count(&mut self, key: &str, value: usize) -> &mut Self {
         self.push_raw(key, value.to_string());
@@ -223,14 +229,23 @@ mod tests {
         a.push_str("mix", "MID1")
             .push_count("shards", 17)
             .push_int("threads", 4u32)
+            .push_bool("audited", true)
             .push_f64("speedup", 1.23456, 3);
         assert_eq!(
             a.keys(),
-            ["benchmark", "mix", "shards", "threads", "speedup"]
+            [
+                "benchmark",
+                "mix",
+                "shards",
+                "threads",
+                "audited",
+                "speedup"
+            ]
         );
         let json = a.render();
         assert!(json.starts_with("{\n  \"benchmark\": \"demo\",\n"));
         assert!(json.contains("  \"mix\": \"MID1\",\n"));
+        assert!(json.contains("  \"audited\": true,\n"));
         assert!(json.contains("  \"speedup\": 1.235\n"));
         assert!(json.ends_with("}\n"));
     }
