@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use memscale::policies::PolicyKind;
 use memscale_bench::report::BenchArtifact;
-use memscale_simulator::harness::{record_trace, Experiment};
+use memscale_simulator::harness::{record_calibrated, record_trace};
 use memscale_simulator::shard::{default_grid, replay_sequential, replay_sharded};
 use memscale_simulator::SimConfig;
 use memscale_trace::{ReplayTrace, TraceReader, TraceWriter};
@@ -83,22 +83,22 @@ fn bench_cursor_vs_generator(c: &mut Criterion) {
     g.finish();
 }
 
-/// The sharded-replay sweep: record MID1 once, fan it across the full DDR3
-/// shard grid sequentially and in parallel, and write the measured wall
-/// clocks (plus the derived speedup) to `BENCH_replay.json` at the repo
-/// root. On a single-core container the speedup is ~1×; the artifact
-/// records `threads` so readers can judge the number in context.
+/// The sharded-replay sweep: record MID1 once (the recording baseline is
+/// the calibrated experiment), fan it across the full DDR3 shard grid
+/// sequentially and in parallel, and write the measured wall clocks (plus
+/// the derived speedup) to `BENCH_replay.json` at the repo root. On a
+/// single-core container the speedup is ~1×; the artifact records
+/// `threads` so readers can judge the number in context.
 fn bench_sharded_sweep(c: &mut Criterion) {
     let mix = Mix::by_name("MID1").unwrap();
     let cfg = quick();
 
     let record_start = Instant::now();
-    let (header, streams) =
-        record_trace(&mix, &cfg, &[PolicyKind::Static(MemFreq::MIN)], 100).unwrap();
+    let (exp, header, streams) =
+        record_calibrated(&mix, &cfg, &[PolicyKind::Static(MemFreq::MIN)], 100).unwrap();
     let record_s = record_start.elapsed().as_secs_f64();
     let records: usize = streams.iter().map(Vec::len).sum();
     let trace = ReplayTrace::from_streams(header, streams);
-    let exp = Experiment::calibrate_replay(&mix, &cfg, &trace).unwrap();
     let shards = default_grid(MemGeneration::Ddr3);
     assert!(shards.len() >= 8, "sweep needs at least 8 shards");
 
@@ -127,9 +127,10 @@ fn bench_sharded_sweep(c: &mut Criterion) {
     let audited = !seq_runs.is_empty() && seq_runs.iter().all(|(run, _)| run.audit.is_some());
 
     // `sim_duration_ms` is the *simulated* horizon; every wall clock goes
-    // under a `_s` key, with `wall_clock_s` covering the whole sweep (the
-    // old artifact wrote the 2 ms simulated horizon as `duration_ms` next
-    // to multi-second wall clocks — see `BenchArtifact`).
+    // under a `_s` key: `record_s` covers recording and calibration, and
+    // `wall_clock_s` every timed phase (the old artifact wrote the 2 ms
+    // simulated horizon as `duration_ms` next to multi-second wall clocks —
+    // see `BenchArtifact`).
     let mut artifact = BenchArtifact::new("trace_replay_sharded");
     artifact
         .push_str("mix", mix.name)

@@ -549,7 +549,7 @@ impl Rank {
         }
     }
 
-    /// Processes refresshes that became due at or before `now`, stalling the
+    /// Processes refreshes that became due at or before `now`, stalling the
     /// rank for tRFC per command (up to the DDR3 postponing limit of eight;
     /// further arrears are dropped, as their energy is modeled analytically
     /// from wall time by the power crate). Under LPDDR per-bank refresh the

@@ -28,11 +28,6 @@ pub struct SimConfig {
     /// Fault-injection plan (`None` or an all-zero-rate plan leaves the
     /// run byte-identical to a faultless build; see DESIGN.md §9).
     pub faults: Option<FaultPlan>,
-    /// Tee every miss event the engine pulls into a capture buffer, so the
-    /// run's exact input can be written out as a replayable trace artifact
-    /// (see DESIGN.md §11). Off by default; recording does not perturb the
-    /// simulated run in any way.
-    pub record: bool,
 }
 
 impl Default for SimConfig {
@@ -47,7 +42,6 @@ impl Default for SimConfig {
             timeline_interval: None,
             row_policy: RowPolicy::ClosedPage,
             faults: None,
-            record: false,
         }
     }
 }
@@ -100,18 +94,9 @@ impl SimConfig {
         self
     }
 
-    /// Enables miss-stream recording for runs built from this config.
-    #[must_use]
-    pub fn with_recording(mut self) -> Self {
-        self.record = true;
-        self
-    }
-
     /// A 64-bit fingerprint of every knob that shapes a run's miss stream
     /// and results — the hardware system, governor, duration, seed, slice
-    /// size, timeline, row policy and fault plan. The `record` switch is
-    /// excluded: recording never perturbs a run, so a trace recorded from
-    /// a run replays into the identical non-recording configuration.
+    /// size, timeline, row policy and fault plan.
     ///
     /// Trace artifacts embed this fingerprint, and replay refuses a trace
     /// whose fingerprint differs from the replay run's. The hash is FNV-1a

@@ -15,7 +15,7 @@ use memscale_cpu::{CoreCounters, CoreState, InOrderCore};
 use memscale_faults::FaultInjector;
 use memscale_mc::{McCounters, MemoryController};
 use memscale_power::{ActivitySummary, EnergyAccount, PowerModel};
-use memscale_trace::{Recorder, TraceError};
+use memscale_trace::TraceError;
 use memscale_types::faults::{CounterFault, RefreshFault, SwitchFault};
 use memscale_types::freq::MemFreq;
 use memscale_types::time::Picos;
@@ -131,7 +131,6 @@ pub struct Simulation {
     now: Picos,
     cores: Vec<InOrderCore>,
     sources: Vec<Box<dyn MissSource + Send>>,
-    recorder: Option<Recorder>,
     pending: Vec<Option<MissEvent>>,
     phase: Vec<CorePhase>,
     heap: BinaryHeap<Reverse<(Picos, usize)>>,
@@ -193,12 +192,7 @@ impl Simulation {
     /// configured memory generation (e.g. deep power-down outside LPDDR),
     /// and [`SimError::InvalidFaultPlan`] for an out-of-bounds fault plan.
     pub fn new(mix: &Mix, policy_kind: PolicyKind, cfg: &SimConfig) -> Result<Self, SimError> {
-        let sources = mix
-            .traces(cfg.system.cpu.cores, cfg.slice_lines, cfg.seed)
-            .into_iter()
-            .map(|s| Box::new(s) as Box<dyn MissSource + Send>)
-            .collect();
-        Simulation::with_sources(mix, policy_kind, cfg, sources)
+        Simulation::with_sources(mix, policy_kind, cfg, live_sources(mix, cfg))
     }
 
     /// Builds a simulation of `mix` under `policy_kind` whose miss events
@@ -283,7 +277,6 @@ impl Simulation {
             now: Picos::ZERO,
             cores,
             sources,
-            recorder: cfg.record.then(|| Recorder::new(n)),
             pending: vec![None; n],
             phase: vec![CorePhase::Computing; n],
             heap: BinaryHeap::with_capacity(n + 1),
@@ -340,25 +333,14 @@ impl Simulation {
         self.request_tracker = Some(tracker);
     }
 
-    /// The capture buffer of a recording run ([`SimConfig::record`]), or
-    /// `None`. The returned handle shares the buffer, so it stays valid
-    /// after the run consumes the simulation.
-    pub fn recorder(&self) -> Option<Recorder> {
-        self.recorder.clone()
-    }
-
-    /// Pulls core `c`'s next miss from its source, teeing it into the
-    /// capture buffer when recording. A live [`memscale_workloads::MissStream`]
-    /// never runs dry; a replay cursor that does means the trace was
-    /// recorded with too little margin for this policy.
+    /// Pulls core `c`'s next miss from its source. A live
+    /// [`memscale_workloads::MissStream`] never runs dry; a replay cursor
+    /// that does means the trace was recorded with too little margin for
+    /// this policy.
     fn pull_miss(&mut self, c: usize, at: Picos) -> Result<MissEvent, SimError> {
-        let ev = self.sources[c]
+        self.sources[c]
             .next_event()
-            .ok_or(SimError::TraceExhausted { app: c, at })?;
-        if let Some(rec) = &self.recorder {
-            rec.observe(c, &ev);
-        }
-        Ok(ev)
+            .ok_or(SimError::TraceExhausted { app: c, at })
     }
 
     /// Runs for a fixed duration (baseline mode) and reports the result
@@ -829,6 +811,14 @@ impl Simulation {
             audit_peak_held,
         }
     }
+}
+
+/// The live generator's miss sources for `mix` under `cfg`, one per core.
+pub(crate) fn live_sources(mix: &Mix, cfg: &SimConfig) -> Vec<Box<dyn MissSource + Send>> {
+    mix.traces(cfg.system.cpu.cores, cfg.slice_lines, cfg.seed)
+        .into_iter()
+        .map(|s| Box::new(s) as Box<dyn MissSource + Send>)
+        .collect()
 }
 
 /// Perturbs one counter read per the drawn fault. Returns whether the fault

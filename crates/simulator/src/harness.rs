@@ -6,17 +6,18 @@
 //! fraction. [`Experiment::evaluate`] then runs any policy until the same
 //! work completes and reports energy savings and CPI degradation relative
 //! to the baseline — the quantities plotted in Figs 5, 6, 9, 11 and the
-//! sensitivity studies.
+//! sensitivity studies. [`record_calibrated`] records a replayable trace
+//! and hands back its recording baseline as the calibrated experiment.
 
 use crate::config::SimConfig;
-use crate::engine::Simulation;
+use crate::engine::{live_sources, Simulation};
 use crate::error::SimError;
 use crate::result::RunResult;
 use memscale::policies::PolicyKind;
 use memscale_power::PowerModel;
-use memscale_trace::{merge_prefixes, Recorder, ReplayTrace, TraceError, TraceHeader};
+use memscale_trace::{MissTape, ReplayTrace, TraceError, TraceHeader};
 use memscale_types::CancelToken;
-use memscale_workloads::{MissEvent, Mix};
+use memscale_workloads::{MissEvent, MissSource, Mix};
 
 /// Policy-vs-baseline summary for one workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,7 +64,6 @@ pub struct Experiment {
     cfg: SimConfig,
     baseline: RunResult,
     rest_w: f64,
-    recording: Option<Recorder>,
 }
 
 impl Experiment {
@@ -77,8 +77,7 @@ impl Experiment {
     ///
     /// Propagates any [`SimError`] from building or running the baseline.
     pub fn calibrate(mix: &Mix, cfg: &SimConfig) -> Result<Self, SimError> {
-        let sim = Simulation::new(mix, PolicyKind::Baseline, cfg)?;
-        Experiment::calibrate_sim(mix, cfg, sim)
+        Experiment::calibrate_sources(mix, cfg, live_sources(mix, cfg))
     }
 
     /// Like [`Experiment::calibrate`], but the baseline's miss events come
@@ -98,12 +97,16 @@ impl Experiment {
         trace: &ReplayTrace,
     ) -> Result<Self, SimError> {
         check_trace(mix, cfg, trace)?;
-        let sim = Simulation::with_sources(mix, PolicyKind::Baseline, cfg, trace.streams())?;
-        Experiment::calibrate_sim(mix, cfg, sim)
+        Experiment::calibrate_sources(mix, cfg, trace.streams())
     }
 
-    fn calibrate_sim(mix: &Mix, cfg: &SimConfig, sim: Simulation) -> Result<Self, SimError> {
-        let recording = sim.recorder();
+    /// Calibrates a baseline whose miss events come from `sources`.
+    pub(crate) fn calibrate_sources(
+        mix: &Mix,
+        cfg: &SimConfig,
+        sources: Vec<Box<dyn MissSource + Send>>,
+    ) -> Result<Self, SimError> {
+        let sim = Simulation::with_sources(mix, PolicyKind::Baseline, cfg, sources)?;
         let mut baseline = sim.run_for(cfg.duration, 0.0)?;
         let power = PowerModel::new(&cfg.system);
         let elapsed = baseline.energy.elapsed.as_secs_f64();
@@ -117,7 +120,6 @@ impl Experiment {
             cfg: cfg.clone(),
             baseline,
             rest_w,
-            recording,
         })
     }
 
@@ -139,13 +141,6 @@ impl Experiment {
         &self.mix
     }
 
-    /// The baseline's capture buffer when it was calibrated under a
-    /// recording configuration ([`SimConfig::with_recording`]), else `None`.
-    #[inline]
-    pub fn recording(&self) -> Option<&Recorder> {
-        self.recording.as_ref()
-    }
-
     /// Runs `policy` over the baseline's work and compares.
     ///
     /// # Errors
@@ -153,28 +148,6 @@ impl Experiment {
     /// Propagates any [`SimError`] from building or running the policy run.
     pub fn evaluate(&self, policy: PolicyKind) -> Result<(RunResult, Comparison), SimError> {
         self.evaluate_configured(policy, &self.cfg)
-    }
-
-    /// Runs `policy` over the baseline's work with recording forced on and
-    /// returns its captured miss streams alongside the usual comparison.
-    /// Because every run at one seed pulls a prefix of the same per-app
-    /// streams, the capture can be [`merge_prefixes`]-combined with other
-    /// recordings of this experiment.
-    ///
-    /// # Errors
-    ///
-    /// The errors of [`Experiment::evaluate`].
-    pub fn evaluate_recorded(
-        &self,
-        policy: PolicyKind,
-    ) -> Result<(RunResult, Comparison, Vec<Vec<MissEvent>>), SimError> {
-        let rcfg = self.cfg.clone().with_recording();
-        let mut sim = Simulation::new(&self.mix, policy, &rcfg)?;
-        let rec = sim.recorder().unwrap_or_default();
-        sim.set_rest_of_system_w(self.rest_w);
-        let run = sim.run_until_work(&self.baseline.work, self.rest_w)?;
-        let cmp = self.compare(&run);
-        Ok((run, cmp, rec.snapshot()))
     }
 
     /// Runs `policy` over the baseline's work with miss events replayed
@@ -213,12 +186,7 @@ impl Experiment {
         cancel: &CancelToken,
     ) -> Result<(RunResult, Comparison), SimError> {
         check_trace(&self.mix, &self.cfg, trace)?;
-        let mut sim = Simulation::with_sources(&self.mix, policy, &self.cfg, trace.streams())?;
-        sim.set_rest_of_system_w(self.rest_w);
-        sim.set_cancel_token(cancel.clone());
-        let run = sim.run_until_work(&self.baseline.work, self.rest_w)?;
-        let cmp = self.compare(&run);
-        Ok((run, cmp))
+        self.run_sources(policy, &self.cfg, trace.streams(), cancel)
     }
 
     /// Runs `policy` with an overridden configuration (e.g. a different γ
@@ -239,8 +207,22 @@ impl Experiment {
     ) -> Result<(RunResult, Comparison), SimError> {
         assert_eq!(cfg.system, self.cfg.system, "hardware must match baseline");
         assert_eq!(cfg.seed, self.cfg.seed, "seed must match baseline");
-        let mut sim = Simulation::new(&self.mix, policy, cfg)?;
+        let sources = live_sources(&self.mix, cfg);
+        self.run_sources(policy, cfg, sources, &CancelToken::new())
+    }
+
+    /// Runs `policy` over the baseline's work with miss events from
+    /// `sources`, and compares.
+    fn run_sources(
+        &self,
+        policy: PolicyKind,
+        cfg: &SimConfig,
+        sources: Vec<Box<dyn MissSource + Send>>,
+        cancel: &CancelToken,
+    ) -> Result<(RunResult, Comparison), SimError> {
+        let mut sim = Simulation::with_sources(&self.mix, policy, cfg, sources)?;
         sim.set_rest_of_system_w(self.rest_w);
+        sim.set_cancel_token(cancel.clone());
         let run = sim.run_until_work(&self.baseline.work, self.rest_w)?;
         let cmp = self.compare(&run);
         Ok((run, cmp))
@@ -326,19 +308,45 @@ pub fn check_trace(mix: &Mix, cfg: &SimConfig, trace: &ReplayTrace) -> Result<()
     Ok(())
 }
 
-/// Records a replayable trace of `mix` under `cfg`.
+/// Records a replayable trace of `mix` under `cfg`, and hands back the
+/// recording baseline as the calibrated [`Experiment`].
 ///
-/// A recording baseline run establishes each app's event prefix; recording
-/// fixed-work runs of `policies` extend the prefixes to the longest any of
-/// them consumes (fixed work at a lower frequency takes longer, so slow
-/// policies pull more events per core). Finally `margin_pct` percent of
-/// freshly generated continuation events (with a 64-event floor) are
-/// appended per app, so policies slower than any of the recorded ones still
-/// replay without exhausting.
+/// Every recording run reads one [`MissTape`] over the live generator. The
+/// baseline establishes each app's event prefix; fixed-work runs of
+/// `policies` extend the prefixes to the longest any of them consumes
+/// (fixed work at a lower frequency takes longer, so slow policies pull
+/// more events per core). The tape then draws `margin_pct` percent more
+/// continuation events per app (with a 64-event floor), so policies slower
+/// than any of the recorded ones still replay without exhausting. Each
+/// event is generated once.
 ///
-/// Returns the header to stamp on the artifact and the per-app streams,
-/// ready for [`memscale_trace::write_trace_file`] or
+/// The baseline read exactly the events the trace starts with, so the
+/// returned experiment is bit-identical to [`Experiment::calibrate_replay`]
+/// on the trace, without running the baseline a second time.
+///
+/// Returns the experiment, the header to stamp on the artifact and the
+/// per-app streams, ready for [`memscale_trace::write_trace_file`] or
 /// [`ReplayTrace::from_streams`].
+///
+/// # Errors
+///
+/// Propagates any [`SimError`] from the recording runs.
+pub fn record_calibrated(
+    mix: &Mix,
+    cfg: &SimConfig,
+    policies: &[PolicyKind],
+    margin_pct: usize,
+) -> Result<(Experiment, TraceHeader, Vec<Vec<MissEvent>>), SimError> {
+    let tape = MissTape::new(live_sources(mix, cfg));
+    let exp = Experiment::calibrate_sources(mix, cfg, tape.cursors())?;
+    for &policy in policies {
+        exp.run_sources(policy, cfg, tape.cursors(), &CancelToken::new())?;
+    }
+    Ok((exp, trace_header(mix, cfg), tape.finish(margin_pct)))
+}
+
+/// [`record_calibrated`] without the experiment: the header and per-app
+/// streams of a replayable trace of `mix` under `cfg`.
 ///
 /// # Errors
 ///
@@ -349,26 +357,8 @@ pub fn record_trace(
     policies: &[PolicyKind],
     margin_pct: usize,
 ) -> Result<(TraceHeader, Vec<Vec<MissEvent>>), SimError> {
-    let rcfg = cfg.clone().with_recording();
-    let exp = Experiment::calibrate(mix, &rcfg)?;
-    let mut streams = exp.recording().map(Recorder::snapshot).unwrap_or_default();
-    for &policy in policies {
-        let (_, _, captured) = exp.evaluate_recorded(policy)?;
-        streams = merge_prefixes(streams, captured);
-    }
-    // Margin: every run at one seed pulls a prefix of the same deterministic
-    // per-app streams, so the continuation past the recorded prefix comes
-    // from regenerating the streams and skipping what was consumed.
-    let mut fresh = mix.traces(cfg.system.cpu.cores, cfg.slice_lines, cfg.seed);
-    for (stream, gen) in streams.iter_mut().zip(&mut fresh) {
-        let consumed = stream.len();
-        for _ in 0..consumed {
-            gen.next_miss();
-        }
-        let extra = consumed.saturating_mul(margin_pct) / 100 + 64;
-        stream.extend(std::iter::repeat_with(|| gen.next_miss()).take(extra));
-    }
-    Ok((trace_header(mix, cfg), streams))
+    let (_, header, streams) = record_calibrated(mix, cfg, policies, margin_pct)?;
+    Ok((header, streams))
 }
 
 #[cfg(test)]

@@ -43,12 +43,14 @@ pub mod slo;
 pub use config::SimConfig;
 pub use engine::Simulation;
 pub use error::SimError;
-pub use harness::{check_trace, record_trace, trace_header, Comparison, Experiment};
+pub use harness::{
+    check_trace, record_calibrated, record_trace, trace_header, Comparison, Experiment,
+};
 pub use memscale_faults::FaultReport;
 pub use result::{RunResult, TimelineSample};
 pub use service::{ServeBaseline, SimulatorBackend};
 pub use shard::{default_grid, replay_sequential, replay_sharded, ShardResult, ShardSpec};
 pub use slo::{
-    record_service_trace, run_service_policy, run_service_policy_replay, run_slo_sweep,
-    run_slo_sweep_replay, PolicyOutcome, ServiceConfig, SloReport,
+    record_service_calibrated, record_service_trace, run_service_policy, run_service_policy_replay,
+    run_slo_sweep, run_slo_sweep_replay, PolicyOutcome, ServiceConfig, SloReport,
 };

@@ -10,16 +10,18 @@
 //! * a **baseline bundle** ([`ServeBaseline`]) — the calibrated
 //!   [`Experiment`] plus the [`ReplayTrace`] every cell replays — built
 //!   once per `(fingerprint, input)` and shared via the server's
-//!   calibration cache;
+//!   calibration cache. A recorded job's recording baseline is its
+//!   calibrated experiment; a trace file or a persisted baseline
+//!   calibrates by replay;
 //! * per-cell evaluations — `evaluate_replay` of the cell's policy,
 //!   mirroring [`crate::shard::replay_sharded`] one cell at a time so the
 //!   server can schedule and cache cells independently.
 
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::harness::{record_trace, Experiment};
+use crate::harness::{record_calibrated, Experiment};
 use crate::shard::default_grid;
-use crate::slo::{record_service_trace, run_service_policy_replay_cancellable, ServiceConfig};
+use crate::slo::{record_service_calibrated, run_service_policy_replay_cancellable, ServiceConfig};
 use memscale::policies::PolicyKind;
 use memscale_arrivals::ArrivalSpec;
 use memscale_serve::server::{JobPlan, SweepBackend};
@@ -44,15 +46,14 @@ pub struct ServeBaseline {
     service: Option<ServiceContext>,
 }
 
-/// Everything an open-loop cell needs beyond the shared trace.
+/// Everything an open-loop cell needs beyond the shared trace. The
+/// savings denominator is the memory energy of the experiment's baseline,
+/// which is the Baseline policy's service run.
 #[derive(Debug)]
 struct ServiceContext {
     mix: Mix,
     cfg: SimConfig,
     svc: ServiceConfig,
-    /// Memory energy of the Baseline policy's service run (J), the
-    /// denominator of per-cell savings.
-    baseline_memory_j: f64,
 }
 
 /// The simulator-backed sweep backend handed to
@@ -178,64 +179,38 @@ impl SweepBackend for SimulatorBackend {
     fn calibrate(&self, job: &JobSpec) -> Result<ServeBaseline, (ErrorCode, String)> {
         let (mix, cfg) = self.resolve(job)?;
         let sim_err = |e: SimError| (sim_error_code(&e), e.to_string());
-        if let Some(svc) = service_config(job)? {
-            // Open-loop job: record the policy-independent service stream
-            // (Baseline is the fastest consumer, so its prefix bounds
-            // every cell) and pin the savings denominator with one
-            // Baseline service run.
-            let trace = match &job.trace {
-                Some(path) => ReplayTrace::open(Path::new(path))
-                    .map_err(|e| (ErrorCode::Trace, e.to_string()))?,
-                None => {
-                    let (header, streams) =
-                        record_service_trace(&mix, &cfg, &svc, job.margin_pct).map_err(sim_err)?;
-                    ReplayTrace::from_streams(header, streams)
-                }
-            };
-            let exp = Experiment::calibrate_replay(&mix, &cfg, &trace).map_err(sim_err)?;
-            let baseline_run = run_service_policy_replay_cancellable(
-                &mix,
-                PolicyKind::Baseline,
-                &cfg,
-                &svc,
-                &trace,
-                &CancelToken::new(),
-            )
-            .map_err(sim_err)?;
-            let service = Some(ServiceContext {
-                mix,
-                cfg,
-                svc,
-                baseline_memory_j: baseline_run.energy.memory_total_j(),
-            });
-            return Ok(ServeBaseline {
-                exp,
-                trace,
-                service,
-            });
-        }
-        let trace = match &job.trace {
+        let svc = service_config(job)?;
+        let (exp, trace) = match &job.trace {
             Some(path) => {
-                ReplayTrace::open(Path::new(path)).map_err(|e| (ErrorCode::Trace, e.to_string()))?
+                let trace = ReplayTrace::open(Path::new(path))
+                    .map_err(|e| (ErrorCode::Trace, e.to_string()))?;
+                let exp = Experiment::calibrate_replay(&mix, &cfg, &trace).map_err(sim_err)?;
+                (exp, trace)
             }
             None => {
-                // Record with the grid's slowest static point so every cell
-                // replays within margin (same rationale as `record_and_sweep`).
-                let (header, streams) = record_trace(
-                    &mix,
-                    &cfg,
-                    &[PolicyKind::Static(MemFreq::MIN)],
-                    job.margin_pct,
-                )
+                // The recording baseline is the calibrated experiment. An
+                // open-loop job records its policy-independent service
+                // stream under Baseline, the fastest consumer, whose prefix
+                // bounds every cell; a batch job records with the grid's
+                // slowest static point so every cell replays within margin
+                // (same rationale as `record_and_sweep`).
+                let (exp, header, streams) = match &svc {
+                    Some(svc) => record_service_calibrated(&mix, &cfg, svc, job.margin_pct),
+                    None => record_calibrated(
+                        &mix,
+                        &cfg,
+                        &[PolicyKind::Static(MemFreq::MIN)],
+                        job.margin_pct,
+                    ),
+                }
                 .map_err(sim_err)?;
-                ReplayTrace::from_streams(header, streams)
+                (exp, ReplayTrace::from_streams(header, streams))
             }
         };
-        let exp = Experiment::calibrate_replay(&mix, &cfg, &trace).map_err(sim_err)?;
         Ok(ServeBaseline {
             exp,
             trace,
-            service: None,
+            service: svc.map(|svc| ServiceContext { mix, cfg, svc }),
         })
     }
 
@@ -257,8 +232,8 @@ impl SweepBackend for SimulatorBackend {
 
     /// Rebuilds a baseline from [`SweepBackend::encode_baseline`]'s bytes:
     /// parse the embedded job, read the trace (CRC-checked by the trace
-    /// format), and recalibrate — which is deterministic given the same
-    /// configuration and trace, so a recovered baseline behaves exactly
+    /// format), and recalibrate by replay — which is deterministic given the
+    /// same configuration and trace, so a recovered baseline behaves exactly
     /// like the one that was persisted. Any defect yields `None` (the
     /// server counts it as a corrupt record and recalibrates from scratch).
     fn decode_baseline(&self, bytes: &[u8]) -> Option<ServeBaseline> {
@@ -269,26 +244,9 @@ impl SweepBackend for SimulatorBackend {
         let trace = TraceReader::new(bytes.get(pos + json_len..)?).read().ok()?;
         let (mix, cfg) = self.resolve(&job).ok()?;
         let exp = Experiment::calibrate_replay(&mix, &cfg, &trace).ok()?;
-        let service = match service_config(&job).ok()? {
-            Some(svc) => {
-                let run = run_service_policy_replay_cancellable(
-                    &mix,
-                    PolicyKind::Baseline,
-                    &cfg,
-                    &svc,
-                    &trace,
-                    &CancelToken::new(),
-                )
-                .ok()?;
-                Some(ServiceContext {
-                    mix,
-                    cfg,
-                    svc,
-                    baseline_memory_j: run.energy.memory_total_j(),
-                })
-            }
-            None => None,
-        };
+        let service = service_config(&job)
+            .ok()?
+            .map(|svc| ServiceContext { mix, cfg, svc });
         Some(ServeBaseline {
             exp,
             trace,
@@ -320,8 +278,9 @@ impl SweepBackend for SimulatorBackend {
             )
             .map_err(|e| CellFailure::new(sim_error_code(&e), e.to_string()))?;
             let stats = run.requests.unwrap_or_default();
-            let savings = if ctx.baseline_memory_j > 0.0 {
-                1.0 - run.energy.memory_total_j() / ctx.baseline_memory_j
+            let baseline_memory_j = baseline.exp.baseline().energy.memory_total_j();
+            let savings = if baseline_memory_j > 0.0 {
+                1.0 - run.energy.memory_total_j() / baseline_memory_j
             } else {
                 0.0
             };
@@ -430,31 +389,52 @@ mod tests {
         assert_eq!(failure.code, ErrorCode::UnknownPolicy);
     }
 
-    #[test]
-    fn baseline_round_trips_through_bytes_bit_exactly() {
-        let job = tiny_job();
+    /// Every field of a cell's metrics, floats as bits, so that equality
+    /// is bit-for-bit.
+    fn metric_bits(m: &CellMetrics) -> [Option<u64>; 7] {
+        [
+            Some(m.memory_savings.to_bits()),
+            Some(m.system_savings.to_bits()),
+            Some(m.cpi_increase_avg.to_bits()),
+            Some(m.cpi_increase_max.to_bits()),
+            Some(m.mean_frequency_mhz.to_bits()),
+            m.p99_ms.map(f64::to_bits),
+            m.slo_violations,
+        ]
+    }
+
+    /// Calibrates `job`, round-trips its baseline through the persisted
+    /// bytes, and checks the recovered baseline against the original: the
+    /// calibrated run, and every planned cell bit-for-bit. The original
+    /// reuses the recording run while the recovered one recalibrates by
+    /// replay, so this checks that the two paths agree.
+    fn assert_round_trips(job: &JobSpec) {
         let idle = CancelToken::new();
-        let baseline = SimulatorBackend.calibrate(&job).expect("calibrate");
+        let baseline = SimulatorBackend.calibrate(job).expect("calibrate");
         let bytes = SimulatorBackend
-            .encode_baseline(&job, &baseline)
+            .encode_baseline(job, &baseline)
             .expect("encodes");
         let back = SimulatorBackend
             .decode_baseline(&bytes)
             .expect("decodes and recalibrates");
-        let a = SimulatorBackend
-            .run_cell(&baseline, "memscale", &idle)
-            .expect("original cell");
-        let b = SimulatorBackend
-            .run_cell(&back, "memscale", &idle)
-            .expect("recovered cell");
-        assert_eq!(a.memory_savings.to_bits(), b.memory_savings.to_bits());
-        assert_eq!(a.system_savings.to_bits(), b.system_savings.to_bits());
-        assert_eq!(a.cpi_increase_avg.to_bits(), b.cpi_increase_avg.to_bits());
-        assert_eq!(a.cpi_increase_max.to_bits(), b.cpi_increase_max.to_bits());
         assert_eq!(
-            a.mean_frequency_mhz.to_bits(),
-            b.mean_frequency_mhz.to_bits()
+            format!("{:?}", baseline.exp.baseline()),
+            format!("{:?}", back.exp.baseline())
         );
+        for label in SimulatorBackend.plan(job).expect("plan").cells {
+            let a = SimulatorBackend
+                .run_cell(&baseline, &label, &idle)
+                .expect("original cell");
+            let b = SimulatorBackend
+                .run_cell(&back, &label, &idle)
+                .expect("recovered cell");
+            assert_eq!(metric_bits(&a), metric_bits(&b), "{label}");
+        }
+    }
+
+    #[test]
+    fn baseline_round_trips_through_bytes_bit_exactly() {
+        assert_round_trips(&tiny_job());
     }
 
     #[test]
@@ -534,23 +514,8 @@ mod tests {
         let mut job = tiny_job();
         job.arrivals = Some("poisson:2000".into());
         job.slo_p99_ms = Some(50.0);
-        let idle = CancelToken::new();
-        let baseline = SimulatorBackend.calibrate(&job).expect("calibrate");
-        let bytes = SimulatorBackend
-            .encode_baseline(&job, &baseline)
-            .expect("encodes");
-        let back = SimulatorBackend
-            .decode_baseline(&bytes)
-            .expect("decodes and recalibrates");
-        let a = SimulatorBackend
-            .run_cell(&baseline, "memscale", &idle)
-            .expect("original cell");
-        let b = SimulatorBackend
-            .run_cell(&back, "memscale", &idle)
-            .expect("recovered cell");
-        assert_eq!(a.p99_ms.map(f64::to_bits), b.p99_ms.map(f64::to_bits));
-        assert_eq!(a.slo_violations, b.slo_violations);
-        assert_eq!(a.memory_savings.to_bits(), b.memory_savings.to_bits());
+        job.policies.insert(0, "baseline".into());
+        assert_round_trips(&job);
     }
 
     #[test]

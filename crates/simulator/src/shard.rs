@@ -101,10 +101,10 @@ pub fn replay_sequential(
         .collect()
 }
 
-/// Records `mix` under `cfg` (via [`crate::harness::record_trace`] with the
-/// grid's slowest static point included, so every shard replays within
-/// margin), then sweeps `shards` in parallel. Convenience entry point for
-/// the bench harness and examples.
+/// Records `mix` under `cfg` (via [`crate::harness::record_calibrated`]
+/// with the grid's slowest static point included, so every shard replays
+/// within margin), then sweeps `shards` in parallel against the recording
+/// baseline. Convenience entry point for the bench harness and examples.
 ///
 /// # Errors
 ///
@@ -117,9 +117,9 @@ pub fn record_and_sweep(
     margin_pct: usize,
 ) -> Result<(Experiment, Vec<ShardResult>), SimError> {
     let slowest = PolicyKind::Static(MemFreq::MIN);
-    let (header, streams) = crate::harness::record_trace(mix, cfg, &[slowest], margin_pct)?;
+    let (exp, header, streams) =
+        crate::harness::record_calibrated(mix, cfg, &[slowest], margin_pct)?;
     let trace = ReplayTrace::from_streams(header, streams);
-    let exp = Experiment::calibrate_replay(mix, cfg, &trace)?;
     let results = replay_sharded(&exp, &trace, shards);
     Ok((exp, results))
 }

@@ -19,12 +19,12 @@
 use crate::config::SimConfig;
 use crate::engine::Simulation;
 use crate::error::SimError;
-use crate::harness::{check_trace, trace_header};
+use crate::harness::{check_trace, trace_header, Experiment};
 use crate::result::RunResult;
 use crate::shard::ShardSpec;
 use memscale::policies::PolicyKind;
 use memscale_arrivals::{ArrivalSpec, RequestModel, RequestSource, RequestTracker};
-use memscale_trace::{ReplayTrace, TraceHeader};
+use memscale_trace::{MissTape, ReplayTrace, TraceHeader};
 use memscale_types::requests::{RequestStats, SloSpec};
 use memscale_types::time::Picos;
 use memscale_types::CancelToken;
@@ -168,14 +168,37 @@ pub fn run_service_policy_replay_cancellable(
     sim.run_for(cfg.duration, 0.0)
 }
 
-/// Records a replayable trace of the service workload.
+/// Records a replayable trace of the service workload, and hands back the
+/// recording run as the calibrated Baseline [`Experiment`].
 ///
-/// A recording Baseline run captures the event prefix; in a fixed-duration
-/// open-loop run the *fastest* policy consumes the most events, and
-/// Baseline (always at maximum frequency) is the fastest — so its prefix
-/// bounds every other policy's consumption. `margin_pct` percent of
-/// freshly generated continuation events (64-event floor) are still
-/// appended per core, mirroring [`crate::harness::record_trace`].
+/// One Baseline run reads a [`MissTape`] over the live request sources: in
+/// a fixed-duration open-loop run the *fastest* policy consumes the most
+/// events, and Baseline (always at maximum frequency) is the fastest, so
+/// its prefix bounds every other policy's consumption. The tape then draws
+/// `margin_pct` percent more continuation events per core (64-event
+/// floor), mirroring [`crate::harness::record_calibrated`].
+///
+/// The experiment's baseline is the Baseline service run: its memory energy
+/// is the savings denominator of every service cell, and equals that of
+/// [`run_service_policy_replay`] under [`PolicyKind::Baseline`] (the
+/// request tracker only observes a run).
+///
+/// # Errors
+///
+/// Propagates any [`SimError`] from the recording run.
+pub fn record_service_calibrated(
+    mix: &Mix,
+    cfg: &SimConfig,
+    svc: &ServiceConfig,
+    margin_pct: usize,
+) -> Result<(Experiment, TraceHeader, Vec<Vec<MissEvent>>), SimError> {
+    let tape = MissTape::new(request_sources(mix, cfg, svc));
+    let exp = Experiment::calibrate_sources(mix, cfg, tape.cursors())?;
+    Ok((exp, trace_header(mix, cfg), tape.finish(margin_pct)))
+}
+
+/// [`record_service_calibrated`] without the experiment: the header and
+/// per-core streams of a replayable service trace.
 ///
 /// # Errors
 ///
@@ -186,32 +209,8 @@ pub fn record_service_trace(
     svc: &ServiceConfig,
     margin_pct: usize,
 ) -> Result<(TraceHeader, Vec<Vec<MissEvent>>), SimError> {
-    let rcfg = cfg.clone().with_recording();
-    let sim = Simulation::with_sources(
-        mix,
-        PolicyKind::Baseline,
-        &rcfg,
-        request_sources(mix, &rcfg, svc),
-    )?;
-    let rec = sim.recorder().unwrap_or_default();
-    sim.run_for(rcfg.duration, 0.0)?;
-    let mut streams = rec.snapshot();
-    // Continuation: every run at one seed pulls a prefix of the same
-    // deterministic per-core streams, so regenerate and skip the consumed
-    // prefix.
-    let mut fresh = request_sources(mix, cfg, svc);
-    for (stream, gen) in streams.iter_mut().zip(&mut fresh) {
-        let consumed = stream.len();
-        for _ in 0..consumed {
-            gen.next_event();
-        }
-        let extra = consumed.saturating_mul(margin_pct) / 100 + 64;
-        stream.extend(
-            std::iter::repeat_with(|| gen.next_event().expect("live sources are infinite"))
-                .take(extra),
-        );
-    }
-    Ok((trace_header(mix, cfg), streams))
+    let (_, header, streams) = record_service_calibrated(mix, cfg, svc, margin_pct)?;
+    Ok((header, streams))
 }
 
 /// One policy's verdict in an SLO sweep.

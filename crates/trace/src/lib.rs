@@ -12,8 +12,9 @@
 //! * a streaming [`TraceWriter`] and a fully-validating [`TraceReader`]
 //!   whose every failure mode is a structured [`TraceError`] — arbitrary
 //!   bytes can never panic the reader;
-//! * a [`Recorder`] handle the simulation engine tees its live miss stream
-//!   through, so a run's exact input becomes a reusable artifact;
+//! * a [`MissTape`] that recording runs read their live miss streams
+//!   through, drawing each event once, so a run's exact input becomes a
+//!   reusable artifact;
 //! * [`ReplayTrace`] / [`ReplayStream`] — replay cursors implementing the
 //!   same [`MissSource`] interface as the live generator, sharing the
 //!   decoded streams behind [`std::sync::Arc`] so dozens of concurrent
@@ -31,10 +32,10 @@
 pub mod error;
 pub mod format;
 pub mod reader;
-pub mod record;
+pub mod tape;
 pub mod writer;
 
 pub use error::TraceError;
 pub use reader::{ReplayStream, ReplayTrace, TraceReader, TraceSummary};
-pub use record::{merge_prefixes, Recorder};
+pub use tape::MissTape;
 pub use writer::{write_trace_file, TraceHeader, TraceWriter};

@@ -9,10 +9,12 @@ use memscale::policies::PolicyKind;
 use memscale_arrivals::ArrivalSpec;
 use memscale_simulator::shard::ShardSpec;
 use memscale_simulator::slo::{
-    record_service_trace, run_service_policy, run_slo_sweep, run_slo_sweep_replay, ServiceConfig,
+    record_service_calibrated, record_service_trace, run_service_policy, run_service_policy_replay,
+    run_slo_sweep, run_slo_sweep_replay, ServiceConfig,
 };
-use memscale_simulator::SimConfig;
-use memscale_trace::{write_trace_file, ReplayTrace};
+use memscale_simulator::{Experiment, SimConfig};
+use memscale_trace::format::crc32;
+use memscale_trace::{write_trace_file, ReplayTrace, TraceWriter};
 use memscale_types::config::MemGeneration;
 use memscale_types::freq::MemFreq;
 use memscale_types::requests::SloSpec;
@@ -60,6 +62,40 @@ fn recorded_sweep_replays_live_sweep_bit_exactly_through_disk() {
     std::fs::remove_file(&path).ok();
     let from_disk = run_slo_sweep_replay(&mix, &cfg, &svc, &shards, &reloaded).unwrap();
     assert_eq!(live.to_json(), from_disk.to_json());
+}
+
+#[test]
+fn service_recording_is_pinned_and_its_baseline_is_the_replayed_baseline() {
+    let mix = Mix::by_name("MID1").unwrap();
+    let cfg = quick_cfg();
+    let svc = service("poisson:2000");
+    let (recorded, header, streams) = record_service_calibrated(&mix, &cfg, &svc, 50).unwrap();
+
+    // The encoded bytes of the recording (the golden fixture pins only the
+    // encoder).
+    let mut writer = TraceWriter::new(Vec::new(), &header).unwrap();
+    for (app, events) in streams.iter().enumerate() {
+        writer.append_stream(app, events).unwrap();
+    }
+    let crc = crc32(&writer.finish().unwrap());
+    assert_eq!(crc, 0xbec0_1714, "service recording CRC {crc:#010x}");
+
+    // The recording run is the Baseline service run: its memory energy is
+    // every service cell's savings denominator, and a replay of the trace
+    // with the request tracker attached spends exactly the same.
+    let trace = ReplayTrace::from_streams(header, streams);
+    let tracked =
+        run_service_policy_replay(&mix, PolicyKind::Baseline, &cfg, &svc, &trace).unwrap();
+    assert_eq!(
+        recorded.baseline().energy.memory_total_j().to_bits(),
+        tracked.energy.memory_total_j().to_bits()
+    );
+    let replayed = Experiment::calibrate_replay(&mix, &cfg, &trace).unwrap();
+    assert_eq!(
+        format!("{:?}", recorded.baseline()),
+        format!("{:?}", replayed.baseline())
+    );
+    assert_eq!(recorded.rest_w().to_bits(), replayed.rest_w().to_bits());
 }
 
 #[test]

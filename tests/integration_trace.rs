@@ -3,13 +3,14 @@
 //! memory generation, through both the in-memory and the on-disk path.
 
 use memscale::policies::PolicyKind;
-use memscale_simulator::harness::{check_trace, record_trace, Experiment};
+use memscale_simulator::harness::{check_trace, record_calibrated, record_trace, Experiment};
 use memscale_simulator::shard::{default_grid, replay_sequential, replay_sharded, ShardSpec};
 use memscale_simulator::{RunResult, SimConfig, SimError};
-use memscale_trace::{write_trace_file, ReplayTrace, TraceError};
+use memscale_trace::format::crc32;
+use memscale_trace::{write_trace_file, ReplayTrace, TraceError, TraceHeader, TraceWriter};
 use memscale_types::config::MemGeneration;
 use memscale_types::freq::MemFreq;
-use memscale_workloads::Mix;
+use memscale_workloads::{MissEvent, Mix};
 
 /// Bit-identical comparison of everything a run reports. `RunResult`
 /// holds floats, so equality is exact by design: replay must reproduce the
@@ -34,20 +35,44 @@ fn record_mid1(cfg: &SimConfig) -> (Mix, ReplayTrace) {
     (mix, ReplayTrace::from_streams(header, streams))
 }
 
+/// CRC-32 of the trace file a recording encodes to.
+fn encoded_crc(header: &TraceHeader, streams: &[Vec<MissEvent>]) -> u32 {
+    let mut writer = TraceWriter::new(Vec::new(), header).unwrap();
+    for (app, events) in streams.iter().enumerate() {
+        writer.append_stream(app, events).unwrap();
+    }
+    crc32(&writer.finish().unwrap())
+}
+
 #[test]
 fn replay_is_bit_identical_on_every_generation() {
-    for generation in [
-        MemGeneration::Ddr3,
-        MemGeneration::Ddr4,
-        MemGeneration::Lpddr3,
+    // The CRC of each recording's encoded bytes: the golden fixture pins
+    // the encoder, these pin what recording feeds it.
+    for (generation, expected_crc) in [
+        (MemGeneration::Ddr3, 0xb7d6_bd2c_u32),
+        (MemGeneration::Ddr4, 0x1626_d237),
+        (MemGeneration::Lpddr3, 0x7f3a_acb0),
     ] {
         let cfg = SimConfig::quick().with_generation(generation);
-        let (mix, trace) = record_mid1(&cfg);
+        let mix = Mix::by_name("MID1").unwrap();
+        let (recorded, header, streams) =
+            record_calibrated(&mix, &cfg, &[PolicyKind::Static(MemFreq::MIN)], 50).unwrap();
+        let crc = encoded_crc(&header, &streams);
+        assert_eq!(crc, expected_crc, "{generation}: recording CRC {crc:#010x}");
+        let trace = ReplayTrace::from_streams(header, streams);
 
         let live = Experiment::calibrate(&mix, &cfg).unwrap();
         let replay = Experiment::calibrate_replay(&mix, &cfg, &trace).unwrap();
         assert_identical(live.baseline(), replay.baseline());
         assert!(live.rest_w() == replay.rest_w());
+        // The recording baseline stands in for the replay: the whole run,
+        // audit report included, and the calibrated power.
+        assert_eq!(
+            format!("{:?}", recorded.baseline()),
+            format!("{:?}", replay.baseline()),
+            "{generation}"
+        );
+        assert_eq!(recorded.rest_w().to_bits(), replay.rest_w().to_bits());
 
         let (live_run, live_cmp) = live.evaluate(PolicyKind::MemScale).unwrap();
         let (replay_run, replay_cmp) = replay
