@@ -70,7 +70,7 @@ fn bench_cursor_vs_generator(c: &mut Criterion) {
         let mut cursors = trace.streams();
         b.iter(|| {
             // Rewind by re-minting when the recording runs out; minting is
-            // O(1) (the streams are Arc-shared), so the loop stays hot.
+            // O(1) (the bytes are Arc-shared), so the loop stays hot.
             match cursors[0].next_event() {
                 Some(ev) => black_box(ev),
                 None => {
@@ -137,6 +137,7 @@ fn bench_sharded_sweep(c: &mut Criterion) {
         .push_str("generation", MemGeneration::Ddr3)
         .sim_duration_ms("duration", cfg.duration.as_ms_f64())
         .push_count("trace_records", records)
+        .push_count("trace_bytes", trace.heap_bytes())
         .push_count("shards", shards.len())
         .push_count("shard_errors", errors)
         .push_count("threads", rayon::current_num_threads())

@@ -982,18 +982,18 @@ fn run_slo(mix: &Mix, cfg: &SimConfig, slo: &SloArgs, margin_pct: usize) -> Exit
             Ok(hs) => hs,
             Err(e) => return sim_error(&e),
         };
-        if let Err(e) = write_trace_file(path, &header, &streams) {
-            eprintln!("error: {e}");
+        let total: usize = streams.iter().map(Vec::len).sum();
+        let trace = ReplayTrace::from_streams(header, streams);
+        if let Err(e) = std::fs::write(path, trace.as_bytes()) {
+            eprintln!("error: {}", TraceError::io("writing trace file", &e));
             return ExitCode::from(1);
         }
-        let total: usize = streams.iter().map(Vec::len).sum();
         eprintln!(
             "slo: wrote {} ({} records); replaying {} policy run(s) ...",
             path.display(),
             total,
             shards.len()
         );
-        let trace = ReplayTrace::from_streams(header, streams);
         run_slo_sweep_replay(mix, cfg, &svc, &shards, &trace)
     } else {
         eprintln!(

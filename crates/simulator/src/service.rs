@@ -27,7 +27,7 @@ use memscale_arrivals::ArrivalSpec;
 use memscale_serve::server::{JobPlan, SweepBackend};
 use memscale_serve::wire::{decode_job, encode_job};
 use memscale_trace::format::{crc32, read_varint, write_varint};
-use memscale_trace::{ReplayTrace, TraceReader, TraceWriter};
+use memscale_trace::{ReplayTrace, TraceReader};
 use memscale_types::freq::MemFreq;
 use memscale_types::serve::{CellFailure, CellMetrics, ErrorCode, JobSpec};
 use memscale_types::time::Picos;
@@ -217,17 +217,16 @@ impl SweepBackend for SimulatorBackend {
     /// Serializes a baseline as `varint(job JSON length) | job JSON | trace
     /// file bytes` so the server can persist it to the baseline log. The
     /// job spec pins the mix and configuration; the trace bytes pin the
-    /// recorded input, so decoding recalibrates deterministically.
+    /// recorded input, so decoding recalibrates deterministically. The
+    /// trace is held as its file bytes, so they are copied, not encoded.
     fn encode_baseline(&self, job: &JobSpec, baseline: &ServeBaseline) -> Option<Vec<u8>> {
         let job_json = encode_job(job);
-        let mut out = Vec::with_capacity(job_json.len() + 64);
+        let trace = baseline.trace.as_bytes();
+        let mut out = Vec::with_capacity(10 + job_json.len() + trace.len());
         write_varint(&mut out, job_json.len() as u64);
         out.extend_from_slice(job_json.as_bytes());
-        let mut writer = TraceWriter::new(out, baseline.trace.header()).ok()?;
-        for app in 0..baseline.trace.apps() {
-            writer.append_stream(app, baseline.trace.events(app)).ok()?;
-        }
-        writer.finish().ok()
+        out.extend_from_slice(trace);
+        Some(out)
     }
 
     /// Rebuilds a baseline from [`SweepBackend::encode_baseline`]'s bytes:
@@ -435,6 +434,33 @@ mod tests {
     #[test]
     fn baseline_round_trips_through_bytes_bit_exactly() {
         assert_round_trips(&tiny_job());
+    }
+
+    /// The persisted bundle's length and CRC, pinned per job: baseline
+    /// logs already written by `serve --state-dir` stay readable only while
+    /// these bytes stay the same.
+    #[test]
+    fn persisted_baseline_bytes_are_pinned() {
+        for (mix, seed, len, crc) in [
+            ("ILP2", 5, 167_916, 0x1380_ab21_u32),
+            ("MID1", 7, 942_907, 0xfa4b_aef0),
+        ] {
+            let mut job = JobSpec::for_mix("t", mix);
+            job.duration_ms = 2;
+            job.seed = Some(seed);
+            job.policies = vec!["memscale".into(), "static:400".into()];
+            let baseline = SimulatorBackend.calibrate(&job).expect("calibrate");
+            let bytes = SimulatorBackend
+                .encode_baseline(&job, &baseline)
+                .expect("encodes");
+            assert_eq!(
+                (bytes.len(), crc32(&bytes)),
+                (len, crc),
+                "{mix} seed {seed}: {} B, {:#010x}",
+                bytes.len(),
+                crc32(&bytes)
+            );
+        }
     }
 
     #[test]

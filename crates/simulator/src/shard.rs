@@ -1,12 +1,13 @@
 //! Parallel sharded replay: one recorded trace fanned out across the
 //! frequency grid and the policy set.
 //!
-//! Replay shards share the decoded trace behind [`Arc`]s (see
-//! [`ReplayTrace::streams`]), so a shard costs one simulation's state and no
-//! event-data copies; the shards are embarrassingly parallel and run on a
-//! rayon-style thread pool. This is the repository's batch-evaluation
-//! substrate: record a workload once, then sweep every operating point and
-//! policy against bit-identical input.
+//! Replay shards share the trace's encoded bytes behind [`Arc`]s, and each
+//! shard's cursors decode records as they go (see [`ReplayTrace::streams`]),
+//! so a shard costs one simulation's state and no copy of the trace; the
+//! shards are embarrassingly parallel and run on a rayon-style thread pool.
+//! This is the repository's batch-evaluation substrate: record a workload
+//! once, then sweep every operating point and policy against bit-identical
+//! input.
 //!
 //! [`Arc`]: std::sync::Arc
 

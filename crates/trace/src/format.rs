@@ -60,8 +60,11 @@ pub const BLOCK_RECORDS: usize = 4096;
 
 // --- CRC-32 (IEEE 802.3, the zlib polynomial) ------------------------------
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slice-by-8 tables: `CRC_TABLES[0]` is the classic bytewise table, and
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so
+/// eight lookups fold eight input bytes at once.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0u32;
     while i < 256 {
         let mut c = i;
@@ -74,19 +77,43 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i as usize] = c;
+        tables[0][i as usize] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-const CRC_TABLE: [u32; 256] = crc_table();
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
 /// CRC-32/IEEE of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let (words, tail) = bytes.as_chunks::<8>();
+    for w in words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in tail {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -108,18 +135,23 @@ pub fn write_varint(out: &mut Vec<u8>, mut value: u64) {
 
 /// Reads an LEB128 varint from `buf` starting at `*pos`, advancing `*pos`.
 pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
+    varint(buf, pos).map_err(|e| match e {
+        RecordError::Truncated => TraceError::Truncated {
+            at: "varint in record payload",
+        },
+        other => other.in_block(u32::MAX),
+    })
+}
+
+#[inline]
+fn varint(buf: &[u8], pos: &mut usize) -> Result<u64, RecordError> {
     let mut value = 0u64;
     let mut shift = 0u32;
     loop {
-        let &byte = buf.get(*pos).ok_or(TraceError::Truncated {
-            at: "varint in record payload",
-        })?;
+        let &byte = buf.get(*pos).ok_or(RecordError::Truncated)?;
         *pos += 1;
         if shift >= 64 || (shift == 63 && byte > 1) {
-            return Err(TraceError::BlockCorrupt {
-                app: u32::MAX,
-                detail: "varint exceeds 64 bits".into(),
-            });
+            return Err(RecordError::VarintOverflow);
         }
         value |= u64::from(byte & 0x7F) << shift;
         if byte & 0x80 == 0 {
@@ -145,6 +177,44 @@ pub fn unzigzag(v: u64) -> i64 {
 
 // --- record encoding -------------------------------------------------------
 
+/// Largest cache-line index a byte address can reach.
+const MAX_LINE: u64 = u64::MAX / PhysAddr::CACHE_LINE_BYTES;
+
+/// Why a record failed to decode. Small and `Copy`, so the decoder stays
+/// cheap enough for the replay cursors' hot path; the reader maps it onto
+/// a [`TraceError::BlockCorrupt`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecordError {
+    /// The payload ended inside a record.
+    Truncated,
+    /// A varint ran past 64 bits.
+    VarintOverflow,
+    /// A record's instruction gap was zero.
+    ZeroGap,
+    /// The miss line's delta left the cache-line address space.
+    LineOutOfRange,
+    /// The writeback line's delta left the cache-line address space.
+    WritebackOutOfRange,
+}
+
+impl RecordError {
+    /// The [`TraceError::BlockCorrupt`] this defect makes of a block of
+    /// app `app`.
+    pub(crate) fn in_block(self, app: u32) -> TraceError {
+        let detail = match self {
+            RecordError::Truncated => "records overrun the block payload",
+            RecordError::VarintOverflow => "varint exceeds 64 bits",
+            RecordError::ZeroGap => "record gap of zero instructions",
+            RecordError::LineOutOfRange => "cache-line delta leaves the address space",
+            RecordError::WritebackOutOfRange => "writeback delta leaves the address space",
+        };
+        TraceError::BlockCorrupt {
+            app,
+            detail: detail.into(),
+        }
+    }
+}
+
 /// Appends the delta encoding of `ev` to `out`. `prev_line` is the previous
 /// record's cache line in the same app stream (0 before the first record)
 /// and is updated to this record's line.
@@ -161,37 +231,29 @@ pub fn encode_record(out: &mut Vec<u8>, ev: &MissEvent, prev_line: &mut u64) {
     *prev_line = line;
 }
 
-/// Decodes one record from `buf` at `*pos`, updating the delta state.
+/// Decodes one record from `buf` at `*pos`, updating the delta state. The
+/// one record decoder: the reader validates every record with it, and the
+/// replay cursors decode validated bytes with it.
+#[inline]
 pub fn decode_record(
     buf: &[u8],
     pos: &mut usize,
     prev_line: &mut u64,
-) -> Result<MissEvent, TraceError> {
-    let corrupt = |detail: &str| TraceError::BlockCorrupt {
-        app: u32::MAX,
-        detail: detail.into(),
-    };
-    let gap = read_varint(buf, pos)?;
+) -> Result<MissEvent, RecordError> {
+    let gap = varint(buf, pos)?;
     if gap == 0 {
-        return Err(corrupt("record gap of zero instructions"));
+        return Err(RecordError::ZeroGap);
     }
-    let packed = read_varint(buf, pos)?;
-    let has_wb = packed & 1 != 0;
-    let delta = unzigzag(packed >> 1);
+    let packed = varint(buf, pos)?;
     let line = prev_line
-        .checked_add_signed(delta)
-        .ok_or_else(|| corrupt("cache-line delta underflows the address space"))?;
-    if line > u64::MAX / PhysAddr::CACHE_LINE_BYTES {
-        return Err(corrupt("cache-line index exceeds the address space"));
-    }
-    let writeback = if has_wb {
-        let wb_delta = unzigzag(read_varint(buf, pos)?);
+        .checked_add_signed(unzigzag(packed >> 1))
+        .filter(|&l| l <= MAX_LINE)
+        .ok_or(RecordError::LineOutOfRange)?;
+    let writeback = if packed & 1 != 0 {
         let wb_line = line
-            .checked_add_signed(wb_delta)
-            .ok_or_else(|| corrupt("writeback delta underflows the address space"))?;
-        if wb_line > u64::MAX / PhysAddr::CACHE_LINE_BYTES {
-            return Err(corrupt("writeback line index exceeds the address space"));
-        }
+            .checked_add_signed(unzigzag(varint(buf, pos)?))
+            .filter(|&l| l <= MAX_LINE)
+            .ok_or(RecordError::WritebackOutOfRange)?;
         Some(PhysAddr::from_cache_line(wb_line))
     } else {
         None
@@ -213,6 +275,33 @@ mod tests {
         // The classic check value for CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The slice-by-8 CRC equals the bytewise table loop at every length
+    /// from 0 to 67 bytes: up to eight whole words, with every tail length.
+    #[test]
+    fn crc32_matches_the_bytewise_loop() {
+        let bytewise = |bytes: &[u8]| {
+            let mut c = 0xFFFF_FFFFu32;
+            for &b in bytes {
+                c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+            }
+            c ^ 0xFFFF_FFFF
+        };
+        // SplitMix64, seeded: the bytes are arbitrary but fixed.
+        let mut state = 0x5EED_u64;
+        let bytes: Vec<u8> = (0..67)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)).to_le_bytes()[0]
+            })
+            .collect();
+        for len in 0..=bytes.len() {
+            assert_eq!(crc32(&bytes[..len]), bytewise(&bytes[..len]), "len {len}");
+        }
     }
 
     #[test]
@@ -292,9 +381,9 @@ mod tests {
         write_varint(&mut buf, 0);
         let mut pos = 0;
         let mut prev = 0u64;
-        assert!(matches!(
+        assert_eq!(
             decode_record(&buf, &mut pos, &mut prev),
-            Err(TraceError::BlockCorrupt { .. })
-        ));
+            Err(RecordError::ZeroGap)
+        );
     }
 }

@@ -15,10 +15,14 @@
 //! * a [`MissTape`] that recording runs read their live miss streams
 //!   through, drawing each event once, so a run's exact input becomes a
 //!   reusable artifact;
-//! * [`ReplayTrace`] / [`ReplayStream`] — replay cursors implementing the
-//!   same [`MissSource`] interface as the live generator, sharing the
-//!   decoded streams behind [`std::sync::Arc`] so dozens of concurrent
-//!   replay shards mint cursors without copying event data.
+//! * [`ReplayTrace`] / [`ReplayStream`] — a trace held in memory as its
+//!   own file bytes, validated once, and replay cursors implementing the
+//!   same [`MissSource`] interface as the live generator. The cursors
+//!   decode records as they go, through the record decoder the reader
+//!   validates with, and share the bytes behind [`std::sync::Arc`], so
+//!   dozens of concurrent replay shards mint cursors without copying them
+//!   and a cached trace costs its encoded size (~5 bytes per record), not
+//!   32 bytes per decoded event.
 //!
 //! Replaying a recorded trace through the engine at the recording's seed and
 //! configuration reproduces the run **bit-identically** (see DESIGN.md §11).

@@ -2,12 +2,13 @@
 
 use crate::error::TraceError;
 use crate::format::{crc32, decode_record, END_MARKER, FORMAT_VERSION, MAGIC};
-use crate::writer::TraceHeader;
+use crate::writer::{BlockIndex, TraceHeader, TraceWriter};
 use memscale_types::config::MemGeneration;
 use memscale_types::ids::AppId;
 use memscale_workloads::{MissEvent, MissSource};
 use std::io::Read;
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 /// Sizes and counts of a parsed trace, for `memscale-sim trace-info`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,91 +23,110 @@ pub struct TraceSummary {
     pub payload_bytes: u64,
 }
 
-/// A fully parsed, immutable trace: the header plus one event stream per
-/// app. Streams are held behind [`Arc`], so cloning a `ReplayTrace` — or
-/// minting fresh [`ReplayStream`] cursors for many concurrent replay shards
-/// — never copies event data.
+/// A validated, immutable trace held in its encoded form: the header, the
+/// trace file's bytes, and where each app's record blocks sit in them.
+///
+/// The bytes are checked once, when the trace is read (or encoded by
+/// [`ReplayTrace::from_streams`]); [`ReplayStream`] cursors then decode
+/// records as they go, through the same record decoder. The bytes are
+/// held behind an [`Arc`], so cloning a `ReplayTrace` — or minting fresh
+/// cursors for many concurrent replay shards — never copies them.
 #[derive(Debug, Clone)]
 pub struct ReplayTrace {
     header: TraceHeader,
     summary: TraceSummary,
-    streams: Vec<Arc<[MissEvent]>>,
+    bytes: Arc<[u8]>,
+    apps: Arc<[AppStream]>,
+}
+
+/// Where one app's records sit in a [`ReplayTrace`]'s bytes.
+#[derive(Debug)]
+struct AppStream {
+    /// Payload byte ranges of the app's blocks, in stream order.
+    blocks: Vec<Range<usize>>,
+    /// Records the blocks hold.
+    records: usize,
+    /// The decoded view [`ReplayTrace::events`] builds on first use.
+    events: OnceLock<Box<[MissEvent]>>,
 }
 
 /// Incremental parser producing a [`ReplayTrace`] from any byte source.
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     src: R,
+    /// Every byte read so far; once validated, the trace's in-memory form.
+    bytes: Vec<u8>,
 }
 
 impl<R: Read> TraceReader<R> {
     /// Wraps a byte source.
     pub fn new(src: R) -> Self {
-        TraceReader { src }
+        TraceReader {
+            src,
+            bytes: Vec::new(),
+        }
     }
 
-    fn read_exact(&mut self, buf: &mut [u8], at: &'static str) -> Result<(), TraceError> {
-        self.src.read_exact(buf).map_err(|e| match e.kind() {
-            std::io::ErrorKind::UnexpectedEof => TraceError::Truncated { at },
-            _ => TraceError::io(at, &e),
-        })
+    /// Reads `n` more bytes onto the held bytes and returns their offset.
+    /// The held bytes grow with what arrives, not with what `n` claims, so
+    /// a corrupt length in a short input costs no large allocation.
+    fn read_exact(&mut self, n: usize, at: &'static str) -> Result<usize, TraceError> {
+        let start = self.bytes.len();
+        let got = (&mut self.src)
+            .take(n as u64)
+            .read_to_end(&mut self.bytes)
+            .map_err(|e| TraceError::io(at, &e))?;
+        if got < n {
+            return Err(TraceError::Truncated { at });
+        }
+        Ok(start)
+    }
+
+    fn read_array<const N: usize>(&mut self, at: &'static str) -> Result<[u8; N], TraceError> {
+        let start = self.read_exact(N, at)?;
+        let mut b = [0u8; N];
+        b.copy_from_slice(&self.bytes[start..]);
+        Ok(b)
     }
 
     fn read_u16(&mut self, at: &'static str) -> Result<u16, TraceError> {
-        let mut b = [0u8; 2];
-        self.read_exact(&mut b, at)?;
-        Ok(u16::from_le_bytes(b))
+        self.read_array(at).map(u16::from_le_bytes)
     }
 
     fn read_u32(&mut self, at: &'static str) -> Result<u32, TraceError> {
-        let mut b = [0u8; 4];
-        self.read_exact(&mut b, at)?;
-        Ok(u32::from_le_bytes(b))
+        self.read_array(at).map(u32::from_le_bytes)
     }
 
     fn read_u64(&mut self, at: &'static str) -> Result<u64, TraceError> {
-        let mut b = [0u8; 8];
-        self.read_exact(&mut b, at)?;
-        Ok(u64::from_le_bytes(b))
+        self.read_array(at).map(u64::from_le_bytes)
     }
 
-    /// Parses the whole trace, verifying the header CRC, every block CRC
-    /// and the end marker's total record count.
+    /// Parses the whole trace, verifying the header CRC, every block CRC,
+    /// every record and the end marker's total record count. The records
+    /// are decoded to check them, not kept: the trace holds the bytes.
     ///
     /// # Errors
     ///
     /// Returns a [`TraceError`] describing the first defect found; arbitrary
     /// input bytes can never cause a panic.
     pub fn read(mut self) -> Result<ReplayTrace, TraceError> {
-        // Header, re-serialized incrementally for the CRC check.
-        let mut header_bytes = Vec::with_capacity(128);
-        let mut magic = [0u8; 8];
-        self.read_exact(&mut magic, "trace magic")?;
-        if magic != MAGIC {
+        if self.read_array("trace magic")? != MAGIC {
             return Err(TraceError::BadMagic);
         }
-        header_bytes.extend_from_slice(&magic);
         let version = self.read_u16("format version")?;
-        header_bytes.extend_from_slice(&version.to_le_bytes());
         if version > FORMAT_VERSION || version == 0 {
             return Err(TraceError::UnsupportedVersion {
                 found: version,
                 supported: FORMAT_VERSION,
             });
         }
-        let mut gen_reserved = [0u8; 2];
-        self.read_exact(&mut gen_reserved, "generation code")?;
-        header_bytes.extend_from_slice(&gen_reserved);
-        let generation = MemGeneration::from_code(gen_reserved[0])
-            .ok_or(TraceError::UnknownGeneration(gen_reserved[0]))?;
+        let [code, _reserved] = self.read_array("generation code")?;
+        let generation =
+            MemGeneration::from_code(code).ok_or(TraceError::UnknownGeneration(code))?;
         let config_hash = self.read_u64("config hash")?;
-        header_bytes.extend_from_slice(&config_hash.to_le_bytes());
         let seed = self.read_u64("seed")?;
-        header_bytes.extend_from_slice(&seed.to_le_bytes());
         let slice_lines = self.read_u64("slice size")?;
-        header_bytes.extend_from_slice(&slice_lines.to_le_bytes());
         let app_count = self.read_u32("app count")?;
-        header_bytes.extend_from_slice(&app_count.to_le_bytes());
         if app_count == 0 || app_count > 4096 {
             return Err(TraceError::HeaderCorrupt {
                 detail: format!("implausible app count {app_count}"),
@@ -115,17 +135,16 @@ impl<R: Read> TraceReader<R> {
         let mut apps = Vec::with_capacity(app_count as usize);
         for _ in 0..app_count {
             let len = self.read_u16("app name length")?;
-            header_bytes.extend_from_slice(&len.to_le_bytes());
-            let mut name = vec![0u8; usize::from(len)];
-            self.read_exact(&mut name, "app name")?;
-            header_bytes.extend_from_slice(&name);
-            let name = String::from_utf8(name).map_err(|_| TraceError::HeaderCorrupt {
-                detail: "app name is not UTF-8".into(),
+            let start = self.read_exact(usize::from(len), "app name")?;
+            let name = std::str::from_utf8(&self.bytes[start..]).map_err(|_| {
+                TraceError::HeaderCorrupt {
+                    detail: "app name is not UTF-8".into(),
+                }
             })?;
-            apps.push(name);
+            apps.push(name.to_owned());
         }
+        let computed = crc32(&self.bytes);
         let header_crc = self.read_u32("header CRC")?;
-        let computed = crc32(&header_bytes);
         if header_crc != computed {
             return Err(TraceError::HeaderCorrupt {
                 detail: format!("header CRC {header_crc:#010x} != computed {computed:#010x}"),
@@ -141,10 +160,9 @@ impl<R: Read> TraceReader<R> {
 
         // Blocks.
         let n = header.apps.len();
-        let mut streams: Vec<Vec<MissEvent>> = vec![Vec::new(); n];
+        let mut blocks: BlockIndex = vec![Vec::new(); n];
+        let mut records = vec![0usize; n];
         let mut prev_line = vec![0u64; n];
-        let mut blocks = 0u64;
-        let mut payload_bytes = 0u64;
         let mut total = 0u64;
         loop {
             let app_index = self.read_u32("block header")?;
@@ -156,26 +174,23 @@ impl<R: Read> TraceReader<R> {
                     detail: format!("implausible block payload of {payload_len} bytes"),
                 });
             }
-            let mut payload = vec![0u8; payload_len as usize];
-            self.read_exact(&mut payload, "block payload")?;
+            let start = self.read_exact(payload_len as usize, "block payload")?;
+            let payload = start..self.bytes.len();
+            let computed = crc32(&self.bytes[payload.clone()]);
             let payload_crc = self.read_u32("block CRC")?;
-            let computed = crc32(&payload);
             if payload_crc != computed {
                 return Err(TraceError::BlockCorrupt {
                     app: app_index,
                     detail: format!("payload CRC {payload_crc:#010x} != computed {computed:#010x}"),
                 });
             }
+            let bytes = &self.bytes[payload.clone()];
             if app_index == END_MARKER {
-                if payload.len() != 8 {
-                    return Err(TraceError::BlockCorrupt {
+                let expected =
+                    u64::from_le_bytes(bytes.try_into().map_err(|_| TraceError::BlockCorrupt {
                         app: app_index,
                         detail: "end marker payload must be 8 bytes".into(),
-                    });
-                }
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&payload);
-                let expected = u64::from_le_bytes(b);
+                    })?);
                 if expected != total {
                     return Err(TraceError::RecordCountMismatch {
                         expected,
@@ -193,50 +208,63 @@ impl<R: Read> TraceReader<R> {
             }
             let mut pos = 0usize;
             for _ in 0..record_count {
-                let ev = decode_record(&payload, &mut pos, &mut prev_line[app]).map_err(
-                    |e| match e {
-                        TraceError::BlockCorrupt { detail, .. } => TraceError::BlockCorrupt {
-                            app: app_index,
-                            detail,
-                        },
-                        TraceError::Truncated { .. } => TraceError::BlockCorrupt {
-                            app: app_index,
-                            detail: "records overrun the block payload".into(),
-                        },
-                        other => other,
-                    },
-                )?;
-                streams[app].push(ev);
+                decode_record(bytes, &mut pos, &mut prev_line[app])
+                    .map_err(|e| e.in_block(app_index))?;
             }
-            if pos != payload.len() {
+            if pos != bytes.len() {
                 return Err(TraceError::BlockCorrupt {
                     app: app_index,
                     detail: format!(
                         "{} trailing payload bytes after the last record",
-                        payload.len() - pos
+                        bytes.len() - pos
                     ),
                 });
             }
-            blocks += 1;
-            payload_bytes += u64::from(payload_len);
+            blocks[app].push(payload);
+            records[app] += record_count as usize;
             total += u64::from(record_count);
         }
-
-        let records_per_app = streams.iter().map(|s| s.len() as u64).collect();
-        Ok(ReplayTrace {
+        Ok(ReplayTrace::new(
             header,
-            summary: TraceSummary {
-                version,
-                records_per_app,
-                blocks,
-                payload_bytes,
-            },
-            streams: streams.into_iter().map(Arc::from).collect(),
-        })
+            version,
+            Arc::from(self.bytes),
+            blocks,
+            records,
+        ))
     }
 }
 
 impl ReplayTrace {
+    fn new(
+        header: TraceHeader,
+        version: u16,
+        bytes: Arc<[u8]>,
+        blocks: BlockIndex,
+        records: Vec<usize>,
+    ) -> Self {
+        let summary = TraceSummary {
+            version,
+            records_per_app: records.iter().map(|&r| r as u64).collect(),
+            blocks: blocks.iter().map(|b| b.len() as u64).sum(),
+            payload_bytes: blocks.iter().flatten().map(|r| r.len() as u64).sum(),
+        };
+        let apps = blocks
+            .into_iter()
+            .zip(records)
+            .map(|(blocks, records)| AppStream {
+                blocks,
+                records,
+                events: OnceLock::new(),
+            })
+            .collect();
+        ReplayTrace {
+            header,
+            summary,
+            bytes,
+            apps,
+        }
+    }
+
     /// Reads and fully verifies the trace file at `path`.
     ///
     /// # Errors
@@ -246,25 +274,37 @@ impl ReplayTrace {
     pub fn open(path: &std::path::Path) -> Result<Self, TraceError> {
         let file =
             std::fs::File::open(path).map_err(|e| TraceError::io("opening trace file", &e))?;
-        TraceReader::new(std::io::BufReader::new(file)).read()
+        let len = file.metadata().map_or(0, |m| m.len());
+        let mut reader = TraceReader::new(std::io::BufReader::new(file));
+        // Only a hint, so the held bytes need not grow by doubling: if the
+        // reservation fails, the reader grows them as it reads.
+        let _ = reader
+            .bytes
+            .try_reserve_exact(usize::try_from(len).unwrap_or(0));
+        reader.read()
     }
 
     /// Builds an in-memory trace from already-captured streams (the bench
-    /// path: record → replay without touching disk).
+    /// path: record → replay without touching disk), encoding them once
+    /// into the bytes [`crate::write_trace_file`] would write.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `header` cannot be encoded (an app name longer than
+    /// 64 KiB, or more than `u32::MAX` apps), or if there are more streams
+    /// than the header has apps.
     pub fn from_streams(header: TraceHeader, streams: Vec<Vec<MissEvent>>) -> Self {
-        let records_per_app: Vec<u64> = streams.iter().map(|s| s.len() as u64).collect();
-        let payload_bytes = 0;
-        let blocks = 0;
-        ReplayTrace {
-            summary: TraceSummary {
-                version: FORMAT_VERSION,
-                records_per_app,
-                blocks,
-                payload_bytes,
-            },
-            header,
-            streams: streams.into_iter().map(Arc::from).collect(),
+        let mut writer = TraceWriter::new(Vec::new(), &header).expect("trace header encodes");
+        for (app, events) in streams.iter().enumerate() {
+            writer
+                .append_stream(app, events)
+                .expect("one stream per header app");
         }
+        let (bytes, blocks) = writer.finish_indexed().expect("writing to memory");
+        let records = streams.iter().map(Vec::len).collect();
+        // Free the decoded streams before the bytes are copied into place.
+        drop(streams);
+        ReplayTrace::new(header, FORMAT_VERSION, Arc::from(bytes), blocks, records)
     }
 
     /// The trace's header metadata.
@@ -282,27 +322,60 @@ impl ReplayTrace {
     /// Number of application streams.
     #[inline]
     pub fn apps(&self) -> usize {
-        self.streams.len()
+        self.apps.len()
     }
 
-    /// Recorded events of app `app`.
+    /// The trace file's bytes, exactly as [`crate::write_trace_file`]
+    /// writes them.
+    #[inline]
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Heap bytes the trace holds: its encoded bytes and block index, plus
+    /// the decoded [`ReplayTrace::events`] views built so far.
+    pub fn heap_bytes(&self) -> usize {
+        self.bytes.len()
+            + self
+                .apps
+                .iter()
+                .map(|a| {
+                    std::mem::size_of_val(&a.blocks[..])
+                        + a.events.get().map_or(0, |e| std::mem::size_of_val(&e[..]))
+                })
+                .sum::<usize>()
+    }
+
+    /// Recorded events of app `app`, decoded through a [`ReplayStream`] on
+    /// the first call and kept for the trace's lifetime. For tests and
+    /// tools: replay runs read the trace through [`ReplayTrace::streams`],
+    /// which decodes as it goes and keeps nothing.
     pub fn events(&self, app: usize) -> &[MissEvent] {
-        &self.streams[app]
+        self.apps[app].events.get_or_init(|| {
+            let mut cursor = self.stream(app);
+            std::iter::from_fn(|| cursor.next_event()).collect()
+        })
+    }
+
+    /// A replay cursor positioned at the start of app `app`'s stream.
+    pub fn stream(&self, app: usize) -> ReplayStream {
+        ReplayStream {
+            app: AppId(app),
+            bytes: Arc::clone(&self.bytes),
+            apps: Arc::clone(&self.apps),
+            next_block: 0,
+            pos: 0,
+            end: 0,
+            prev_line: 0,
+            remaining: self.apps[app].records,
+        }
     }
 
     /// Mints a fresh set of replay cursors, one per app, positioned at the
-    /// start of each stream. Cheap: streams are shared, not copied.
+    /// start of each stream. Cheap: the bytes are shared, not copied.
     pub fn streams(&self) -> Vec<Box<dyn MissSource + Send>> {
-        self.streams
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                Box::new(ReplayStream {
-                    app: AppId(i),
-                    events: Arc::clone(s),
-                    pos: 0,
-                }) as Box<dyn MissSource + Send>
-            })
+        (0..self.apps())
+            .map(|app| Box::new(self.stream(app)) as Box<dyn MissSource + Send>)
             .collect()
     }
 
@@ -333,32 +406,41 @@ impl ReplayTrace {
                 got: format!("{:#018x}", self.header.config_hash),
             });
         }
-        if self.streams.len() != cores {
+        if self.apps.len() != cores {
             return Err(TraceError::ConfigMismatch {
                 field: "app count",
                 expected: cores.to_string(),
-                got: self.streams.len().to_string(),
+                got: self.apps.len().to_string(),
             });
         }
         Ok(())
     }
 }
 
-/// One app's replay cursor over a shared recorded stream. Implements the
-/// same [`MissSource`] interface as the live generator, returning `None`
-/// when the recording is exhausted.
+/// One app's replay cursor over a shared recorded trace. Implements the
+/// same [`MissSource`] interface as the live generator, decoding each
+/// record from the trace's validated bytes as it is asked for, and
+/// returning `None` once the recording is exhausted.
 #[derive(Debug, Clone)]
 pub struct ReplayStream {
     app: AppId,
-    events: Arc<[MissEvent]>,
+    bytes: Arc<[u8]>,
+    apps: Arc<[AppStream]>,
+    /// Index of the app's next block to enter.
+    next_block: usize,
+    /// Read position and end of the current block's payload.
     pos: usize,
+    end: usize,
+    /// The delta chain's previous cache line.
+    prev_line: u64,
+    remaining: usize,
 }
 
 impl ReplayStream {
     /// Events remaining before exhaustion.
     #[inline]
     pub fn remaining(&self) -> usize {
-        self.events.len() - self.pos
+        self.remaining
     }
 }
 
@@ -367,9 +449,17 @@ impl MissSource for ReplayStream {
         self.app
     }
 
+    #[inline]
     fn next_event(&mut self) -> Option<MissEvent> {
-        let ev = self.events.get(self.pos).copied()?;
-        self.pos += 1;
+        while self.pos == self.end {
+            let block = self.apps[self.app.0].blocks.get(self.next_block)?;
+            self.pos = block.start;
+            self.end = block.end;
+            self.next_block += 1;
+        }
+        let ev = decode_record(&self.bytes, &mut self.pos, &mut self.prev_line)
+            .expect("replay bytes were validated or just encoded");
+        self.remaining -= 1;
         Some(ev)
     }
 }

@@ -5,6 +5,10 @@ use crate::format::{crc32, encode_record, BLOCK_RECORDS, END_MARKER, FORMAT_VERS
 use memscale_types::config::MemGeneration;
 use memscale_workloads::MissEvent;
 use std::io::Write;
+use std::ops::Range;
+
+/// Each app's block payloads, as byte ranges of the trace, in stream order.
+pub(crate) type BlockIndex = Vec<Vec<Range<usize>>>;
 
 /// The metadata a trace artifact carries ahead of its record blocks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,6 +64,10 @@ pub struct TraceWriter<W: Write> {
     prev_line: Vec<u64>,
     counts: Vec<u64>,
     total: u64,
+    /// Bytes written so far.
+    written: usize,
+    /// Each app's block payloads written so far.
+    blocks: BlockIndex,
 }
 
 impl<W: Write> TraceWriter<W> {
@@ -82,6 +90,8 @@ impl<W: Write> TraceWriter<W> {
             prev_line: vec![0; n],
             counts: vec![0; n],
             total: 0,
+            written: bytes.len() + 4, // the header and its CRC
+            blocks: vec![Vec::new(); n],
         })
     }
 
@@ -146,6 +156,10 @@ impl<W: Write> TraceWriter<W> {
         write(&payload_len.to_le_bytes())?;
         write(&payload)?;
         write(&crc32(&payload).to_le_bytes())?;
+        // The payload follows the 12-byte block header; its CRC follows it.
+        let start = self.written + 12;
+        self.blocks[app].push(start..start + payload.len());
+        self.written = start + payload.len() + 4;
         self.counts[app] += u64::from(record_count);
         self.total += u64::from(record_count);
         Ok(())
@@ -157,7 +171,13 @@ impl<W: Write> TraceWriter<W> {
     /// # Errors
     ///
     /// Returns [`TraceError::Io`] if any final write fails.
-    pub fn finish(mut self) -> Result<W, TraceError> {
+    pub fn finish(self) -> Result<W, TraceError> {
+        self.finish_indexed().map(|(out, _)| out)
+    }
+
+    /// [`TraceWriter::finish`], also returning each app's block payloads
+    /// as byte ranges of the output, in stream order.
+    pub(crate) fn finish_indexed(mut self) -> Result<(W, BlockIndex), TraceError> {
         for app in 0..self.pending.len() {
             self.flush_app(app)?;
         }
@@ -175,7 +195,7 @@ impl<W: Write> TraceWriter<W> {
         self.out
             .flush()
             .map_err(|e| TraceError::io("flushing trace file", &e))?;
-        Ok(self.out)
+        Ok((self.out, self.blocks))
     }
 
     /// Records written so far per app (flushed and pending).

@@ -1,14 +1,19 @@
 //! Property-based round-trip tests: writing any well-formed event streams
-//! and reading them back is the identity, through the full file format.
+//! and reading them back is the identity, through the full file format and
+//! through the replay cursors that decode the held bytes.
 
-use memscale_trace::{TraceHeader, TraceReader, TraceWriter};
+use memscale_trace::{ReplayTrace, TraceHeader, TraceReader, TraceWriter};
 use memscale_types::address::PhysAddr;
 use memscale_types::config::MemGeneration;
-use memscale_workloads::MissEvent;
+use memscale_types::ids::AppId;
+use memscale_workloads::{MissEvent, MissSource};
 use proptest::prelude::*;
 
 /// Cache-line indices must stay below 2^58 (byte addresses are u64).
 const MAX_LINE: u64 = u64::MAX / 64;
+
+/// App lengths at and around the writer's 4096-record block boundaries.
+const LENGTHS: [usize; 6] = [0, 1, 4095, 4096, 4097, 8193];
 
 fn event_strategy() -> impl Strategy<Value = MissEvent> {
     (1u64..1 << 40, 0u64..MAX_LINE, 0u64..MAX_LINE, 0u8..4).prop_map(
@@ -31,6 +36,66 @@ fn header(apps: usize) -> TraceHeader {
     }
 }
 
+fn encode(hdr: &TraceHeader, streams: &[Vec<MissEvent>]) -> Vec<u8> {
+    let mut w = TraceWriter::new(Vec::new(), hdr).unwrap();
+    for (app, events) in streams.iter().enumerate() {
+        w.append_stream(app, events).unwrap();
+    }
+    w.finish().unwrap()
+}
+
+/// Drains every app's cursor, both a fresh [`ReplayTrace::stream`] and the
+/// boxed one [`ReplayTrace::streams`] mints: each yields the app's events
+/// exactly while `remaining()` counts down to 0, then keeps yielding `None`.
+fn assert_cursors_replay(trace: &ReplayTrace, streams: &[Vec<MissEvent>]) {
+    let mut boxed = trace.streams();
+    assert_eq!(boxed.len(), streams.len());
+    for (app, events) in streams.iter().enumerate() {
+        let mut cursor = trace.stream(app);
+        assert_eq!(cursor.app(), AppId(app));
+        assert_eq!(boxed[app].app(), AppId(app));
+        for (i, ev) in events.iter().enumerate() {
+            assert_eq!(cursor.remaining(), events.len() - i, "app {app}");
+            assert_eq!(cursor.next_event().as_ref(), Some(ev), "app {app} #{i}");
+            assert_eq!(boxed[app].next_event().as_ref(), Some(ev), "app {app} #{i}");
+        }
+        assert_eq!(cursor.remaining(), 0);
+        for _ in 0..3 {
+            assert_eq!(cursor.next_event(), None, "app {app} past its end");
+            assert_eq!(boxed[app].next_event(), None, "app {app} past its end");
+        }
+        assert_eq!(cursor.remaining(), 0);
+    }
+}
+
+/// The whole artifact round-trips: the bytes re-read and the bytes
+/// [`ReplayTrace::from_streams`] encodes are the writer's bytes, and both
+/// traces give back the header and every app's events, through the cursors
+/// and through the lazy `events` view, which only then adds to the heap.
+fn assert_round_trips(streams: &[Vec<MissEvent>]) {
+    let hdr = header(streams.len());
+    let bytes = encode(&hdr, streams);
+    let reread = TraceReader::new(&bytes[..]).read().unwrap();
+    let fresh = ReplayTrace::from_streams(hdr.clone(), streams.to_vec());
+    let records: usize = streams.iter().map(Vec::len).sum();
+    for trace in [&reread, &fresh] {
+        assert_eq!(trace.header(), &hdr);
+        assert_eq!(trace.as_bytes(), &bytes[..]);
+        assert_eq!(trace.apps(), streams.len());
+        assert_cursors_replay(trace, streams);
+        let encoded = trace.heap_bytes();
+        assert!(encoded >= bytes.len());
+        for (app, events) in streams.iter().enumerate() {
+            assert_eq!(trace.events(app), &events[..]);
+        }
+        assert_eq!(
+            trace.heap_bytes(),
+            encoded + records * std::mem::size_of::<MissEvent>()
+        );
+    }
+    assert_eq!(reread.summary(), fresh.summary());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -43,19 +108,7 @@ proptest! {
             1..5,
         ),
     ) {
-        let hdr = header(streams.len());
-        let mut w = TraceWriter::new(Vec::new(), &hdr).unwrap();
-        for (app, events) in streams.iter().enumerate() {
-            w.append_stream(app, events).unwrap();
-        }
-        let bytes = w.finish().unwrap();
-
-        let trace = TraceReader::new(&bytes[..]).read().unwrap();
-        prop_assert_eq!(trace.header(), &hdr);
-        prop_assert_eq!(trace.apps(), streams.len());
-        for (app, events) in streams.iter().enumerate() {
-            prop_assert_eq!(trace.events(app), &events[..]);
-        }
+        assert_round_trips(&streams);
     }
 
     /// The writer's output is a pure function of (header, streams): two
@@ -75,24 +128,27 @@ proptest! {
     }
 }
 
-#[test]
-fn block_boundaries_round_trip() {
-    // Exactly at, one under and one over the writer's block size.
-    for n in [4095usize, 4096, 4097, 8192] {
-        let events: Vec<MissEvent> = (0..n)
-            .map(|i| MissEvent {
-                gap_instructions: (i as u64 % 997) + 1,
-                addr: PhysAddr::from_cache_line((i as u64 * 131) % (1 << 24)),
-                writeback: (i % 7 == 0).then(|| PhysAddr::from_cache_line(i as u64)),
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The same identity with app lengths at and around the block size, so
+    /// cursors start, cross and end blocks at every boundary the writer
+    /// makes.
+    #[test]
+    fn block_boundaries_round_trip(
+        apps in prop::collection::vec(
+            (0..LENGTHS.len(), prop::collection::vec(event_strategy(), 8193..8194)),
+            1..4,
+        ),
+    ) {
+        let streams: Vec<Vec<MissEvent>> = apps
+            .into_iter()
+            .map(|(len, mut events)| {
+                events.truncate(LENGTHS[len]);
+                events
             })
             .collect();
-        let hdr = header(1);
-        let mut w = TraceWriter::new(Vec::new(), &hdr).unwrap();
-        w.append_stream(0, &events).unwrap();
-        let bytes = w.finish().unwrap();
-        let trace = TraceReader::new(&bytes[..]).read().unwrap();
-        assert_eq!(trace.events(0), &events[..], "n = {n}");
-        assert!(trace.summary().blocks >= (n / 4096) as u64);
+        assert_round_trips(&streams);
     }
 }
 

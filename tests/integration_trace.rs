@@ -10,6 +10,7 @@ use memscale_trace::format::crc32;
 use memscale_trace::{write_trace_file, ReplayTrace, TraceError, TraceHeader, TraceWriter};
 use memscale_types::config::MemGeneration;
 use memscale_types::freq::MemFreq;
+use memscale_types::time::Picos;
 use memscale_workloads::{MissEvent, Mix};
 
 /// Bit-identical comparison of everything a run reports. `RunResult`
@@ -111,6 +112,26 @@ fn replay_survives_a_disk_round_trip() {
     let from_memory = Experiment::calibrate_replay(&mix, &cfg, &trace).unwrap();
     let from_disk = Experiment::calibrate_replay(&mix, &cfg, &reloaded).unwrap();
     assert_identical(from_memory.baseline(), from_disk.baseline());
+}
+
+/// A replayed trace stays in its encoded form: after calibration and a
+/// policy run over it, an ILP2 2 ms recording holds at most 8 bytes per
+/// record, where decoded events would take 32.
+#[test]
+fn replayed_trace_stays_encoded() {
+    let cfg = SimConfig::default().with_duration(Picos::from_ms(2));
+    let mix = Mix::by_name("ILP2").unwrap();
+    let (header, streams) =
+        record_trace(&mix, &cfg, &[PolicyKind::Static(MemFreq::MIN)], 50).unwrap();
+    let trace = ReplayTrace::from_streams(header, streams);
+    let exp = Experiment::calibrate_replay(&mix, &cfg, &trace).unwrap();
+    exp.evaluate_replay(PolicyKind::MemScale, &trace).unwrap();
+    let records: u64 = trace.summary().records_per_app.iter().sum();
+    let per_record = trace.heap_bytes() as f64 / records as f64;
+    assert!(
+        per_record <= 8.0,
+        "{per_record:.2} B per record over {records} records"
+    );
 }
 
 #[test]
