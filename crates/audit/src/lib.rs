@@ -1,10 +1,10 @@
 //! Standalone DRAM protocol conformance checker with per-generation rule
 //! packs (DDR3, DDR4, LPDDR3).
 //!
-//! The DRAM and memory-controller crates can emit one [`CmdEvent`] per
-//! device-level command they schedule (behind their `audit` features). A
-//! [`ProtocolAuditor`] replays that stream against an *independent*
-//! implementation of the DDR3 timing rules — `tRCD`, `tRP`, `tCL`, `tRAS`,
+//! The DRAM and memory-controller crates emit one [`CmdEvent`] per
+//! device-level command they schedule while recording is switched on at run
+//! time; every simulation switches it on. A [`ProtocolAuditor`] replays
+//! that stream against an *independent* implementation of the DDR3 timing rules — `tRCD`, `tRP`, `tCL`, `tRAS`,
 //! `tRTP`, `tWR`, `tRRD`, the `tFAW` four-activate window, `tREFI`/`tRFC`,
 //! `tXP`/`tXPDLL`, the frequency re-lock penalty — plus the bank and rank
 //! state machines (no CAS to a precharged bank, no command to a powered-down

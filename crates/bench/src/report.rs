@@ -1,5 +1,6 @@
 //! Result tables and markdown rendering.
 
+use memscale_serve::json::Json;
 use std::fmt::Write as _;
 
 /// One regenerated table/figure.
@@ -110,17 +111,7 @@ impl BenchArtifact {
 
     /// Appends a string field.
     pub fn push_str(&mut self, key: &str, value: impl std::fmt::Display) -> &mut Self {
-        let escaped: String = value
-            .to_string()
-            .chars()
-            .flat_map(|c| match c {
-                '"' => vec!['\\', '"'],
-                '\\' => vec!['\\', '\\'],
-                '\n' => vec!['\\', 'n'],
-                c => vec![c],
-            })
-            .collect();
-        self.push_raw(key, format!("\"{escaped}\""));
+        self.push_raw(key, Json::Str(value.to_string()).render());
         self
     }
 
@@ -274,5 +265,14 @@ mod tests {
         a.push_str("note", "a \"quoted\" \\ path\nnewline");
         let json = a.render();
         assert!(json.contains(r#""note": "a \"quoted\" \\ path\nnewline""#));
+    }
+
+    #[test]
+    fn artifact_strings_with_control_characters_parse_back() {
+        let value = "tab\there, cr\rthere, unit\u{1}separator";
+        let mut a = BenchArtifact::new("esc");
+        a.push_str("note", value);
+        let parsed = memscale_serve::json::parse(&a.render()).expect("valid JSON");
+        assert_eq!(parsed.get("note").and_then(Json::as_str), Some(value));
     }
 }

@@ -11,12 +11,9 @@ use crate::rank::{PowerDownMode, Rank};
 use crate::stats::ChannelStats;
 use crate::timing::TimingSet;
 use memscale_types::config::DramTimingConfig;
-#[cfg(feature = "audit")]
 use memscale_types::events::{CmdEvent, CmdKind};
 use memscale_types::freq::MemFreq;
-#[cfg(feature = "audit")]
-use memscale_types::ids::ChannelId;
-use memscale_types::ids::{BankId, RankId};
+use memscale_types::ids::{BankId, ChannelId, RankId};
 use memscale_types::time::Picos;
 
 /// Whether an access reads a cache line from DRAM or writes one back.
@@ -78,14 +75,11 @@ pub struct DramChannel {
     relock_overruns: u64,
     /// Recorded command events; channel ids are placeholders re-tagged by
     /// the controller.
-    #[cfg(feature = "audit")]
     events: Vec<CmdEvent>,
     /// Whether events are currently being recorded.
-    #[cfg(feature = "audit")]
     recording: bool,
     /// Future-dated auto-precharge events not yet committed: a same-row
     /// reopen may still cancel them. Slot = rank index × banks + bank index.
-    #[cfg(feature = "audit")]
     pending_pre: Vec<Option<CmdEvent>>,
 }
 
@@ -100,7 +94,6 @@ impl DramChannel {
         assert!(ranks > 0 && banks > 0, "channel needs ranks and banks");
         let timing = TimingSet::resolve(cfg, freq);
         let generation = GenerationModel::from_config(cfg);
-        #[cfg(feature = "audit")]
         let slots = ranks * banks;
         let ranks = (0..ranks)
             .map(|i| {
@@ -117,18 +110,14 @@ impl DramChannel {
             stats: ChannelStats::new(),
             relock_extra: Picos::ZERO,
             relock_overruns: 0,
-            #[cfg(feature = "audit")]
             events: Vec::new(),
-            #[cfg(feature = "audit")]
             recording: false,
-            #[cfg(feature = "audit")]
             pending_pre: vec![None; slots],
         }
     }
 
     /// Starts or stops recording command events for the protocol auditor on
     /// this channel and all its ranks.
-    #[cfg(feature = "audit")]
     pub fn set_event_recording(&mut self, on: bool) {
         self.recording = on;
         for rank in &mut self.ranks {
@@ -136,9 +125,20 @@ impl DramChannel {
         }
     }
 
+    /// The event of a command this channel records. Its channel id is a
+    /// placeholder the controller re-tags.
+    fn cmd(at: Picos, rank: RankId, bank: Option<BankId>, kind: CmdKind) -> CmdEvent {
+        CmdEvent {
+            at,
+            channel: ChannelId(0),
+            rank,
+            bank,
+            kind,
+        }
+    }
+
     /// Commits every still-pending auto-precharge into the event log (their
     /// reopen windows are being abandoned).
-    #[cfg(feature = "audit")]
     fn commit_pending_pre(&mut self) {
         for slot in &mut self.pending_pre {
             if let Some(e) = slot.take() {
@@ -155,7 +155,6 @@ impl DramChannel {
     /// forfeits its reopen window in the audit stream, so a later same-row
     /// reopen would disagree with the replay. To stream the audit during a
     /// run, use [`drain_events_below`](Self::drain_events_below).
-    #[cfg(feature = "audit")]
     pub fn drain_events(&mut self) -> Vec<CmdEvent> {
         self.commit_pending_pre();
         let mut events = Vec::new();
@@ -168,7 +167,6 @@ impl DramChannel {
     /// recording order — re-tagging rank-level events with their rank id.
     /// Pending auto-precharges are not drained;
     /// [`event_watermark`](Self::event_watermark) never exceeds them.
-    #[cfg(feature = "audit")]
     pub fn drain_events_below(&mut self, watermark: Picos, out: &mut Vec<CmdEvent>) {
         crate::drain_below(&mut self.events, watermark, out);
         for (i, rank) in self.ranks.iter_mut().enumerate() {
@@ -187,7 +185,6 @@ impl DramChannel {
     /// exceptions are bounded by each rank's
     /// [`event_floor`](Rank::event_floor) and by the pending
     /// auto-precharges.
-    #[cfg(feature = "audit")]
     pub fn event_watermark(&self, now: Picos) -> Picos {
         let pending = self.pending_pre.iter().flatten().map(|e| e.at);
         let ranks = self.ranks.iter().map(Rank::event_floor);
@@ -195,7 +192,6 @@ impl DramChannel {
     }
 
     /// Recorded events not yet drained (pending auto-precharges excluded).
-    #[cfg(feature = "audit")]
     pub fn held_events(&self) -> usize {
         self.events.len() + self.ranks.iter().map(Rank::held_events).sum::<usize>()
     }
@@ -276,7 +272,6 @@ impl DramChannel {
     ) -> AccessTimeline {
         let t = self.timing;
         let group = self.generation.group_of(bank);
-        #[cfg(feature = "audit")]
         let slot = rank.index() * self.ranks[0].bank_count() + bank.index();
         let r = &mut self.ranks[rank.index()];
         // Wake first (powerdown exit + residency accounting anchors at the
@@ -294,7 +289,6 @@ impl DramChannel {
 
         // A reopen cancels the stashed auto-precharge event; any other
         // access to the bank makes it definitive.
-        #[cfg(feature = "audit")]
         if self.recording {
             if reopen.is_some() {
                 self.pending_pre[slot] = None;
@@ -316,15 +310,9 @@ impl DramChannel {
                     // clear the open row's tRAS/tRTP/tWR constraints.
                     let last_act = r.bank(bank).last_act().unwrap_or(t0);
                     let pre_at = t0.max(last_act + t.t_ras).max(r.bank(bank).pre_after());
-                    #[cfg(feature = "audit")]
                     if self.recording {
-                        self.events.push(CmdEvent {
-                            at: pre_at,
-                            channel: ChannelId(0),
-                            rank,
-                            bank: Some(bank),
-                            kind: CmdKind::Precharge,
-                        });
+                        self.events
+                            .push(Self::cmd(pre_at, rank, Some(bank), CmdKind::Precharge));
                     }
                     let act = r.earliest_act(group, pre_at + t.t_rp, &t);
                     (RowOutcome::OpenMiss, Some(act), act + t.t_rcd)
@@ -338,15 +326,9 @@ impl DramChannel {
         if let Some(act) = act_at {
             r.record_act(group, act);
             r.bank_mut(bank).record_act(row, act);
-            #[cfg(feature = "audit")]
             if self.recording {
-                self.events.push(CmdEvent {
-                    at: act,
-                    channel: ChannelId(0),
-                    rank,
-                    bank: Some(bank),
-                    kind: CmdKind::Activate { row },
-                });
+                self.events
+                    .push(Self::cmd(act, rank, Some(bank), CmdKind::Activate { row }));
             }
         }
 
@@ -361,24 +343,18 @@ impl DramChannel {
         // The CAS the device actually saw, accounting for bus back-pressure.
         let cas_at = data_start - t.t_cl;
         r.record_cas(group, cas_at);
-        #[cfg(feature = "audit")]
         if self.recording {
-            self.events.push(CmdEvent {
-                at: cas_at,
-                channel: ChannelId(0),
-                rank,
-                bank: Some(bank),
-                kind: match kind {
-                    AccessKind::Read => CmdKind::CasRead {
-                        burst_start: data_start,
-                        burst_end: data_end,
-                    },
-                    AccessKind::Write => CmdKind::CasWrite {
-                        burst_start: data_start,
-                        burst_end: data_end,
-                    },
+            let cas = match kind {
+                AccessKind::Read => CmdKind::CasRead {
+                    burst_start: data_start,
+                    burst_end: data_end,
                 },
-            });
+                AccessKind::Write => CmdKind::CasWrite {
+                    burst_start: data_start,
+                    burst_end: data_end,
+                },
+            };
+            self.events.push(Self::cmd(cas_at, rank, Some(bank), cas));
         }
 
         // Row management: keep open for a pending same-row request, else
@@ -401,15 +377,9 @@ impl DramChannel {
             let pre_at = r.bank(bank).pre_after().max(anchor + t.t_ras);
             bank_free_at = pre_at + t.t_rp;
             r.bank_mut(bank).finish_precharge(bank_free_at);
-            #[cfg(feature = "audit")]
             if self.recording {
-                self.pending_pre[slot] = Some(CmdEvent {
-                    at: pre_at,
-                    channel: ChannelId(0),
-                    rank,
-                    bank: Some(bank),
-                    kind: CmdKind::Precharge,
-                });
+                let pre = Self::cmd(pre_at, rank, Some(bank), CmdKind::Precharge);
+                self.pending_pre[slot] = Some(pre);
             }
             r.bank_mut(bank).arm_hit_window(crate::bank::HitWindow {
                 row,
@@ -480,21 +450,15 @@ impl DramChannel {
             self.relock_overruns += 1;
         }
         let ready = start + penalty;
-        #[cfg(feature = "audit")]
         if self.recording {
             // The relock quiesces every bank, abandoning reopen windows.
             self.commit_pending_pre();
-            self.events.push(CmdEvent {
-                at: start,
-                channel: ChannelId(0),
-                rank: RankId(0),
-                bank: None,
-                kind: CmdKind::FreqSwitch {
-                    from_mhz: self.timing.freq.mhz(),
-                    to_mhz: freq.mhz(),
-                    ready,
-                },
-            });
+            let switch = CmdKind::FreqSwitch {
+                from_mhz: self.timing.freq.mhz(),
+                to_mhz: freq.mhz(),
+                ready,
+            };
+            self.events.push(Self::cmd(start, RankId(0), None, switch));
         }
         self.timing = TimingSet::resolve(&self.cfg, freq);
         for rank in &mut self.ranks {

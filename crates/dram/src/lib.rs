@@ -49,7 +49,6 @@ pub use timing::TimingSet;
 
 /// Moves the events of `events` dated strictly below `watermark` to `out`,
 /// keeping the relative order of both the moved and the kept events.
-#[cfg(feature = "audit")]
 fn drain_below(
     events: &mut Vec<memscale_types::events::CmdEvent>,
     watermark: memscale_types::time::Picos,

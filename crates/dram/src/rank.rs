@@ -7,11 +7,8 @@
 use crate::bank::Bank;
 use crate::stats::RankStats;
 use crate::timing::TimingSet;
-#[cfg(feature = "audit")]
 use memscale_types::events::{CmdEvent, CmdKind};
-use memscale_types::ids::BankId;
-#[cfg(feature = "audit")]
-use memscale_types::ids::{ChannelId, RankId};
+use memscale_types::ids::{BankId, ChannelId, RankId};
 use memscale_types::invariants::{FsmFeature, FsmSpec, FsmTransition, TimingParam};
 use memscale_types::time::Picos;
 use std::collections::VecDeque;
@@ -204,7 +201,6 @@ pub struct Rank {
     /// Last CAS per bank group (`tCCD_L`).
     last_cas_group: Vec<Option<Picos>>,
     /// Next bank a recorded per-bank refresh addresses (round-robin).
-    #[cfg(feature = "audit")]
     refresh_rr: usize,
     state: PowerState,
     /// When the current powerdown interval started (valid while Down).
@@ -229,15 +225,13 @@ pub struct Rank {
     stats: RankStats,
     /// Recorded command events; channel/rank ids are placeholders re-tagged
     /// by the owning channel and controller.
-    #[cfg(feature = "audit")]
     events: Vec<CmdEvent>,
     /// Whether events are currently being recorded.
-    #[cfg(feature = "audit")]
     recording: bool,
-    /// End of the last emitted REF event, so replayed refreshes stay
-    /// non-overlapping in the audit stream.
-    #[cfg(feature = "audit")]
-    audit_last_ref_end: Picos,
+    /// End of the last REF issued. Bulk-accounted arrears issue back to
+    /// back and can end past `busy_until`; tracked whether or not events
+    /// are recorded, so recording never moves a relock.
+    last_ref_end: Picos,
 }
 
 impl Rank {
@@ -253,7 +247,6 @@ impl Rank {
             last_act: None,
             last_act_group: vec![None; groups],
             last_cas_group: vec![None; groups],
-            #[cfg(feature = "audit")]
             refresh_rr: 0,
             state: PowerState::Up,
             pd_since: Picos::ZERO,
@@ -265,17 +258,13 @@ impl Rank {
             pd_exit_extra: Picos::ZERO,
             spiked_exits: 0,
             stats: RankStats::new(),
-            #[cfg(feature = "audit")]
             events: Vec::new(),
-            #[cfg(feature = "audit")]
             recording: false,
-            #[cfg(feature = "audit")]
-            audit_last_ref_end: Picos::ZERO,
+            last_ref_end: Picos::ZERO,
         }
     }
 
     /// Starts or stops recording command events for the protocol auditor.
-    #[cfg(feature = "audit")]
     pub fn set_event_recording(&mut self, on: bool) {
         self.recording = on;
     }
@@ -283,13 +272,11 @@ impl Rank {
     /// Moves the recorded events dated strictly below `watermark` to `out`,
     /// in recording order. Rank ids are left at `RankId(0)` for the owning
     /// channel to re-tag.
-    #[cfg(feature = "audit")]
     pub fn drain_events_below(&mut self, watermark: Picos, out: &mut Vec<CmdEvent>) {
         crate::drain_below(&mut self.events, watermark, out);
     }
 
     /// Recorded events not yet drained.
-    #[cfg(feature = "audit")]
     #[inline]
     pub fn held_events(&self) -> usize {
         self.events.len()
@@ -299,7 +286,6 @@ impl Rank {
     /// behind the caller's clock: REF arrears replay from the next
     /// scheduled refresh, and an auto-powerdown entry is synthesized at the
     /// activity horizon. Both only move forward.
-    #[cfg(feature = "audit")]
     pub fn event_floor(&self) -> Picos {
         match self.auto_pd {
             Some(_) => self.next_refresh.min(self.activity_horizon),
@@ -309,7 +295,6 @@ impl Rank {
 
     /// Records one command event (no-op unless recording). `bank` is set for
     /// per-bank refreshes; rank-wide commands leave it `None`.
-    #[cfg(feature = "audit")]
     fn emit(&mut self, at: Picos, bank: Option<BankId>, kind: CmdKind) {
         if self.recording {
             self.events.push(CmdEvent {
@@ -444,20 +429,13 @@ impl Rank {
         self.busy_until
     }
 
-    /// Horizon past every settled refresh: the stall horizon, extended under
-    /// audit recording to the end of the last *emitted* REF (bulk-accounted
-    /// arrears can replay slightly past `busy_until`). A frequency re-lock
-    /// must not begin before this point, or a REF would land in its window.
+    /// Horizon past every settled refresh: the stall horizon, extended to
+    /// the end of the last issued REF (bulk-accounted arrears can run
+    /// slightly past `busy_until`). A frequency re-lock must not begin
+    /// before this point, or a REF would land in its window.
     #[inline]
     pub fn refresh_horizon(&self) -> Picos {
-        #[cfg(feature = "audit")]
-        {
-            self.busy_until.max(self.audit_last_ref_end)
-        }
-        #[cfg(not(feature = "audit"))]
-        {
-            self.busy_until
-        }
+        self.busy_until.max(self.last_ref_end)
     }
 
     /// The rank's cumulative statistics.
@@ -538,7 +516,6 @@ impl Rank {
 
     /// The bank the next per-bank refresh addresses (round-robin), or `None`
     /// for an all-bank refresh.
-    #[cfg(feature = "audit")]
     fn next_refresh_bank(&mut self, t: &TimingSet) -> Option<BankId> {
         if t.per_bank_refresh {
             let bank = BankId(self.refresh_rr);
@@ -569,16 +546,10 @@ impl Rank {
             let skip = behind - MAX_PENDING_REFRESH;
             self.stats.refresh_count += skip;
             self.stats.refresh_time += t_rfc * skip;
-            #[cfg(feature = "audit")]
-            if self.recording {
-                let mut sched = self.next_refresh;
-                for _ in 0..skip {
-                    let at = sched.max(self.busy_until).max(self.audit_last_ref_end);
-                    let bank = self.next_refresh_bank(t);
-                    self.emit(at, bank, CmdKind::Refresh { end: at + t_rfc });
-                    self.audit_last_ref_end = at + t_rfc;
-                    sched += t_refi;
-                }
+            let mut sched = self.next_refresh;
+            for _ in 0..skip {
+                self.issue_refresh(sched.max(self.busy_until), t_rfc, t);
+                sched += t_refi;
             }
             self.next_refresh += Picos::from_ps(skip * refi);
         }
@@ -587,13 +558,7 @@ impl Rank {
         while self.next_refresh <= now {
             let start = self.next_refresh.max(self.busy_until);
             let end = start + t_rfc;
-            #[cfg(feature = "audit")]
-            if self.recording {
-                let at = start.max(self.audit_last_ref_end);
-                let bank = self.next_refresh_bank(t);
-                self.emit(at, bank, CmdKind::Refresh { end: at + t_rfc });
-                self.audit_last_ref_end = at + t_rfc;
-            }
+            self.issue_refresh(start, t_rfc, t);
             self.busy_until = self.busy_until.max(end);
             self.stats.refresh_count += 1;
             self.stats.refresh_time += t_rfc;
@@ -602,8 +567,16 @@ impl Rank {
         self.note_activity(self.busy_until);
     }
 
+    /// Issues one REF of `t_rfc` at `due`, or once the previous REF ends,
+    /// and records it.
+    fn issue_refresh(&mut self, due: Picos, t_rfc: Picos, t: &TimingSet) {
+        let at = due.max(self.last_ref_end);
+        let bank = self.next_refresh_bank(t);
+        self.emit(at, bank, CmdKind::Refresh { end: at + t_rfc });
+        self.last_ref_end = at + t_rfc;
+    }
+
     /// The event recorded when `mode` is entered.
-    #[cfg(feature = "audit")]
     fn enter_event(mode: PowerDownMode) -> CmdKind {
         match mode {
             PowerDownMode::Deep => CmdKind::DeepPowerDownEnter,
@@ -614,7 +587,6 @@ impl Rank {
     }
 
     /// The event recorded when `mode` is exited.
-    #[cfg(feature = "audit")]
     fn exit_event(mode: PowerDownMode, entered_at: Picos, ready: Picos) -> CmdKind {
         match mode {
             PowerDownMode::Deep => CmdKind::DeepPowerDownExit { entered_at, ready },
@@ -648,12 +620,9 @@ impl Rank {
                     let ready = now.max(self.busy_until) + exit;
                     // The auto-powerdown entry is synthesized retroactively:
                     // the rank dropped CKE at its last activity horizon.
-                    #[cfg(feature = "audit")]
-                    {
-                        let entered_at = self.activity_horizon;
-                        self.emit(entered_at, None, Self::enter_event(mode));
-                        self.emit(now, None, Self::exit_event(mode, entered_at, ready));
-                    }
+                    let entered_at = self.activity_horizon;
+                    self.emit(entered_at, None, Self::enter_event(mode));
+                    self.emit(now, None, Self::exit_event(mode, entered_at, ready));
                     (ready, Some(mode))
                 } else {
                     (now.max(self.busy_until), None)
@@ -665,7 +634,6 @@ impl Rank {
                 // the enter event is retracted.
                 if self.pd_since == now {
                     self.state = PowerState::Up;
-                    #[cfg(feature = "audit")]
                     if self.recording {
                         if let Some(pos) = self.events.iter().rposition(|e| {
                             e.at == now
@@ -680,13 +648,11 @@ impl Rank {
                     return (now.max(self.busy_until), None);
                 }
                 let exit = Self::exit_latency(mode, t) + self.take_pd_exit_spike();
-                #[cfg(feature = "audit")]
                 let entered_at = self.pd_since;
                 self.flush_pd(now);
                 self.state = PowerState::Up;
                 self.count_exit(mode);
                 let ready = now.max(self.busy_until) + exit;
-                #[cfg(feature = "audit")]
                 self.emit(now, None, Self::exit_event(mode, entered_at, ready));
                 (ready, Some(mode))
             }
@@ -713,7 +679,6 @@ impl Rank {
         assert!(self.can_power_down(now), "rank not idle at {now}");
         self.state = PowerState::Down(mode);
         self.pd_since = now;
-        #[cfg(feature = "audit")]
         self.emit(now, None, Self::enter_event(mode));
     }
 

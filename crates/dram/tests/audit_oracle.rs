@@ -11,6 +11,9 @@
 //! The same streams also check the streamed audit: releasing a stream to
 //! the auditor in batches below the channel's watermark must report
 //! exactly what one replay of the whole stream reports.
+//!
+//! Recording itself must only observe: a channel that records and releases
+//! its commands schedules exactly what a silent channel schedules.
 
 use memscale_audit::{AuditReport, ProtocolAuditor, Rule};
 use memscale_dram::channel::{AccessKind, DramChannel};
@@ -140,6 +143,14 @@ fn freq_strategy() -> impl Strategy<Value = MemFreq> {
     (0usize..MemFreq::ALL.len()).prop_map(|i| MemFreq::ALL[i])
 }
 
+/// Ranks × banks of a channel: DDR4 has sixteen banks in four groups.
+fn topology(generation: MemGeneration) -> (usize, usize) {
+    match generation {
+        MemGeneration::Ddr4 => (2, 16),
+        _ => (RANKS, BANKS),
+    }
+}
+
 /// Timing weakenings as in `crates/audit/tests/mutation.rs`: the channel
 /// runs the weakened numbers, the auditor keeps the strict reference, so
 /// the stream carries violations.
@@ -172,10 +183,7 @@ struct StreamCase {
 
 impl StreamCase {
     fn topology(&self) -> (usize, usize) {
-        match self.generation {
-            MemGeneration::Ddr4 => (2, 16),
-            _ => (RANKS, BANKS),
-        }
+        topology(self.generation)
     }
 
     fn pd_mode(&self) -> PowerDownMode {
@@ -291,6 +299,131 @@ fn stream_case_strategy() -> impl Strategy<Value = StreamCase> {
                 }
             },
         )
+}
+
+/// One call the recording-only-observes property makes on both channels.
+#[derive(Debug, Clone)]
+enum Op {
+    Access(Access),
+    Switch(MemFreq),
+    /// Explicit powerdown of a rank, when it is idle enough.
+    PowerDown(usize, PowerDownMode),
+    /// A late REF (a full tREFI drops one).
+    SlipRefresh(Picos),
+    /// A fault-injected overrun of the next relock.
+    RelockOverrun(Picos),
+}
+
+/// An operation and the nanoseconds since the previous one.
+fn step_strategy() -> impl Strategy<Value = (u64, Op)> {
+    let modes = [
+        PowerDownMode::Fast,
+        PowerDownMode::Slow,
+        PowerDownMode::Deep,
+    ];
+    (
+        0u8..16,
+        access_strategy(),
+        freq_strategy(),
+        0u64..400_000,
+        0usize..3,
+    )
+        .prop_map(move |(op, access, freq, idle_ns, mode)| {
+            // One step in sixteen idles up to 400 µs: past the 2 × 8 tREFI
+            // beyond which a rank bulk-accounts its refresh arrears.
+            let gap_ns = if op == 15 { idle_ns } else { access.gap_ns };
+            let op = match op {
+                11 => Op::Switch(freq),
+                12 | 13 => Op::PowerDown(access.rank, modes[mode]),
+                14 if idle_ns % 2 == 0 => Op::SlipRefresh(Picos::from_ns(1 + idle_ns % 8_000)),
+                14 => Op::RelockOverrun(Picos::from_ns(idle_ns / 4)),
+                _ => Op::Access(access),
+            };
+            (gap_ns, op)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Recording only observes: a channel that records its commands and
+    /// releases them below its watermark, as the simulator does, returns
+    /// the same timelines, relock times and refresh-slip counts as a silent
+    /// channel, and ends with the same channel and rank statistics — on
+    /// every generation, across frequency switches and relock overruns,
+    /// explicit and automatic powerdown, refresh slips, and idle gaps long
+    /// enough for refresh arrears to be bulk-accounted.
+    #[test]
+    fn recording_only_observes(
+        g in 0usize..MemGeneration::ALL.len(),
+        auto_pd in 0usize..3,
+        initial in freq_strategy(),
+        release_every in 1usize..24,
+        steps in prop::collection::vec(step_strategy(), 1..800),
+    ) {
+        let generation = MemGeneration::ALL[g];
+        let cfg = DramTimingConfig::for_generation(generation);
+        let (ranks, banks) = topology(generation);
+        let auto_pd = [None, Some(PowerDownMode::Fast), Some(PowerDownMode::Slow)][auto_pd];
+        let [mut silent, mut recording] = [false, true].map(|on| {
+            let mut ch = DramChannel::new(&cfg, ranks, banks, initial);
+            ch.set_event_recording(on);
+            ch.set_auto_power_down(auto_pd);
+            ch
+        });
+        let mut now = Picos::ZERO;
+        let (mut batch, mut released) = (Vec::new(), 0);
+        for (i, (gap_ns, op)) in steps.iter().enumerate() {
+            now += Picos::from_ns(*gap_ns);
+            let both = [&mut silent, &mut recording];
+            match op {
+                Op::Access(a) => {
+                    let kind = if a.write { AccessKind::Write } else { AccessKind::Read };
+                    let (rank, bank) = (RankId(a.rank % ranks), BankId(a.bank % banks));
+                    let [s, r] = both.map(|ch| ch.service(rank, bank, a.row, kind, now, a.keep_open));
+                    prop_assert_eq!(s, r, "step {}", i);
+                }
+                Op::Switch(freq) => {
+                    let [s, r] = both.map(|ch| ch.set_frequency(*freq, now));
+                    prop_assert_eq!(s, r, "step {}", i);
+                }
+                Op::PowerDown(rank, mode) => {
+                    let rank = RankId(rank % ranks);
+                    if both[0].can_power_down(rank, now) {
+                        // Panics unless the recording channel is idle too.
+                        for ch in both {
+                            ch.enter_power_down(rank, *mode, now);
+                        }
+                    }
+                }
+                Op::SlipRefresh(by) => {
+                    let [s, r] = both.map(|ch| ch.delay_refresh(*by, now));
+                    prop_assert_eq!(s, r, "step {}", i);
+                }
+                Op::RelockOverrun(by) => {
+                    for ch in both {
+                        ch.arm_relock_overrun(*by);
+                    }
+                }
+            }
+            if i % release_every == 0 {
+                recording.drain_events_below(recording.event_watermark(now), &mut batch);
+                released += batch.len();
+                batch.clear();
+            }
+        }
+        silent.sync(now);
+        recording.sync(now);
+        prop_assert_eq!(silent.stats(), recording.stats());
+        for rank in (0..ranks).map(RankId) {
+            prop_assert_eq!(silent.rank_stats(rank), recording.rank_stats(rank));
+        }
+        // Neither side is vacuous: one channel recorded, the other did not.
+        prop_assert_eq!(silent.held_events(), 0);
+        if silent.stats().total_accesses() > 0 {
+            prop_assert!(released + recording.held_events() > 0);
+        }
+    }
 }
 
 proptest! {

@@ -15,7 +15,7 @@
 //!    number of epochs.
 //! 5. **Powerdown exits** — tXP/tXPDLL overrun spikes.
 //!
-//! All randomness flows from one [`FaultRng`] (splitmix64) seeded by the
+//! All randomness flows from one [`SplitMix64`] stream seeded by the
 //! plan, so the same plan over the same run injects the same faults. The
 //! injector never touches simulator state itself: the engine asks it what to
 //! inject ([`FaultInjector::begin_epoch`], [`FaultInjector::on_switch`]) and
@@ -28,47 +28,8 @@
 
 use memscale_types::faults::{CounterFault, FaultPlan, RefreshFault, SwitchFault};
 use memscale_types::freq::MemFreq;
+use memscale_types::rng::SplitMix64;
 use memscale_types::time::Picos;
-
-/// Minimal deterministic RNG (splitmix64): one `u64` of state, full-period,
-/// and cheap enough to draw per epoch without disturbing the simulation.
-#[derive(Debug, Clone)]
-pub struct FaultRng {
-    state: u64,
-}
-
-impl FaultRng {
-    /// Creates a stream seeded with `seed`.
-    pub fn new(seed: u64) -> Self {
-        FaultRng { state: seed }
-    }
-
-    /// Next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        // 53 mantissa bits of uniformity.
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Bernoulli draw with probability `p`.
-    pub fn chance(&mut self, p: f64) -> bool {
-        p > 0.0 && self.next_f64() < p
-    }
-
-    /// Uniform draw in `[lo, hi)` (`lo < hi`).
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo < hi);
-        lo + self.next_u64() % (hi - lo)
-    }
-}
 
 /// The faults drawn for one epoch, to be applied by the engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -137,7 +98,7 @@ impl FaultReport {
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     plan: FaultPlan,
-    rng: FaultRng,
+    rng: SplitMix64,
     thermal_remaining: u32,
     report: FaultReport,
 }
@@ -145,7 +106,7 @@ pub struct FaultInjector {
 impl FaultInjector {
     /// Creates an injector for `plan`.
     pub fn new(plan: FaultPlan) -> Self {
-        let rng = FaultRng::new(plan.seed);
+        let rng = SplitMix64::new(plan.seed);
         let report = FaultReport {
             seed: plan.seed,
             ..FaultReport::default()
@@ -252,28 +213,22 @@ impl FaultInjector {
 mod tests {
     use super::*;
 
+    /// The injector draws the plan seed's own splitmix64 stream, so a fault
+    /// schedule is named by its seed alone.
     #[test]
     fn rng_is_deterministic_and_uniform_ish() {
-        let mut a = FaultRng::new(42);
-        let mut b = FaultRng::new(42);
+        let mut a = FaultInjector::new(FaultPlan::uniform(42, 0.5)).rng;
+        let mut b = SplitMix64::new(42);
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
-        let mut r = FaultRng::new(7);
+        let mut r = FaultInjector::new(FaultPlan::uniform(7, 0.5)).rng;
         let mean: f64 = (0..10_000).map(|_| r.next_f64()).sum::<f64>() / 10_000.0;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
-        let mut r = FaultRng::new(9);
+        let mut r = FaultInjector::new(FaultPlan::uniform(9, 0.5)).rng;
         for _ in 0..1000 {
-            let v = r.range(10, 20);
-            assert!((10..20).contains(&v));
+            assert!((10..20).contains(&r.range(10, 20)));
         }
-    }
-
-    #[test]
-    fn chance_extremes() {
-        let mut r = FaultRng::new(3);
-        assert!(!r.chance(0.0));
-        assert!(r.chance(1.0));
     }
 
     #[test]

@@ -403,7 +403,6 @@ impl MemoryController {
 
     /// Starts or stops DRAM command-event recording on every channel (for
     /// the `memscale-audit` conformance checker).
-    #[cfg(feature = "audit")]
     pub fn set_event_recording(&mut self, on: bool) {
         for channel in &mut self.channels {
             channel.set_event_recording(on);
@@ -414,7 +413,6 @@ impl MemoryController {
     /// channel ids. Drain once, at end of simulation (see
     /// [`DramChannel::drain_events`]); during a run, drain below
     /// [`command_watermark`](Self::command_watermark) instead.
-    #[cfg(feature = "audit")]
     pub fn drain_command_events(&mut self) -> Vec<memscale_types::events::CmdEvent> {
         let mut events = Vec::new();
         for (i, channel) in self.channels.iter_mut().enumerate() {
@@ -429,7 +427,6 @@ impl MemoryController {
     /// The audit watermark at `now`: no command recorded from here on is
     /// dated strictly below it, provided every later call passes a time at
     /// or after `now` (see [`DramChannel::event_watermark`]).
-    #[cfg(feature = "audit")]
     pub fn command_watermark(&self, now: Picos) -> Picos {
         self.channels
             .iter()
@@ -441,7 +438,6 @@ impl MemoryController {
     /// [`command_watermark`](Self::command_watermark)) to `out`, channel by
     /// channel in the order [`drain_command_events`](Self::drain_command_events)
     /// uses, re-tagged with their channel ids.
-    #[cfg(feature = "audit")]
     pub fn drain_command_events_below(
         &mut self,
         watermark: Picos,
@@ -457,7 +453,6 @@ impl MemoryController {
     }
 
     /// Recorded commands held across every channel, not yet drained.
-    #[cfg(feature = "audit")]
     pub fn held_command_events(&self) -> usize {
         self.channels.iter().map(DramChannel::held_events).sum()
     }

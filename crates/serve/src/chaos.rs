@@ -9,56 +9,17 @@
 //! lets the chaos harness assert *zero protocol violations* while the
 //! request path is being mangled.
 //!
-//! All randomness flows from one [`ChaosRng`] (splitmix64, the same idiom
-//! as `memscale-faults`): the per-connection fault stream is a pure
+//! All randomness flows from one [`SplitMix64`] stream (the generator
+//! `memscale-faults` draws from): the per-connection fault stream is a pure
 //! function of `(seed, connection index)`, so a failing chaos run replays
 //! with the same `--seed`.
 
+use memscale_types::rng::SplitMix64;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Minimal deterministic RNG (splitmix64), mirroring `memscale-faults`'
-/// `FaultRng` so chaos runs replay byte-for-byte from a seed.
-#[derive(Debug, Clone)]
-pub struct ChaosRng {
-    state: u64,
-}
-
-impl ChaosRng {
-    /// Creates a stream seeded with `seed`.
-    pub fn new(seed: u64) -> Self {
-        ChaosRng { state: seed }
-    }
-
-    /// Next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        // 53 mantissa bits of uniformity.
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Bernoulli draw with probability `p`.
-    pub fn chance(&mut self, p: f64) -> bool {
-        p > 0.0 && self.next_f64() < p
-    }
-
-    /// Uniform draw in `[0, n)` (`n > 0`).
-    pub fn below(&mut self, n: usize) -> usize {
-        debug_assert!(n > 0);
-        usize::try_from(self.next_u64() % (n as u64)).unwrap_or(0)
-    }
-}
 
 /// What the proxy injects and how often. Probabilities are per request
 /// frame on the client → server path.
@@ -237,9 +198,7 @@ fn accept_loop(proxy: &ChaosProxy) {
             Ok((client, _)) => {
                 proxy.counters.connections.fetch_add(1, Ordering::Relaxed);
                 let _ = client.set_nonblocking(false);
-                // Derive the connection's fault stream from (seed, index)
-                // so a run replays exactly given the same seed.
-                let conn_seed = ChaosRng::new(proxy.cfg.seed.wrapping_add(conn_index)).next_u64();
+                let conn_seed = connection_seed(proxy.cfg.seed, conn_index);
                 conn_index += 1;
                 let cfg = proxy.cfg.clone();
                 let counters = Arc::clone(&proxy.counters);
@@ -252,6 +211,12 @@ fn accept_loop(proxy: &ChaosProxy) {
             Err(_) => break,
         }
     }
+}
+
+/// Derives a connection's fault stream seed from (run seed, accept index) so
+/// a run replays exactly given the same seed.
+fn connection_seed(seed: u64, conn_index: u64) -> u64 {
+    SplitMix64::new(seed.wrapping_add(conn_index)).next_u64()
 }
 
 /// Relays one client connection through the fault injector. The request
@@ -291,7 +256,7 @@ fn pump_connection(client: TcpStream, cfg: &ChaosConfig, conn_seed: u64, counter
     });
 
     // Request path: client → server, one fault draw per frame.
-    let mut rng = ChaosRng::new(conn_seed);
+    let mut rng = SplitMix64::new(conn_seed);
     let mut reader = BufReader::new(client_rd);
     let mut upstream_wr = upstream;
     let mut line = String::new();
@@ -334,19 +299,19 @@ fn pump_connection(client: TcpStream, cfg: &ChaosConfig, conn_seed: u64, counter
 /// read error) or truncates it mid-line, simulating a partial write. The
 /// newline always survives so the server's framing resynchronizes on the
 /// next frame.
-fn tear_frame(line: &str, rng: &mut ChaosRng) -> Vec<u8> {
+fn tear_frame(line: &str, rng: &mut SplitMix64) -> Vec<u8> {
     let mut bytes = line.as_bytes().to_vec();
-    let body_len = line.trim_end_matches('\n').len();
+    let body_len = line.trim_end_matches('\n').len() as u64;
     if body_len < 2 {
         return bytes;
     }
     if rng.chance(0.5) {
         // Byte flip somewhere in the body.
-        let i = rng.below(body_len);
-        bytes[i] = u8::try_from(0x21 + rng.below(94)).unwrap_or(b'?');
+        let i = usize::try_from(rng.range(0, body_len)).unwrap_or(0);
+        bytes[i] = u8::try_from(rng.range(0x21, 0x7f)).unwrap_or(b'?');
     } else {
         // Truncation: keep a strict prefix of the body, then newline.
-        let keep = 1 + rng.below(body_len - 1);
+        let keep = usize::try_from(rng.range(1, body_len)).unwrap_or(1);
         bytes.truncate(keep);
         bytes.push(b'\n');
     }
@@ -368,28 +333,27 @@ mod tests {
 
     #[test]
     fn rng_is_deterministic_and_uniformish() {
-        let mut a = ChaosRng::new(99);
-        let mut b = ChaosRng::new(99);
+        let mut a = SplitMix64::new(connection_seed(99, 0));
+        let mut b = SplitMix64::new(connection_seed(99, 0));
         for _ in 0..64 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
-        let mut c = ChaosRng::new(100);
-        assert_ne!(a.next_u64(), c.next_u64());
-        let mut r = ChaosRng::new(7);
+        assert_ne!(connection_seed(99, 0), connection_seed(99, 1));
+        let mut r = SplitMix64::new(connection_seed(7, 0));
         for _ in 0..256 {
             let f = r.next_f64();
             assert!((0.0..1.0).contains(&f));
-            assert!(r.below(10) < 10);
+            assert!(r.range(0, 10) < 10);
         }
-        assert!(!ChaosRng::new(1).chance(0.0));
-        assert!(ChaosRng::new(1).chance(1.0));
+        assert!(!r.chance(0.0));
+        assert!(r.chance(1.0));
     }
 
     #[test]
     fn fault_decisions_replay_from_the_seed() {
         let cfg = ChaosConfig::new("127.0.0.1:1", 1234);
         let decide = |seed: u64| -> Vec<(bool, bool, bool, bool)> {
-            let mut rng = ChaosRng::new(seed);
+            let mut rng = SplitMix64::new(seed);
             (0..32)
                 .map(|_| {
                     (
@@ -408,7 +372,7 @@ mod tests {
     #[test]
     fn torn_frames_keep_framing_and_ascii() {
         let line = "{\"type\":\"job\",\"id\":\"x\",\"mix\":\"MID1\"}\n";
-        let mut rng = ChaosRng::new(5);
+        let mut rng = SplitMix64::new(5);
         for _ in 0..200 {
             let torn = tear_frame(line, &mut rng);
             assert_eq!(torn.last(), Some(&b'\n'), "newline must survive");

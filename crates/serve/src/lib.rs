@@ -51,7 +51,7 @@ pub mod server;
 pub mod wire;
 
 pub use cache::{CacheKey, LruCache};
-pub use chaos::{open_flood, ChaosConfig, ChaosHandle, ChaosProxy, ChaosReport, ChaosRng};
+pub use chaos::{open_flood, ChaosConfig, ChaosHandle, ChaosProxy, ChaosReport};
 pub use loadgen::{LoadgenConfig, LoadgenStats};
 pub use persist::{DurableState, JournalRecord, RecoveryReport};
 pub use recovery::{RecoveryConfig, RecoveryOutcome};

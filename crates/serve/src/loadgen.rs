@@ -24,10 +24,10 @@
 //! violations (never acceptable — the server sent a malformed or
 //! inconsistent stream).
 
-use crate::chaos::ChaosRng;
 use crate::json::Json;
 use crate::wire::{decode_response, encode_job, Response};
 use memscale_arrivals::{ArrivalProcess, ArrivalSpec};
+use memscale_types::rng::{SplitMix64, GOLDEN_GAMMA};
 use memscale_types::serve::{DoneReason, ErrorCode, JobSpec};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -353,7 +353,7 @@ fn connect(
 /// the same exponential backoff plus seeded jitter as `overloaded`
 /// retries between them. With the default of zero retries this is a
 /// single fail-fast attempt.
-fn connect_with_retries(cfg: &LoadgenConfig, rng: &mut ChaosRng) -> Result<ClientConn, String> {
+fn connect_with_retries(cfg: &LoadgenConfig, rng: &mut SplitMix64) -> Result<ClientConn, String> {
     let mut attempt = 0usize;
     loop {
         match connect(&cfg.addr, cfg.connect_timeout_ms, cfg.read_timeout_ms) {
@@ -383,7 +383,7 @@ fn connect_with_retries(cfg: &LoadgenConfig, rng: &mut ChaosRng) -> Result<Clien
 pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenStats, String> {
     // Fail fast with a clear message when nothing is listening, instead
     // of surfacing one raw io error per client.
-    let mut probe_rng = ChaosRng::new(cfg.seed ^ 0x70b3_7059);
+    let mut probe_rng = SplitMix64::new(cfg.seed ^ 0x70b3_7059);
     drop(connect_with_retries(cfg, &mut probe_rng)?);
     let started = Instant::now();
     let mut handles = Vec::with_capacity(cfg.clients);
@@ -435,7 +435,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenStats, String> {
 /// waits for its seeded Poisson arrival instant instead of the previous
 /// completion.
 fn run_client(cfg: &LoadgenConfig, client: usize, fleet_start: Instant) -> Vec<JobOutcome> {
-    let mut rng = ChaosRng::new(cfg.seed ^ (client as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut rng = SplitMix64::new(cfg.seed ^ (client as u64).wrapping_mul(GOLDEN_GAMMA));
     let mut schedule = (cfg.open_loop_rps > 0.0).then(|| {
         #[allow(clippy::cast_precision_loss)]
         let per_client = cfg.open_loop_rps / cfg.clients.max(1) as f64;

@@ -709,19 +709,21 @@ mod tests {
 
     mod fuzz {
         use super::*;
-        use crate::chaos::ChaosRng;
+        use memscale_types::rng::SplitMix64;
         use proptest::prelude::*;
 
         /// Seed-derived label: ASCII letters, digits, and colons so labels
         /// look like real policy names, plus the occasional multibyte
         /// character to exercise UTF-8 handling.
-        fn label_from(rng: &mut ChaosRng) -> String {
+        fn label_from(rng: &mut SplitMix64) -> String {
             const ALPHABET: &[char] = &[
                 'a', 'b', 'c', 'm', 's', 't', ':', '0', '1', '4', '8', '9', 'µ', '≤',
             ];
-            let len = 1 + rng.below(16);
+            let len = rng.range(1, 17);
             (0..len)
-                .map(|_| ALPHABET[rng.below(ALPHABET.len())])
+                .map(|_| {
+                    ALPHABET[usize::try_from(rng.range(0, ALPHABET.len() as u64)).unwrap_or(0)]
+                })
                 .collect()
         }
 
@@ -735,7 +737,7 @@ mod tests {
                 trace_crc in any::<u32>(),
                 n_cells in 0usize..8,
             ) {
-                let mut rng = ChaosRng::new(seed);
+                let mut rng = SplitMix64::new(seed);
                 let id = label_from(&mut rng);
                 let cells: Vec<String> = (0..n_cells).map(|_| label_from(&mut rng)).collect();
                 let rec = JournalRecord::Admitted { id, fingerprint, trace_crc, cells };
@@ -748,7 +750,7 @@ mod tests {
                 fingerprint in any::<u64>(),
                 trace_crc in any::<u32>(),
             ) {
-                let mut rng = ChaosRng::new(seed);
+                let mut rng = SplitMix64::new(seed);
                 let label = label_from(&mut rng);
                 let bits: Vec<u64> = (0..7).map(|_| rng.next_u64()).collect();
                 let with_p99 = rng.next_u64() & 1 != 0;
@@ -782,7 +784,7 @@ mod tests {
                 seed in any::<u64>(),
                 len in 0usize..128,
             ) {
-                let mut rng = ChaosRng::new(seed);
+                let mut rng = SplitMix64::new(seed);
                 let bytes: Vec<u8> =
                     (0..len).map(|_| u8::try_from(rng.next_u64() & 0xff).unwrap_or(0)).collect();
                 let _ = JournalRecord::decode(&bytes);

@@ -22,9 +22,9 @@
 //! The outcome feeds `BENCH_recovery.json` via
 //! [`RecoveryOutcome::to_bench_json`].
 
-use crate::chaos::ChaosRng;
 use crate::json::Json;
 use crate::wire::{decode_response, encode_job, Response};
+use memscale_types::rng::SplitMix64;
 use memscale_types::serve::{CellMetrics, JobSpec, JobSummary};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -348,11 +348,11 @@ pub fn run(cfg: &RecoveryConfig) -> Result<RecoveryOutcome, String> {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     }
-    let mut rng = ChaosRng::new(cfg.seed);
+    let mut rng = SplitMix64::new(cfg.seed);
     // Kill after at least two fresh cells so one warm cell survives even
     // if the torn tail eats the final journal frame.
-    let kill_after = 2 + rng.below(cells - 2);
-    let tear = 1 + rng.below(12) as u64;
+    let kill_after = usize::try_from(rng.range(2, cells as u64)).unwrap_or(2);
+    let tear = rng.range(1, 13);
 
     // Phase 1: control run — the uninterrupted ground truth.
     let control = {

@@ -616,7 +616,7 @@ mod tests {
     /// valid frame), never a panic or a hang.
     mod fuzz {
         use super::*;
-        use crate::chaos::ChaosRng;
+        use memscale_types::rng::SplitMix64;
         use proptest::prelude::*;
 
         /// Valid frames of every shape the protocol can produce.
@@ -670,12 +670,12 @@ mod tests {
         /// produced (`read_line` only ever yields valid UTF-8).
         fn mutate(frame: &str, seed: u64, flips: usize) -> String {
             let mut bytes = frame.as_bytes().to_vec();
-            let mut rng = ChaosRng::new(seed);
+            let mut rng = SplitMix64::new(seed);
             for _ in 0..flips {
                 if bytes.is_empty() {
                     break;
                 }
-                let idx = rng.below(bytes.len());
+                let idx = usize::try_from(rng.range(0, bytes.len() as u64)).unwrap_or(0);
                 bytes[idx] = u8::try_from(rng.next_u64() & 0xff).unwrap_or(b'?');
             }
             String::from_utf8_lossy(&bytes).into_owned()
@@ -700,7 +700,7 @@ mod tests {
 
             #[test]
             fn random_garbage_never_decodes_as_panic(seed in any::<u64>(), len in 0usize..200) {
-                let mut rng = ChaosRng::new(seed);
+                let mut rng = SplitMix64::new(seed);
                 let bytes: Vec<u8> =
                     (0..len).map(|_| u8::try_from(rng.next_u64() & 0xff).unwrap_or(0)).collect();
                 let garbage = String::from_utf8_lossy(&bytes).into_owned();

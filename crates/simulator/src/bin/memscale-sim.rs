@@ -65,6 +65,7 @@
 
 use memscale::policies::PolicyKind;
 use memscale_arrivals::{ArrivalSpec, RequestModel};
+use memscale_serve::json::Json;
 use memscale_serve::loadgen::LoadgenConfig;
 use memscale_serve::server::ServerConfig;
 use memscale_serve::SweepServer;
@@ -750,23 +751,6 @@ fn parse_policy(name: &str) -> Result<PolicyKind, String> {
     PolicyKind::parse(name).map_err(|e| format!("{e}; see `memscale-sim --help`"))
 }
 
-/// Escapes a string for inclusion in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders the run summary as a pretty-printed JSON object without any
 /// external serialization dependency (the container builds offline).
 fn render_json(
@@ -775,9 +759,9 @@ fn render_json(
     exp: &Experiment,
     gamma: f64,
 ) -> String {
-    let fields: Vec<(&str, String)> = vec![
-        ("mix", format!("\"{}\"", json_escape(&run.mix))),
-        ("policy", format!("\"{}\"", json_escape(&run.policy))),
+    let mut fields: Vec<(&str, String)> = vec![
+        ("mix", Json::Str(run.mix.clone()).render()),
+        ("policy", Json::Str(run.policy.clone()).render()),
         ("generation", format!("\"{}\"", run.generation)),
         ("gamma", format!("{gamma}")),
         (
@@ -811,51 +795,42 @@ fn render_json(
         ),
         ("rest_of_system_w", format!("{}", run.rest_w)),
     ];
-    let fields = {
-        let mut fields = fields;
-        if let Some(f) = &run.faults {
-            fields.push(("fault_seed", format!("{}", f.seed)));
-            fields.push(("faults_injected", format!("{}", f.total_injected())));
-            fields.push((
-                "faults_counter_corrupted",
-                format!("{}", f.counter_corrupted),
-            ));
-            fields.push(("faults_counter_stale", format!("{}", f.counter_stale)));
-            fields.push(("faults_counter_dropped", format!("{}", f.counter_dropped)));
-            fields.push(("faults_relock_overruns", format!("{}", f.relock_overruns)));
-            fields.push(("faults_switch_failures", format!("{}", f.switch_failures)));
-            fields.push(("faults_refresh_slips", format!("{}", f.refresh_slips)));
-            fields.push(("faults_refresh_drops", format!("{}", f.refresh_drops)));
-            fields.push(("faults_thermal_events", format!("{}", f.thermal_events)));
-            fields.push(("faults_pd_exit_spikes", format!("{}", f.pd_exit_spikes)));
-            fields.push((
-                "governor_discarded_profiles",
-                format!("{}", f.discarded_profiles),
-            ));
-            fields.push((
-                "governor_clamped_profiles",
-                format!("{}", f.clamped_profiles),
-            ));
-            fields.push((
-                "governor_forced_max_epochs",
-                format!("{}", f.forced_max_epochs),
-            ));
-            fields.push(("governor_failed_switches", format!("{}", f.failed_switches)));
-        }
-        fields
-    };
-    #[cfg(feature = "audit")]
-    let fields = {
-        let mut fields = fields;
-        if let Some(report) = &run.audit {
-            fields.push((
-                "audit_commands_checked",
-                format!("{}", report.commands_checked),
-            ));
-            fields.push(("audit_violations", format!("{}", report.violations.len())));
-        }
-        fields
-    };
+    if let Some(f) = &run.faults {
+        fields.push(("fault_seed", format!("{}", f.seed)));
+        fields.push(("faults_injected", format!("{}", f.total_injected())));
+        fields.push((
+            "faults_counter_corrupted",
+            format!("{}", f.counter_corrupted),
+        ));
+        fields.push(("faults_counter_stale", format!("{}", f.counter_stale)));
+        fields.push(("faults_counter_dropped", format!("{}", f.counter_dropped)));
+        fields.push(("faults_relock_overruns", format!("{}", f.relock_overruns)));
+        fields.push(("faults_switch_failures", format!("{}", f.switch_failures)));
+        fields.push(("faults_refresh_slips", format!("{}", f.refresh_slips)));
+        fields.push(("faults_refresh_drops", format!("{}", f.refresh_drops)));
+        fields.push(("faults_thermal_events", format!("{}", f.thermal_events)));
+        fields.push(("faults_pd_exit_spikes", format!("{}", f.pd_exit_spikes)));
+        fields.push((
+            "governor_discarded_profiles",
+            format!("{}", f.discarded_profiles),
+        ));
+        fields.push((
+            "governor_clamped_profiles",
+            format!("{}", f.clamped_profiles),
+        ));
+        fields.push((
+            "governor_forced_max_epochs",
+            format!("{}", f.forced_max_epochs),
+        ));
+        fields.push(("governor_failed_switches", format!("{}", f.failed_switches)));
+    }
+    if let Some(report) = &run.audit {
+        fields.push((
+            "audit_commands_checked",
+            format!("{}", report.commands_checked),
+        ));
+        fields.push(("audit_violations", format!("{}", report.violations.len())));
+    }
     let body: Vec<String> = fields
         .iter()
         .map(|(k, v)| format!("  \"{k}\": {v}"))
@@ -1655,7 +1630,6 @@ fn main() -> ExitCode {
                 f.discarded_profiles, f.clamped_profiles, f.forced_max_epochs, f.failed_switches
             );
         }
-        #[cfg(feature = "audit")]
         if let Some(report) = &run.audit {
             if report.is_clean() {
                 println!(
@@ -1675,7 +1649,6 @@ fn main() -> ExitCode {
     // A fault run must still be protocol-conformant: injected perturbations
     // are bounded so the command stream passes the audit rule pack. A dirty
     // audit under faults is a distinct, scriptable failure.
-    #[cfg(feature = "audit")]
     if run.faults.is_some() && run.audit.as_ref().is_some_and(|r| !r.is_clean()) {
         eprintln!("error: fault run violated protocol conformance");
         return ExitCode::from(3);

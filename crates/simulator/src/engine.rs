@@ -35,19 +35,16 @@ type StaleCache = Option<(Vec<AppSample>, McCounters)>;
 
 /// Fewest held commands that trigger an audit release; above it the
 /// release cadence doubles with what the previous release left held.
-#[cfg(feature = "audit")]
 const MIN_AUDIT_RELEASE: usize = 4096;
 
 /// Accesses between two looks at the held count: summing every rank's
 /// buffer on each access would cost a few percent of the run.
-#[cfg(feature = "audit")]
 const AUDIT_POLL_STRIDE: u32 = 16;
 
 /// The run's protocol audit, streamed: recorded commands are released to
 /// the auditor below the controller's watermark whenever the held count
 /// has doubled since the last release, so audit memory stays bounded by
 /// the watermark's lag instead of growing with the horizon.
-#[cfg(feature = "audit")]
 #[derive(Debug)]
 struct AuditStream {
     auditor: memscale_audit::ProtocolAuditor,
@@ -61,7 +58,6 @@ struct AuditStream {
     peak_held: usize,
 }
 
-#[cfg(feature = "audit")]
 impl AuditStream {
     /// Audits `system` (the *modified* config: it includes the
     /// decoupled-DIMM CAS lag) with the rule pack of its generation.
@@ -178,7 +174,6 @@ pub struct Simulation {
     stale_measured: StaleCache,
 
     /// The streamed conformance audit of the run's command stream.
-    #[cfg(feature = "audit")]
     audit: AuditStream,
 }
 
@@ -256,9 +251,7 @@ impl Simulation {
         let mut mc = MemoryController::new(&system, policy.initial_frequency());
         mc.set_auto_power_down(policy.auto_power_down());
         mc.set_row_policy(cfg.row_policy);
-        #[cfg(feature = "audit")]
         mc.set_event_recording(true);
-        #[cfg(feature = "audit")]
         let audit = AuditStream::new(&system, policy.initial_frequency());
 
         let n = system.cpu.cores;
@@ -305,7 +298,6 @@ impl Simulation {
             epoch_faults: memscale_faults::EpochFaultSet::default(),
             stale_decide: None,
             stale_measured: None,
-            #[cfg(feature = "audit")]
             audit,
         })
     }
@@ -492,7 +484,6 @@ impl Simulation {
                 }
                 let res = self.mc.read(ev.addr, t);
                 // Every later controller call is at or after `t`.
-                #[cfg(feature = "audit")]
                 self.audit.poll(&mut self.mc, t);
                 self.cores[c].start_memory_wait(t);
                 self.phase[c] = CorePhase::WaitingMemory;
@@ -757,7 +748,6 @@ impl Simulation {
         self.integrate_segment(end.max(self.seg_start));
         // Replay the rest of the run's command stream through the
         // independent conformance checker.
-        #[cfg(feature = "audit")]
         let (audit, audit_peak_held) = self.audit.finish(&mut self.mc);
         let mut energy = self.energy;
         energy.rest_j = rest_w * energy.elapsed.as_secs_f64();
@@ -805,9 +795,7 @@ impl Simulation {
                 .request_tracker
                 .as_ref()
                 .map(memscale_arrivals::RequestTracker::finalize),
-            #[cfg(feature = "audit")]
             audit: Some(audit),
-            #[cfg(feature = "audit")]
             audit_peak_held,
         }
     }
@@ -956,11 +944,8 @@ mod tests {
             .unwrap();
         assert_eq!(r.generation, MemGeneration::Ddr4);
         assert!(r.counters.reads > 1_000);
-        #[cfg(feature = "audit")]
-        {
-            let report = r.audit.as_ref().expect("audit report");
-            assert!(report.is_clean(), "{report}");
-        }
+        let report = r.audit.as_ref().expect("audit report");
+        assert!(report.is_clean(), "{report}");
     }
 
     #[test]
@@ -976,11 +961,8 @@ mod tests {
         assert!(r.counters.edpc > 0, "no deep power-down exits recorded");
         assert!(r.deep_pd_time > Picos::ZERO);
         assert!(r.deep_pd_residency(16) > 0.0);
-        #[cfg(feature = "audit")]
-        {
-            let report = r.audit.as_ref().expect("audit report");
-            assert!(report.is_clean(), "{report}");
-        }
+        let report = r.audit.as_ref().expect("audit report");
+        assert!(report.is_clean(), "{report}");
     }
 
     #[test]

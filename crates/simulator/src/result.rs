@@ -55,14 +55,15 @@ pub struct RunResult {
     /// Per-request latency statistics (`None` unless the run carried an
     /// open-loop service workload with a request tracker installed).
     pub requests: Option<memscale_types::requests::RequestStats>,
-    /// DDR3 protocol conformance report for the run's full command stream
-    /// (feature `audit`; `None` only if auditing was disabled mid-run).
-    #[cfg(feature = "audit")]
+    /// Protocol conformance report for the run's full command stream,
+    /// checked against its generation's rule pack. Every [`Simulation`]
+    /// run fills it; results built by hand may leave it `None`.
+    ///
+    /// [`Simulation`]: crate::Simulation
     pub audit: Option<memscale_audit::AuditReport>,
-    /// Most DRAM commands held at once between recording and audit replay
-    /// (feature `audit`): a deterministic measure of audit memory, kept out
-    /// of the report and of every output format.
-    #[cfg(feature = "audit")]
+    /// Most DRAM commands held at once between recording and audit replay:
+    /// a deterministic measure of audit memory, kept out of the report and
+    /// of every output format.
     pub audit_peak_held: usize,
 }
 
@@ -138,9 +139,7 @@ mod tests {
             timeline: vec![],
             faults: None,
             requests: None,
-            #[cfg(feature = "audit")]
             audit: None,
-            #[cfg(feature = "audit")]
             audit_peak_held: 0,
         }
     }

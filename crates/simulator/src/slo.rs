@@ -24,6 +24,7 @@ use crate::result::RunResult;
 use crate::shard::ShardSpec;
 use memscale::policies::PolicyKind;
 use memscale_arrivals::{ArrivalSpec, RequestModel, RequestSource, RequestTracker};
+use memscale_serve::json::Json;
 use memscale_trace::{MissTape, ReplayTrace, TraceHeader};
 use memscale_types::requests::{RequestStats, SloSpec};
 use memscale_types::time::Picos;
@@ -260,11 +261,10 @@ impl SloReport {
         let mut out = String::with_capacity(1024);
         out.push_str("{\n");
         out.push_str("  \"schema\": \"memscale.slo.v1\",\n");
-        out.push_str(&format!("  \"mix\": \"{}\",\n", escape(&self.mix)));
-        out.push_str(&format!(
-            "  \"arrivals\": \"{}\",\n",
-            escape(&self.arrivals)
-        ));
+        let mix = Json::Str(self.mix.clone()).render();
+        let arrivals = Json::Str(self.arrivals.clone()).render();
+        out.push_str(&format!("  \"mix\": {mix},\n"));
+        out.push_str(&format!("  \"arrivals\": {arrivals},\n"));
         out.push_str(&format!("  \"seed\": {},\n", self.seed));
         out.push_str(&format!(
             "  \"duration_ms\": {},\n",
@@ -278,11 +278,11 @@ impl SloReport {
         for (i, o) in self.outcomes.iter().enumerate() {
             let s = &o.stats;
             out.push_str(&format!(
-                "    {{\"policy\": \"{}\", \"submitted\": {}, \"completed\": {}, \
+                "    {{\"policy\": {}, \"submitted\": {}, \"completed\": {}, \
                  \"p50_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}, \"mean_ms\": {}, \
                  \"max_ms\": {}, \"slo_violations\": {}, \"mean_frequency_mhz\": {}, \
                  \"memory_energy_j\": {}, \"breach\": {}}}{}\n",
-                escape(&o.label),
+                Json::Str(o.label.clone()).render(),
                 s.submitted,
                 s.completed,
                 s.p50_ms,
@@ -302,21 +302,6 @@ impl SloReport {
         out.push('}');
         out
     }
-}
-
-/// Minimal JSON string escape for labels and mix names.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn outcome_of(shard: &ShardSpec, run: &RunResult, svc: &ServiceConfig) -> PolicyOutcome {

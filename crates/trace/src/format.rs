@@ -291,13 +291,7 @@ mod tests {
         // SplitMix64, seeded: the bytes are arbitrary but fixed.
         let mut state = 0x5EED_u64;
         let bytes: Vec<u8> = (0..67)
-            .map(|_| {
-                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                (z ^ (z >> 31)).to_le_bytes()[0]
-            })
+            .map(|_| memscale_types::rng::splitmix64(&mut state).to_le_bytes()[0])
             .collect();
         for len in 0..=bytes.len() {
             assert_eq!(crc32(&bytes[..len]), bytewise(&bytes[..len]), "len {len}");

@@ -1,12 +1,13 @@
 //! Typed DRAM command events for protocol auditing.
 //!
-//! The DRAM and memory-controller crates can emit one [`CmdEvent`] per
-//! device-level command they schedule (behind their `audit` feature); the
-//! `memscale-audit` crate replays the stream against an independent model of
-//! the DDR3 timing rules. Events are *not* guaranteed to be emitted in
-//! timestamp order — auto-precharges are future-dated, and powerdown entries
-//! under the auto-powerdown policy are synthesized retroactively at the next
-//! access — so consumers must sort by [`CmdEvent::at`] before replay.
+//! The DRAM and memory-controller crates emit one [`CmdEvent`] per
+//! device-level command they schedule while recording is switched on at
+//! run time (`set_event_recording`); the `memscale-audit` crate replays the
+//! stream against an independent model of the DDR3 timing rules. Events
+//! are *not* guaranteed to be emitted in timestamp order — auto-precharges
+//! are future-dated, and powerdown entries under the auto-powerdown policy
+//! are synthesized retroactively at the next access — so consumers must
+//! sort by [`CmdEvent::at`] before replay.
 
 use crate::ids::{BankId, ChannelId, RankId};
 use crate::time::Picos;

@@ -40,6 +40,7 @@ pub mod freq;
 pub mod ids;
 pub mod invariants;
 pub mod requests;
+pub mod rng;
 pub mod serve;
 pub mod time;
 

@@ -9,7 +9,7 @@
 //! reports naming the rule, the rank/bank and the offending timestamps.
 //!
 //! Run with:
-//! `cargo run -p memscale-simulator --features audit --example audit_demo`
+//! `cargo run -p memscale-simulator --example audit_demo`
 
 use memscale_audit::ProtocolAuditor;
 use memscale_dram::channel::{AccessKind, DramChannel};

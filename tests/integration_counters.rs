@@ -32,7 +32,6 @@ fn drive_on(
     let mix = Mix::by_name(mix_name).unwrap();
     let mut traces = mix.traces(16, 1 << 24, 7);
     let mut mc = MemoryController::new(&sys, freq);
-    #[cfg(feature = "audit")]
     mc.set_event_recording(true);
     let mut cores: Vec<memscale_cpu::InOrderCore> = (0..16)
         .map(|i| {
@@ -183,7 +182,6 @@ fn epdc_counts_only_under_powerdown_policies() {
     assert_eq!(mc.counters().epdc, 2);
 }
 
-#[cfg(feature = "audit")]
 #[test]
 fn standalone_controller_stream_is_ddr3_conformant() {
     // Replay the MC's recorded command stream through the independent DDR3
@@ -205,7 +203,6 @@ fn standalone_controller_stream_is_ddr3_conformant() {
     assert!(report.commands_checked > 1_000);
 }
 
-#[cfg(feature = "audit")]
 #[test]
 fn standalone_controller_stream_is_ddr4_conformant() {
     // The same standalone replay on the DDR4 device model: sixteen banks in

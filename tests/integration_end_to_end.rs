@@ -112,7 +112,6 @@ fn work_matched_runs_do_the_requested_work() {
     }
 }
 
-#[cfg(feature = "audit")]
 #[test]
 fn full_runs_replay_clean_through_the_conformance_checker() {
     // Every `RunResult` carries the DDR3 conformance audit of its own
@@ -130,7 +129,6 @@ fn full_runs_replay_clean_through_the_conformance_checker() {
     }
 }
 
-#[cfg(feature = "audit")]
 #[test]
 fn streamed_audit_memory_does_not_grow_with_the_horizon() {
     // The audit replays commands as the run goes, holding only those above
@@ -156,7 +154,6 @@ fn streamed_audit_memory_does_not_grow_with_the_horizon() {
     );
 }
 
-#[cfg(feature = "audit")]
 #[test]
 fn ddr4_and_lpddr3_full_runs_replay_clean() {
     // One configuration switch selects the generation; the run is audited

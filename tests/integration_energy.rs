@@ -160,7 +160,6 @@ fn higher_memory_fraction_raises_system_savings() {
     );
 }
 
-#[cfg(feature = "audit")]
 #[test]
 fn scaled_and_decoupled_runs_are_protocol_conformant() {
     // Static low-frequency operation and the decoupled-DIMM mode (whose CAS
@@ -182,7 +181,6 @@ fn scaled_and_decoupled_runs_are_protocol_conformant() {
     }
 }
 
-#[cfg(feature = "audit")]
 #[test]
 fn lpddr3_deep_powerdown_saves_background_energy_and_audits_clean() {
     // LPDDR3's extra idle state: deep power-down must undercut fast

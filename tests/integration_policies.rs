@@ -174,7 +174,6 @@ fn per_channel_extension_is_safe_and_competitive() {
     assert!(run.counters.reads > 0);
 }
 
-#[cfg(feature = "audit")]
 #[test]
 fn powerdown_and_per_channel_streams_are_conformant() {
     // The powerdown policies exercise tXP/tXPDLL exit latencies and the
@@ -198,7 +197,6 @@ fn powerdown_and_per_channel_streams_are_conformant() {
     }
 }
 
-#[cfg(feature = "audit")]
 #[test]
 fn ddr4_policy_runs_are_conformant() {
     // DDR4 adds same-group tCCD_L/tRRD_L constraints and a shorter tFAW;
@@ -222,7 +220,6 @@ fn ddr4_policy_runs_are_conformant() {
     }
 }
 
-#[cfg(feature = "audit")]
 #[test]
 fn open_page_streams_are_conformant() {
     // Open-page management defers precharges past row hits; the deferred

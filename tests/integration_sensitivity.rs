@@ -150,7 +150,6 @@ fn eight_core_system_scales_deeper() {
     );
 }
 
-#[cfg(feature = "audit")]
 #[test]
 fn narrow_topologies_replay_clean() {
     // The auditor is built from the run's own (possibly narrowed) topology;
@@ -168,7 +167,6 @@ fn narrow_topologies_replay_clean() {
     assert!(audit.commands_checked > 0);
 }
 
-#[cfg(feature = "audit")]
 #[test]
 fn narrow_lpddr3_topology_replays_clean() {
     // Generation re-basing composes with topology narrowing: a two-channel

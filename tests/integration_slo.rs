@@ -119,7 +119,6 @@ fn breach_verdict_tracks_the_objective() {
     );
 }
 
-#[cfg(feature = "audit")]
 #[test]
 fn service_runs_stay_audit_clean_on_every_generation() {
     // Open-loop request traffic goes through the same controller/DRAM
