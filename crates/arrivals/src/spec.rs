@@ -1,5 +1,6 @@
 //! Arrival-process specifications and their textual / JSON forms.
 
+use memscale_types::json::{self, Json};
 use std::fmt;
 
 /// Upper bound on a sane request rate (guards the exponential sampler
@@ -153,7 +154,28 @@ impl ArrivalSpec {
     /// [`ArrivalError::BadJson`] for malformed JSON or a missing/mistyped
     /// field; [`ArrivalError::Invalid`] for out-of-range parameters.
     pub fn diurnal_from_json(text: &str) -> Result<ArrivalSpec, ArrivalError> {
-        let segments = json::parse_schedule(text)?;
+        let bad = ArrivalError::BadJson;
+        let root = json::parse(text).map_err(|e| bad(e.to_string()))?;
+        let items = root
+            .get("segments")
+            .ok_or_else(|| bad("missing `segments` array".into()))?
+            .as_arr()
+            .ok_or_else(|| bad("`segments` must be an array".into()))?;
+        let segments = items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| {
+                let num = |key: &str| {
+                    item.get(key)
+                        .and_then(Json::as_f64)
+                        .ok_or_else(|| bad(format!("segment {i}: missing numeric `{key}`")))
+                };
+                Ok(RateSegment {
+                    duration_ms: num("duration_ms")?,
+                    rate_rps: num("rate_rps")?,
+                })
+            })
+            .collect::<Result<_, ArrivalError>>()?;
         let spec = ArrivalSpec::Diurnal { segments };
         spec.validate()?;
         Ok(spec)
@@ -263,226 +285,6 @@ impl ArrivalSpec {
     }
 }
 
-/// A deliberately small JSON reader for the diurnal schedule file: just
-/// enough of the grammar (objects, arrays, numbers, strings, literals) to
-/// decode `{"segments": [{"duration_ms": …, "rate_rps": …}, …]}` totally —
-/// malformed input yields a structured error, never a panic.
-mod json {
-    use super::{ArrivalError, RateSegment};
-
-    #[derive(Debug, Clone, PartialEq)]
-    pub(super) enum Value {
-        Null,
-        Bool(bool),
-        Num(f64),
-        Str(String),
-        Arr(Vec<Value>),
-        Obj(Vec<(String, Value)>),
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    type PResult<T> = Result<T, ArrivalError>;
-
-    fn err(msg: impl Into<String>) -> ArrivalError {
-        ArrivalError::BadJson(msg.into())
-    }
-
-    impl<'a> Parser<'a> {
-        fn skip_ws(&mut self) {
-            while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.pos += 1;
-            }
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn expect(&mut self, b: u8) -> PResult<()> {
-            if self.peek() == Some(b) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(err(format!(
-                    "expected `{}` at byte {}",
-                    char::from(b),
-                    self.pos
-                )))
-            }
-        }
-
-        fn value(&mut self, depth: usize) -> PResult<Value> {
-            if depth > 16 {
-                return Err(err("nesting too deep"));
-            }
-            self.skip_ws();
-            match self.peek() {
-                Some(b'{') => self.object(depth),
-                Some(b'[') => self.array(depth),
-                Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b't') => self.literal("true", Value::Bool(true)),
-                Some(b'f') => self.literal("false", Value::Bool(false)),
-                Some(b'n') => self.literal("null", Value::Null),
-                Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-                _ => Err(err(format!("unexpected input at byte {}", self.pos))),
-            }
-        }
-
-        fn literal(&mut self, word: &str, v: Value) -> PResult<Value> {
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                Ok(v)
-            } else {
-                Err(err(format!("bad literal at byte {}", self.pos)))
-            }
-        }
-
-        fn number(&mut self) -> PResult<Value> {
-            let start = self.pos;
-            while matches!(
-                self.peek(),
-                Some(b'-' | b'+' | b'.' | b'e' | b'E') | Some(b'0'..=b'9')
-            ) {
-                self.pos += 1;
-            }
-            let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                .map_err(|_| err("non-UTF-8 number"))?;
-            text.parse::<f64>()
-                .map(Value::Num)
-                .map_err(|_| err(format!("bad number `{text}`")))
-        }
-
-        fn string(&mut self) -> PResult<String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.peek() {
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        // The schedule format needs no escapes beyond the
-                        // JSON basics; anything else is rejected.
-                        self.pos += 1;
-                        let c = self.peek().ok_or_else(|| err("truncated escape"))?;
-                        out.push(match c {
-                            b'"' => '"',
-                            b'\\' => '\\',
-                            b'/' => '/',
-                            b'n' => '\n',
-                            b't' => '\t',
-                            _ => return Err(err("unsupported escape")),
-                        });
-                        self.pos += 1;
-                    }
-                    Some(_) => {
-                        // Consume one UTF-8 scalar (multi-byte safe).
-                        let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                            .map_err(|_| err("non-UTF-8 string"))?;
-                        let ch = rest.chars().next().ok_or_else(|| err("truncated string"))?;
-                        out.push(ch);
-                        self.pos += ch.len_utf8();
-                    }
-                    None => return Err(err("unterminated string")),
-                }
-            }
-        }
-
-        fn array(&mut self, depth: usize) -> PResult<Value> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                items.push(self.value(depth + 1)?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    _ => return Err(err(format!("expected `,` or `]` at byte {}", self.pos))),
-                }
-            }
-        }
-
-        fn object(&mut self, depth: usize) -> PResult<Value> {
-            self.expect(b'{')?;
-            let mut fields = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Value::Obj(fields));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                let val = self.value(depth + 1)?;
-                fields.push((key, val));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Value::Obj(fields));
-                    }
-                    _ => return Err(err(format!("expected `,` or `}}` at byte {}", self.pos))),
-                }
-            }
-        }
-    }
-
-    fn get<'v>(obj: &'v Value, key: &str) -> Option<&'v Value> {
-        match obj {
-            Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    pub(super) fn parse_schedule(text: &str) -> Result<Vec<RateSegment>, ArrivalError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let root = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(err(format!("trailing input at byte {}", p.pos)));
-        }
-        let segments = get(&root, "segments").ok_or_else(|| err("missing `segments` array"))?;
-        let Value::Arr(items) = segments else {
-            return Err(err("`segments` must be an array"));
-        };
-        items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                let num = |key: &str| -> Result<f64, ArrivalError> {
-                    match get(item, key) {
-                        Some(Value::Num(n)) => Ok(*n),
-                        _ => Err(err(format!("segment {i}: missing numeric `{key}`"))),
-                    }
-                };
-                Ok(RateSegment {
-                    duration_ms: num("duration_ms")?,
-                    rate_rps: num("rate_rps")?,
-                })
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -540,8 +342,8 @@ mod tests {
     #[test]
     fn json_rejects_malformed_input() {
         for (text, needle) in [
-            ("", "unexpected input"),
-            ("nonsense", "bad literal"),
+            ("", "invalid JSON at byte 0"),
+            ("nonsense", "invalid JSON at byte 0"),
             ("[1,2]", "missing `segments`"),
             (r#"{"segments": 3}"#, "must be an array"),
             (r#"{"segments": [{"duration_ms": 5}]}"#, "rate_rps"),
@@ -549,9 +351,10 @@ mod tests {
                 r#"{"segments": [{"duration_ms": "5", "rate_rps": 1}]}"#,
                 "duration_ms",
             ),
-            (r#"{"segments": []} trailing"#, "trailing"),
+            (r#"{"segments": []} trailing"#, "invalid JSON at byte 17"),
         ] {
             let e = ArrivalSpec::diurnal_from_json(text).unwrap_err();
+            assert!(matches!(e, ArrivalError::BadJson(_)), "{text}: {e:?}");
             assert!(e.to_string().contains(needle), "{text}: {e}");
         }
     }

@@ -13,7 +13,7 @@
 use memscale_audit::{AuditReport, ProtocolAuditor, Rule};
 use memscale_dram::channel::{AccessKind, DramChannel};
 use memscale_dram::rank::PowerDownMode;
-use memscale_types::config::DramTimingConfig;
+use memscale_types::config::{DramTimingConfig, MemGeneration};
 use memscale_types::freq::MemFreq;
 use memscale_types::ids::{BankId, RankId};
 use memscale_types::time::Picos;
@@ -336,11 +336,13 @@ fn detects_trfc_pb_mutation() {
 }
 
 /// Deep power-down entry on a generation without it is itself a violation —
-/// the DDR4 pack rejects the LPDDR-only command.
+/// the DDR4 pack rejects the LPDDR-only command. The channel refuses that
+/// entry on DDR4, so the mutant is a DDR4 engine labelled LPDDR3.
 #[test]
 fn ddr4_pack_rejects_deep_powerdown() {
     let ddr4 = DramTimingConfig::ddr4();
-    let report = audit_against(&ddr4, &ddr4, |ch| {
+    let cfg = weakened_from(ddr4.clone(), |c| c.generation = MemGeneration::Lpddr3);
+    let report = audit_against(&ddr4, &cfg, |ch| {
         read(ch, 0, 0, 1, 0);
         ch.enter_power_down(RankId(0), PowerDownMode::Deep, Picos::from_us(1));
         read(ch, 0, 1, 2, 5_000);

@@ -1,6 +1,6 @@
 //! Result tables and markdown rendering.
 
-use memscale_serve::json::Json;
+use memscale_types::json::Json;
 use std::fmt::Write as _;
 
 /// One regenerated table/figure.
@@ -272,7 +272,7 @@ mod tests {
         let value = "tab\there, cr\rthere, unit\u{1}separator";
         let mut a = BenchArtifact::new("esc");
         a.push_str("note", value);
-        let parsed = memscale_serve::json::parse(&a.render()).expect("valid JSON");
+        let parsed = memscale_types::json::parse(&a.render()).expect("valid JSON");
         assert_eq!(parsed.get("note").and_then(Json::as_str), Some(value));
     }
 }

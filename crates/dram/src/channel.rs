@@ -519,8 +519,10 @@ impl DramChannel {
     /// # Panics
     ///
     /// Panics if the rank is not idle (see
-    /// [`can_power_down`](Self::can_power_down)).
+    /// [`can_power_down`](Self::can_power_down)), or if `mode` does not
+    /// exist on this generation (deep power-down is LPDDR-only).
     pub fn enter_power_down(&mut self, rank: RankId, mode: PowerDownMode, now: Picos) {
+        self.assert_supported(mode);
         self.ranks[rank.index()].enter_power_down(mode, now);
     }
 
@@ -532,10 +534,27 @@ impl DramChannel {
 
     /// Enables or disables the aggressive idle-powerdown policy on every
     /// rank of the channel (the Fast-PD / Slow-PD baselines of §4.2.3).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mode` does not exist on this generation.
     pub fn set_auto_power_down(&mut self, mode: Option<PowerDownMode>) {
+        if let Some(m) = mode {
+            self.assert_supported(m);
+        }
         for rank in &mut self.ranks {
             rank.set_auto_power_down(mode);
         }
+    }
+
+    /// Refuses a low-power state this generation lacks: a DDR3 or DDR4
+    /// rank would otherwise enter and leave deep power-down for free.
+    fn assert_supported(&self, mode: PowerDownMode) {
+        assert!(
+            self.generation.supports_power_down(mode),
+            "{}: power-down mode {mode:?} is not available on this generation",
+            self.generation.generation()
+        );
     }
 
     /// Flushes time-based accounting (powerdown residency) up to `now` on
@@ -782,6 +801,18 @@ mod tests {
         // Same group: tRRD_L = 7.5 ns, not plain tRRD = 5 ns.
         assert_eq!(a.act_at, Some(Picos::ZERO));
         assert_eq!(b.act_at, Some(Picos::from_ps(7_500)));
+    }
+
+    #[test]
+    #[should_panic(expected = "DDR3: power-down mode Deep")]
+    fn deep_powerdown_entry_is_rejected_on_ddr3() {
+        channel().enter_power_down(RankId(0), PowerDownMode::Deep, Picos::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "DDR4: power-down mode Deep")]
+    fn deep_auto_powerdown_is_rejected_on_ddr4() {
+        ddr4_channel().set_auto_power_down(Some(PowerDownMode::Deep));
     }
 
     #[test]

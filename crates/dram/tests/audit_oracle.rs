@@ -389,10 +389,17 @@ proptest! {
                 }
                 Op::PowerDown(rank, mode) => {
                     let rank = RankId(rank % ranks);
+                    // Deep only where the generation has it, Slow elsewhere.
+                    let mode = match mode {
+                        PowerDownMode::Deep if !generation.has_deep_power_down() => {
+                            PowerDownMode::Slow
+                        }
+                        _ => *mode,
+                    };
                     if both[0].can_power_down(rank, now) {
                         // Panics unless the recording channel is idle too.
                         for ch in both {
-                            ch.enter_power_down(rank, *mode, now);
+                            ch.enter_power_down(rank, mode, now);
                         }
                     }
                 }

@@ -302,16 +302,8 @@ impl MemoryController {
     /// # Panics
     ///
     /// Panics if `mode` does not exist on the configured memory generation
-    /// (deep power-down is LPDDR-only).
+    /// (deep power-down is LPDDR-only; each channel checks).
     pub fn set_auto_power_down(&mut self, mode: Option<PowerDownMode>) {
-        if let Some(m) = mode {
-            let generation = self.channels[0].generation();
-            assert!(
-                generation.supports_power_down(m),
-                "{}: power-down mode {m:?} is not available on this generation",
-                generation.generation()
-            );
-        }
         for channel in &mut self.channels {
             channel.set_auto_power_down(mode);
         }

@@ -214,9 +214,11 @@ fn accept_loop(proxy: &ChaosProxy) {
 }
 
 /// Derives a connection's fault stream seed from (run seed, accept index) so
-/// a run replays exactly given the same seed.
+/// a run replays exactly given the same seed. The pair is hashed, not
+/// summed: `seed + index` would hand seed `s + 1` the streams of seed `s`
+/// shifted by one connection.
 fn connection_seed(seed: u64, conn_index: u64) -> u64 {
-    SplitMix64::new(seed.wrapping_add(conn_index)).next_u64()
+    SplitMix64::new(SplitMix64::new(seed).next_u64() ^ conn_index).next_u64()
 }
 
 /// Relays one client connection through the fault injector. The request
@@ -330,6 +332,16 @@ pub fn open_flood(addr: &str, n: usize) -> Vec<TcpStream> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn neighbouring_seeds_draw_distinct_connection_streams() {
+        let mut seen = std::collections::HashSet::new();
+        for seed in 0..64 {
+            for conn in 0..64 {
+                assert!(seen.insert(connection_seed(seed, conn)), "({seed}, {conn})");
+            }
+        }
+    }
 
     #[test]
     fn rng_is_deterministic_and_uniformish() {

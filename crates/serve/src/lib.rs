@@ -43,12 +43,16 @@
 
 pub mod cache;
 pub mod chaos;
-pub mod json;
 pub mod loadgen;
 pub mod persist;
 pub mod recovery;
 pub mod server;
 pub mod wire;
+
+/// The JSON model moved to [`memscale_types::json`]. This re-export stays
+/// only because the benchmark harness (`perfbench/`) imports
+/// `memscale_serve::json` and is edited only together with the benchmark.
+pub use memscale_types::json;
 
 pub use cache::{CacheKey, LruCache};
 pub use chaos::{open_flood, ChaosConfig, ChaosHandle, ChaosProxy, ChaosReport};

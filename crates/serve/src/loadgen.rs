@@ -24,9 +24,9 @@
 //! violations (never acceptable — the server sent a malformed or
 //! inconsistent stream).
 
-use crate::json::Json;
 use crate::wire::{decode_response, encode_job, Response};
 use memscale_arrivals::{ArrivalProcess, ArrivalSpec};
+use memscale_types::json::Json;
 use memscale_types::rng::{SplitMix64, GOLDEN_GAMMA};
 use memscale_types::serve::{DoneReason, ErrorCode, JobSpec};
 use std::io::{BufRead, BufReader, Write};
@@ -653,7 +653,7 @@ mod tests {
         s.evictions = 5;
         s.chaos_faults_injected = 7;
         let rendered = s.to_bench_json(&cfg);
-        let parsed = crate::json::parse(&rendered).expect("artifact parses");
+        let parsed = memscale_types::json::parse(&rendered).expect("artifact parses");
         assert_eq!(
             parsed.get("benchmark").and_then(Json::as_str),
             Some("serve_loadgen")
@@ -695,7 +695,7 @@ mod tests {
         cfg.open_loop_rps = 40.0;
         let mut s = stats_with(&[10.0, 20.0]);
         s.late_submissions = 3;
-        let parsed = crate::json::parse(&s.to_bench_json(&cfg)).expect("artifact parses");
+        let parsed = memscale_types::json::parse(&s.to_bench_json(&cfg)).expect("artifact parses");
         assert_eq!(parsed.get("open_loop").and_then(Json::as_bool), Some(true));
         assert_eq!(parsed.get("offered_rps").and_then(Json::as_f64), Some(40.0));
         assert_eq!(

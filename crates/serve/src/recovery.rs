@@ -22,8 +22,8 @@
 //! The outcome feeds `BENCH_recovery.json` via
 //! [`RecoveryOutcome::to_bench_json`].
 
-use crate::json::Json;
 use crate::wire::{decode_response, encode_job, Response};
+use memscale_types::json::Json;
 use memscale_types::rng::SplitMix64;
 use memscale_types::serve::{CellMetrics, JobSpec, JobSummary};
 use std::collections::HashMap;

@@ -6,8 +6,8 @@
 //! so a client can correlate responses even if it pipelines jobs. See
 //! DESIGN.md §13 for the schema.
 
-use crate::json::{parse, Json};
 use memscale_types::config::MemGeneration;
+use memscale_types::json::{parse, Json};
 use memscale_types::serve::{
     CellFailure, CellMetrics, CellOutcome, DoneReason, ErrorCode, JobSpec, JobSummary,
 };

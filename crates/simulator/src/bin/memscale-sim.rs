@@ -24,29 +24,16 @@
 //!                                        process-level crash harness:
 //!                                        SIGKILL mid-job, restart, assert
 //!                                        recovery invariants
-//!
-//!   --mix NAME          Table 1 workload (default MID1)
-//!   --policy NAME       baseline | fast-pd | slow-pd | deep-pd | static:<mhz> |
-//!                       decoupled | memscale | mem-energy | memscale-pd |
-//!                       per-channel            (default memscale)
-//!   --generation NAME   ddr3 | ddr4 | lpddr3    (default ddr3)
-//!   --duration-ms N     baseline horizon in milliseconds (default 20)
-//!   --gamma PCT         CPI degradation bound in percent (default 10)
-//!   --cores N           core count (default 16)
-//!   --channels N        memory channels (default 4)
-//!   --epoch-ms N        epoch length (default 5)
-//!   --seed N            trace seed (default fixed)
-//!   --faults SPEC       fault-injection plan, e.g. `all=0.05,seed=7` or
-//!                       `counter=0.1,relock=0.05,thermal=0.02` (see
-//!                       `FaultPlan::parse`; default: no faults)
-//!   --replay PATH       feed the run from a recorded trace instead of the
-//!                       live generator (same seed/config ⇒ bit-identical)
-//!   --out PATH          (record) trace artifact to write
-//!   --margin PCT        (record) extra continuation events per app beyond
-//!                       what the recording runs consumed (default 50)
-//!   --json              emit the result as JSON instead of text
-//!   --list              list workloads and exit
 //! ```
+//!
+//! `memscale-sim --help` lists the flags of every subcommand and
+//! `memscale-sim SUBCOMMAND --help` those of one. Each subcommand's flags
+//! are one table (`RUN`, `SLO`, `SERVE`, …), and a single loop parses every
+//! table and prints the help. A row writes its value straight into the
+//! library type that owns it: the run description is a `JobSpec` (which
+//! `SimConfig::for_job` turns into a run, as the sweep server does), `serve`
+//! fills a `ServerConfig`, and `loadgen` and `chaos` fill a `LoadgenConfig`
+//! whose template is that same `JobSpec`.
 //!
 //! The default command runs the baseline calibration followed by the chosen
 //! policy over the same work, then prints savings, CPI degradation and
@@ -65,787 +52,637 @@
 
 use memscale::policies::PolicyKind;
 use memscale_arrivals::{ArrivalSpec, RequestModel};
-use memscale_serve::json::Json;
 use memscale_serve::loadgen::LoadgenConfig;
+use memscale_serve::recovery::RecoveryConfig;
 use memscale_serve::server::ServerConfig;
-use memscale_serve::SweepServer;
-use memscale_simulator::harness::{record_trace, Experiment};
+use memscale_serve::{ChaosConfig, ChaosProxy, SweepServer};
+use memscale_simulator::harness::{record_trace, Comparison, Experiment};
 use memscale_simulator::slo::{
     record_service_trace, run_slo_sweep, run_slo_sweep_replay, ServiceConfig,
 };
-use memscale_simulator::{ShardSpec, SimConfig, SimError, SimulatorBackend};
+use memscale_simulator::{RunResult, ShardSpec, SimConfig, SimError, SimulatorBackend};
 use memscale_trace::{write_trace_file, ReplayTrace, TraceError};
 use memscale_types::config::MemGeneration;
 use memscale_types::faults::FaultPlan;
 use memscale_types::freq::MemFreq;
+use memscale_types::json::Json;
+use memscale_types::requests::SloSpec;
+use memscale_types::serve::JobSpec;
 use memscale_types::time::Picos;
 use memscale_workloads::Mix;
-use std::path::PathBuf;
+use std::fmt::Display;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
-#[derive(Debug, Clone, PartialEq)]
+/// What a subcommand does once its flags are parsed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Command {
-    /// Baseline + policy evaluation (optionally fed from `Args::replay`).
+    /// Baseline + policy evaluation (optionally fed from a `--replay` trace).
     Run,
-    /// Record a replayable trace to `Args::out`.
+    /// Record a replayable trace to `--out`.
     Record,
     /// Print a trace's header metadata.
-    TraceInfo(PathBuf),
-    /// Static consistency analysis (`None` = every generation).
-    Check {
-        /// Single generation to analyze, or `None` for all three.
-        generation: Option<MemGeneration>,
-        /// File to additionally write the diagnostics to.
-        report: Option<PathBuf>,
-    },
-    /// Long-running sweep-job server (`Args::addr` and server knobs).
-    Serve(ServeArgs),
-    /// Closed-loop load generator driving a running server.
-    Loadgen(LoadgenArgs),
-    /// Seeded fault-injection run: loadgen through a chaos proxy.
-    Chaos(ChaosArgs),
+    TraceInfo,
+    /// Static consistency analysis.
+    Check,
+    /// Long-running sweep-job server.
+    Serve,
     /// Open-loop SLO-judged policy sweep.
-    Slo(SloArgs),
+    Slo,
+    /// Closed-loop load generator driving a running server.
+    Loadgen,
+    /// Seeded fault-injection run: loadgen through a chaos proxy.
+    Chaos,
 }
 
-/// `memscale-sim slo` parameters.
-#[derive(Debug, Clone, PartialEq)]
-struct SloArgs {
-    /// Arrival-process spec: `poisson:RATE`, `mmpp:ON,OFF,ON_MS,OFF_MS`,
-    /// `diurnal:DURxRATE,...` or `diurnal:PATH.json`.
-    arrivals: String,
-    /// p99 latency objective in milliseconds (`None` = report only).
-    slo_p99_ms: Option<f64>,
-    /// Policies to sweep.
-    policies: Vec<String>,
-    /// Per-request work model: misses per core per request.
-    misses_per_core: u64,
-    /// Per-request work model: instructions between burst misses.
-    gap_instructions: u64,
-    /// Record the service trace here and replay the sweep from it.
+/// One invocation: the subcommand and the values its flags wrote. A flag
+/// writes into the library type that owns its value; only values no
+/// library type holds are fields of their own.
+#[derive(Debug)]
+struct Cli {
+    command: Command,
+    /// `loadgen` and `chaos`: the client fleet. Its `template` is the run
+    /// description of every subcommand: `run`, `record` and `slo` simulate
+    /// it, the fleet submits it, and `trace-info` reads its `trace`.
+    fleet: LoadgenConfig,
+    /// `serve`: the server knobs (`chaos --kill9` keeps its `state_dir`
+    /// here too).
+    server: ServerConfig,
+    /// `serve`: the address to listen on.
+    addr: String,
+    /// `slo`: the work each request does.
+    model: RequestModel,
+    /// `check`: the one generation to analyse (`None`: all of them).
+    check: Option<MemGeneration>,
+    /// `run` and `record`: the fault-injection plan.
+    faults: Option<FaultPlan>,
+    /// `run`: print the result as JSON.
+    json: bool,
+    /// `run`: list the workload mixes and exit.
+    list: bool,
+    /// The artifact to write: `record`'s trace, the reports of `slo`,
+    /// `loadgen` and `chaos`, and `check --report`'s diagnostics.
+    out: Option<PathBuf>,
+    /// `slo`: record the service trace here and replay the sweep from it.
     record: Option<PathBuf>,
-    /// Replay the sweep from a previously recorded service trace.
-    replay: Option<PathBuf>,
-    /// Also write the JSON report here (it always goes to stdout).
-    out: Option<PathBuf>,
-}
-
-/// `memscale-sim serve` parameters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ServeArgs {
-    /// Listen address, e.g. `127.0.0.1:7119`.
-    addr: String,
-    /// Admission limit: jobs in service at once before `overloaded`.
-    queue_depth: usize,
-    /// Worker threads evaluating cells (0 = one per CPU).
-    threads: usize,
-    /// Entries in each of the result and baseline caches.
-    cache_cap: usize,
-    /// Bounded cell-queue capacity of the worker pool.
-    cell_queue: usize,
-    /// Deadline applied to jobs that carry none, milliseconds (0 = none).
-    default_deadline_ms: u64,
-    /// Per-cell watchdog, milliseconds (0 disables).
-    cell_timeout_ms: u64,
-    /// Socket read/write timeout, milliseconds (0 = unbounded).
-    io_timeout_ms: u64,
-    /// SIGTERM drain bound before forced exit, milliseconds.
-    drain_timeout_ms: u64,
-    /// Durable-state directory (write-ahead journal + baseline log);
-    /// `None` keeps the server memory-only.
-    state_dir: Option<PathBuf>,
-}
-
-/// `memscale-sim loadgen` parameters.
-#[derive(Debug, Clone, PartialEq)]
-struct LoadgenArgs {
-    /// Server address to connect to.
-    addr: String,
-    /// Concurrent closed-loop clients.
-    clients: usize,
-    /// Jobs each client submits sequentially.
-    jobs: usize,
-    /// Workload mix submitted by every job.
-    mix: String,
-    /// Memory generation submitted by every job.
-    generation: MemGeneration,
-    /// Baseline horizon of every job, milliseconds.
-    duration_ms: u64,
-    /// Policy cells of every job (empty = server default grid).
-    policies: Vec<String>,
-    /// Per-job deadline carried in every request (0 = none).
-    deadline_ms: u64,
-    /// Retries after `overloaded` rejections.
-    retries: usize,
-    /// Client connect timeout, milliseconds.
-    connect_timeout_ms: u64,
-    /// Client read timeout, milliseconds.
-    read_timeout_ms: u64,
-    /// Extra connection attempts after a failed connect (0 = fail fast).
-    reconnect_retries: usize,
-    /// Where to write the `BENCH_serve.json` artifact.
-    out: PathBuf,
-    /// Exit non-zero when the run saw no cache hits.
+    /// `loadgen`: fail a run that saw no cache hits.
     require_cache_hits: bool,
-    /// Total offered rate for open-loop submission, requests/second
-    /// (0 = classic closed loop).
-    open_loop_rps: f64,
-}
-
-/// `memscale-sim chaos` parameters: a loadgen fleet pointed through a
-/// seeded fault-injecting proxy at a running server.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ChaosArgs {
-    /// Upstream server address the proxy forwards to.
-    addr: String,
-    /// Fault-stream seed (same seed = same fault schedule).
-    seed: u64,
-    /// Concurrent closed-loop clients.
-    clients: usize,
-    /// Jobs each client submits sequentially.
-    jobs: usize,
-    /// Idle flood connections opened alongside the fleet.
+    /// `chaos`: idle connections opened beside the fleet.
     flood: usize,
-    /// Workload mix submitted by every job.
-    mix: String,
-    /// Baseline horizon of every job, milliseconds.
-    duration_ms: u64,
-    /// Policy cells of every job.
-    policies: Vec<String>,
-    /// Per-job deadline carried in every request (0 = none).
-    deadline_ms: u64,
-    /// Where to write the artifact (`BENCH_chaos.json`, or
-    /// `BENCH_recovery.json` under `--kill9`).
-    out: Option<PathBuf>,
-    /// Process-level fault mode: spawn the real server binary, SIGKILL it
-    /// mid-job, restart against the same state dir, assert recovery.
+    /// `chaos`: SIGKILL the real server mid-job and check its recovery.
     kill9: bool,
-    /// Durable-state directory for `--kill9` (required in that mode).
-    state_dir: Option<PathBuf>,
-    /// Server binary for `--kill9` (default: this `memscale-sim` binary).
+    /// `chaos --kill9`: the server binary (default: this one).
     server_bin: Option<PathBuf>,
 }
 
-#[derive(Debug)]
-struct Args {
-    command: Command,
-    mix: String,
-    policy: String,
-    generation: MemGeneration,
-    duration_ms: u64,
-    gamma_pct: f64,
-    cores: usize,
-    channels: u8,
-    epoch_ms: u64,
-    seed: Option<u64>,
-    faults: Option<FaultPlan>,
-    replay: Option<PathBuf>,
-    out: Option<PathBuf>,
-    margin_pct: usize,
-    json: bool,
-    list: bool,
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            command: Command::Run,
-            mix: "MID1".into(),
-            policy: "memscale".into(),
-            generation: MemGeneration::Ddr3,
+impl Cli {
+    /// The defaults of `command`: the bare run command's (MID1 under
+    /// `memscale` for 20 ms), adjusted per subcommand.
+    fn new(command: Command) -> Self {
+        let job = JobSpec {
             duration_ms: 20,
-            gamma_pct: 10.0,
-            cores: 16,
-            channels: 4,
-            epoch_ms: 5,
-            seed: None,
+            policies: vec!["memscale".into()],
+            ..JobSpec::for_mix("job", "MID1")
+        };
+        let mut cli = Cli {
+            command,
+            fleet: LoadgenConfig::new(String::new(), 4, 2, job),
+            server: ServerConfig::default(),
+            addr: String::new(),
+            model: RequestModel::default(),
+            check: None,
             faults: None,
-            replay: None,
-            out: None,
-            margin_pct: 50,
             json: false,
             list: false,
+            out: None,
+            record: None,
+            require_cache_hits: false,
+            flood: 0,
+            kill9: false,
+            server_bin: None,
+        };
+        match command {
+            Command::Slo => cli.job().policies = grid(&["baseline", "static:400", "memscale"]),
+            Command::Loadgen | Command::Chaos => {
+                cli.job().duration_ms = 2;
+                cli.job().policies = grid(&["static:800", "memscale"]);
+            }
+            _ => {}
         }
-    }
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args::default();
-    let mut it = std::env::args().skip(1).peekable();
-    match it.peek().map(String::as_str) {
-        Some("record") => {
-            args.command = Command::Record;
-            it.next();
-        }
-        Some("trace-info") => {
-            it.next();
-            let path = it.next().ok_or("trace-info requires a trace PATH")?;
-            if let Some(extra) = it.next() {
-                return Err(format!("trace-info takes exactly one PATH (got `{extra}`)"));
-            }
-            args.command = Command::TraceInfo(path.into());
-            return Ok(args);
-        }
-        Some("check") => {
-            it.next();
-            let mut generation = None;
-            let mut report = None;
-            while let Some(flag) = it.next() {
-                let mut value =
-                    |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-                match flag.as_str() {
-                    "--generation" => {
-                        let name = value("--generation")?;
-                        generation = if name == "all" {
-                            None
-                        } else {
-                            Some(MemGeneration::parse(&name).ok_or_else(|| {
-                                format!("unknown generation {name}; use all|ddr3|ddr4|lpddr3")
-                            })?)
-                        };
-                    }
-                    "--report" => report = Some(value("--report")?.into()),
-                    "--help" | "-h" => return Err("help".into()),
-                    other => return Err(format!("unknown check flag {other}")),
-                }
-            }
-            args.command = Command::Check { generation, report };
-            return Ok(args);
-        }
-        Some("serve") => {
-            it.next();
-            let mut serve = ServeArgs {
-                addr: String::new(),
-                queue_depth: 8,
-                threads: 0,
-                cache_cap: 512,
-                cell_queue: 256,
-                default_deadline_ms: 0,
-                cell_timeout_ms: 60_000,
-                io_timeout_ms: 30_000,
-                drain_timeout_ms: 30_000,
-                state_dir: None,
-            };
-            while let Some(flag) = it.next() {
-                let mut value =
-                    |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-                match flag.as_str() {
-                    "--addr" => serve.addr = value("--addr")?,
-                    "--queue-depth" => {
-                        serve.queue_depth = value("--queue-depth")?
-                            .parse()
-                            .map_err(|e| format!("--queue-depth: {e}"))?;
-                    }
-                    "--threads" => {
-                        serve.threads = value("--threads")?
-                            .parse()
-                            .map_err(|e| format!("--threads: {e}"))?;
-                    }
-                    "--cache-cap" | "--cache-capacity" => {
-                        serve.cache_cap =
-                            value(&flag)?.parse().map_err(|e| format!("{flag}: {e}"))?;
-                    }
-                    "--state-dir" => serve.state_dir = Some(value("--state-dir")?.into()),
-                    "--cell-queue" => {
-                        serve.cell_queue = value("--cell-queue")?
-                            .parse()
-                            .map_err(|e| format!("--cell-queue: {e}"))?;
-                    }
-                    "--default-deadline" => {
-                        serve.default_deadline_ms = value("--default-deadline")?
-                            .parse()
-                            .map_err(|e| format!("--default-deadline: {e}"))?;
-                    }
-                    "--cell-timeout" => {
-                        serve.cell_timeout_ms = value("--cell-timeout")?
-                            .parse()
-                            .map_err(|e| format!("--cell-timeout: {e}"))?;
-                    }
-                    "--io-timeout" => {
-                        serve.io_timeout_ms = value("--io-timeout")?
-                            .parse()
-                            .map_err(|e| format!("--io-timeout: {e}"))?;
-                    }
-                    "--drain-timeout" => {
-                        serve.drain_timeout_ms = value("--drain-timeout")?
-                            .parse()
-                            .map_err(|e| format!("--drain-timeout: {e}"))?;
-                    }
-                    "--help" | "-h" => return Err("help".into()),
-                    other => return Err(format!("unknown serve flag {other}")),
-                }
-            }
-            if serve.addr.is_empty() {
-                return Err("serve requires --addr HOST:PORT".into());
-            }
-            args.command = Command::Serve(serve);
-            return Ok(args);
-        }
-        Some("loadgen") => {
-            it.next();
-            let mut lg = LoadgenArgs {
-                addr: String::new(),
-                clients: 4,
-                jobs: 2,
-                mix: "MID1".into(),
-                generation: MemGeneration::Ddr3,
-                duration_ms: 2,
-                policies: vec!["static:800".into(), "memscale".into()],
-                deadline_ms: 0,
-                retries: 3,
-                connect_timeout_ms: 3_000,
-                read_timeout_ms: 30_000,
-                reconnect_retries: 0,
-                out: PathBuf::from("BENCH_serve.json"),
-                require_cache_hits: false,
-                open_loop_rps: 0.0,
-            };
-            while let Some(flag) = it.next() {
-                let mut value =
-                    |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-                match flag.as_str() {
-                    "--addr" => lg.addr = value("--addr")?,
-                    "--clients" => {
-                        lg.clients = value("--clients")?
-                            .parse()
-                            .map_err(|e| format!("--clients: {e}"))?;
-                    }
-                    "--jobs" => {
-                        lg.jobs = value("--jobs")?
-                            .parse()
-                            .map_err(|e| format!("--jobs: {e}"))?;
-                    }
-                    "--mix" => lg.mix = value("--mix")?,
-                    "--generation" => {
-                        let name = value("--generation")?;
-                        lg.generation = MemGeneration::parse(&name).ok_or_else(|| {
-                            format!("unknown generation {name}; use ddr3|ddr4|lpddr3")
-                        })?;
-                    }
-                    "--duration-ms" => {
-                        lg.duration_ms = value("--duration-ms")?
-                            .parse()
-                            .map_err(|e| format!("--duration-ms: {e}"))?;
-                    }
-                    "--policies" => {
-                        lg.policies = value("--policies")?
-                            .split(',')
-                            .filter(|s| !s.is_empty())
-                            .map(str::to_string)
-                            .collect();
-                    }
-                    "--deadline-ms" => {
-                        lg.deadline_ms = value("--deadline-ms")?
-                            .parse()
-                            .map_err(|e| format!("--deadline-ms: {e}"))?;
-                    }
-                    "--retries" => {
-                        lg.retries = value("--retries")?
-                            .parse()
-                            .map_err(|e| format!("--retries: {e}"))?;
-                    }
-                    "--connect-timeout" => {
-                        lg.connect_timeout_ms = value("--connect-timeout")?
-                            .parse()
-                            .map_err(|e| format!("--connect-timeout: {e}"))?;
-                    }
-                    "--read-timeout" => {
-                        lg.read_timeout_ms = value("--read-timeout")?
-                            .parse()
-                            .map_err(|e| format!("--read-timeout: {e}"))?;
-                    }
-                    "--reconnect-retries" => {
-                        lg.reconnect_retries = value("--reconnect-retries")?
-                            .parse()
-                            .map_err(|e| format!("--reconnect-retries: {e}"))?;
-                    }
-                    "--out" => lg.out = value("--out")?.into(),
-                    "--require-cache-hits" => lg.require_cache_hits = true,
-                    "--open-loop" => {
-                        let raw = value("--open-loop")?;
-                        let rate: f64 = raw.parse().map_err(|e| format!("--open-loop: {e}"))?;
-                        if !rate.is_finite() || rate <= 0.0 {
-                            return Err(format!(
-                                "--open-loop must be a positive rate in requests/second, got {raw}"
-                            ));
-                        }
-                        lg.open_loop_rps = rate;
-                    }
-                    "--help" | "-h" => return Err("help".into()),
-                    other => return Err(format!("unknown loadgen flag {other}")),
-                }
-            }
-            if lg.addr.is_empty() {
-                return Err("loadgen requires --addr HOST:PORT".into());
-            }
-            args.command = Command::Loadgen(lg);
-            return Ok(args);
-        }
-        Some("slo") => {
-            it.next();
-            let mut slo = SloArgs {
-                arrivals: String::new(),
-                slo_p99_ms: None,
-                policies: vec!["baseline".into(), "static:400".into(), "memscale".into()],
-                misses_per_core: 2_000,
-                gap_instructions: 200,
-                record: None,
-                replay: None,
-                out: None,
-            };
-            while let Some(flag) = it.next() {
-                let mut value =
-                    |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-                match flag.as_str() {
-                    "--arrivals" => slo.arrivals = value("--arrivals")?,
-                    "--slo-p99-ms" => {
-                        let ms: f64 = value("--slo-p99-ms")?
-                            .parse()
-                            .map_err(|e| format!("--slo-p99-ms: {e}"))?;
-                        if !ms.is_finite() || ms <= 0.0 {
-                            return Err(format!("--slo-p99-ms must be positive, got {ms}"));
-                        }
-                        slo.slo_p99_ms = Some(ms);
-                    }
-                    "--policies" => {
-                        slo.policies = value("--policies")?
-                            .split(',')
-                            .filter(|s| !s.is_empty())
-                            .map(str::to_string)
-                            .collect();
-                    }
-                    "--misses-per-request" => {
-                        slo.misses_per_core = value("--misses-per-request")?
-                            .parse()
-                            .map_err(|e| format!("--misses-per-request: {e}"))?;
-                    }
-                    "--request-gap" => {
-                        slo.gap_instructions = value("--request-gap")?
-                            .parse()
-                            .map_err(|e| format!("--request-gap: {e}"))?;
-                    }
-                    "--record" => slo.record = Some(value("--record")?.into()),
-                    "--replay" => slo.replay = Some(value("--replay")?.into()),
-                    "--out" => slo.out = Some(value("--out")?.into()),
-                    "--mix" => args.mix = value("--mix")?,
-                    "--generation" => {
-                        let name = value("--generation")?;
-                        args.generation = MemGeneration::parse(&name).ok_or_else(|| {
-                            format!("unknown generation {name}; use ddr3|ddr4|lpddr3")
-                        })?;
-                    }
-                    "--duration-ms" => {
-                        args.duration_ms = value("--duration-ms")?
-                            .parse()
-                            .map_err(|e| format!("--duration-ms: {e}"))?;
-                    }
-                    "--seed" => {
-                        args.seed = Some(
-                            value("--seed")?
-                                .parse()
-                                .map_err(|e| format!("--seed: {e}"))?,
-                        );
-                    }
-                    "--cores" => {
-                        args.cores = value("--cores")?
-                            .parse()
-                            .map_err(|e| format!("--cores: {e}"))?;
-                    }
-                    "--channels" => {
-                        args.channels = value("--channels")?
-                            .parse()
-                            .map_err(|e| format!("--channels: {e}"))?;
-                    }
-                    "--epoch-ms" => {
-                        args.epoch_ms = value("--epoch-ms")?
-                            .parse()
-                            .map_err(|e| format!("--epoch-ms: {e}"))?;
-                    }
-                    "--margin" => {
-                        args.margin_pct = value("--margin")?
-                            .parse()
-                            .map_err(|e| format!("--margin: {e}"))?;
-                    }
-                    "--help" | "-h" => return Err("help".into()),
-                    other => return Err(format!("unknown slo flag {other}")),
-                }
-            }
-            if slo.arrivals.is_empty() {
-                return Err("slo requires --arrivals SPEC (e.g. poisson:2000)".into());
-            }
-            if slo.policies.is_empty() {
-                return Err("slo requires at least one policy".into());
-            }
-            if slo.record.is_some() && slo.replay.is_some() {
-                return Err("slo takes --record or --replay, not both".into());
-            }
-            args.command = Command::Slo(slo);
-            return Ok(args);
-        }
-        Some("chaos") => {
-            it.next();
-            let mut ch = ChaosArgs {
-                addr: String::new(),
-                seed: 7,
+        if command == Command::Chaos {
+            cli.fleet = LoadgenConfig {
                 clients: 8,
-                jobs: 3,
-                flood: 16,
-                mix: "MID1".into(),
-                duration_ms: 2,
-                policies: vec!["static:800".into(), "memscale".into()],
-                deadline_ms: 0,
-                out: None,
-                kill9: false,
-                state_dir: None,
-                server_bin: None,
+                jobs_per_client: 3,
+                seed: 7,
+                read_timeout_ms: 15_000,
+                ..cli.fleet
             };
-            let mut policies_set = false;
-            while let Some(flag) = it.next() {
-                let mut value =
-                    |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-                match flag.as_str() {
-                    "--addr" => ch.addr = value("--addr")?,
-                    "--seed" => {
-                        ch.seed = value("--seed")?
-                            .parse()
-                            .map_err(|e| format!("--seed: {e}"))?;
-                    }
-                    "--clients" => {
-                        ch.clients = value("--clients")?
-                            .parse()
-                            .map_err(|e| format!("--clients: {e}"))?;
-                    }
-                    "--jobs" => {
-                        ch.jobs = value("--jobs")?
-                            .parse()
-                            .map_err(|e| format!("--jobs: {e}"))?;
-                    }
-                    "--flood" => {
-                        ch.flood = value("--flood")?
-                            .parse()
-                            .map_err(|e| format!("--flood: {e}"))?;
-                    }
-                    "--mix" => ch.mix = value("--mix")?,
-                    "--duration-ms" => {
-                        ch.duration_ms = value("--duration-ms")?
-                            .parse()
-                            .map_err(|e| format!("--duration-ms: {e}"))?;
-                    }
-                    "--policies" => {
-                        ch.policies = value("--policies")?
-                            .split(',')
-                            .filter(|s| !s.is_empty())
-                            .map(str::to_string)
-                            .collect();
-                        policies_set = true;
-                    }
-                    "--deadline-ms" => {
-                        ch.deadline_ms = value("--deadline-ms")?
-                            .parse()
-                            .map_err(|e| format!("--deadline-ms: {e}"))?;
-                    }
-                    "--out" => ch.out = Some(value("--out")?.into()),
-                    "--kill9" => ch.kill9 = true,
-                    "--state-dir" => ch.state_dir = Some(value("--state-dir")?.into()),
-                    "--server-bin" => ch.server_bin = Some(value("--server-bin")?.into()),
-                    "--help" | "-h" => return Err("help".into()),
-                    other => return Err(format!("unknown chaos flag {other}")),
-                }
+            cli.flood = 16;
+        }
+        cli
+    }
+
+    /// The run description.
+    fn job(&mut self) -> &mut JobSpec {
+        &mut self.fleet.template
+    }
+
+    /// The rules that tie a subcommand's flags together, checked once all
+    /// of them are applied (`given`: the flags on the command line).
+    fn check(&mut self, given: &[&str]) -> Result<(), String> {
+        let job = &self.fleet.template;
+        let arrivals = job.arrivals.as_deref().unwrap_or_default();
+        let message = match self.command {
+            Command::Record if self.out.is_none() => "record requires --out PATH",
+            Command::Record if job.trace.is_some() => {
+                "record captures from the live generator; --replay is not allowed"
             }
-            if ch.kill9 {
-                if ch.state_dir.is_none() {
-                    return Err("chaos --kill9 requires --state-dir DIR".into());
-                }
+            Command::Serve if self.addr.is_empty() => "serve requires --addr HOST:PORT",
+            Command::Loadgen if self.fleet.addr.is_empty() => "loadgen requires --addr HOST:PORT",
+            Command::Slo if arrivals.is_empty() => {
+                "slo requires --arrivals SPEC (e.g. poisson:2000)"
+            }
+            Command::Slo if job.policies.is_empty() => "slo requires at least one policy",
+            Command::Slo if self.record.is_some() && job.trace.is_some() => {
+                "slo takes --record or --replay, not both"
+            }
+            Command::Chaos if self.kill9 && self.server.state_dir.is_none() => {
+                "chaos --kill9 requires --state-dir DIR"
+            }
+            Command::Chaos if self.kill9 => {
                 // The harness kills the server mid-job, which needs a grid
                 // wide enough to land the kill between two completed cells
                 // and the job's end; widen the 2-cell default.
-                if !policies_set {
-                    ch.policies = vec![
-                        "static:800".into(),
-                        "static:400".into(),
-                        "static:200".into(),
-                        "memscale".into(),
-                    ];
+                if !given.contains(&"--policies") {
+                    let wide = ["static:800", "static:400", "static:200", "memscale"];
+                    self.job().policies = grid(&wide);
                 }
-            } else if ch.addr.is_empty() {
-                return Err("chaos requires --addr HOST:PORT (a running server)".into());
+                return Ok(());
             }
-            args.command = Command::Chaos(ch);
-            return Ok(args);
-        }
-        _ => {}
-    }
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-        match flag.as_str() {
-            "--mix" => args.mix = value("--mix")?,
-            "--policy" => args.policy = value("--policy")?,
-            "--generation" => {
-                let name = value("--generation")?;
-                args.generation = MemGeneration::parse(&name)
-                    .ok_or_else(|| format!("unknown generation {name}; use ddr3|ddr4|lpddr3"))?;
+            Command::Chaos if self.fleet.addr.is_empty() => {
+                "chaos requires --addr HOST:PORT (a running server)"
             }
-            "--duration-ms" => {
-                args.duration_ms = value("--duration-ms")?
-                    .parse()
-                    .map_err(|e| format!("--duration-ms: {e}"))?;
-            }
-            "--gamma" => {
-                args.gamma_pct = value("--gamma")?
-                    .parse()
-                    .map_err(|e| format!("--gamma: {e}"))?;
-            }
-            "--cores" => {
-                args.cores = value("--cores")?
-                    .parse()
-                    .map_err(|e| format!("--cores: {e}"))?;
-            }
-            "--channels" => {
-                args.channels = value("--channels")?
-                    .parse()
-                    .map_err(|e| format!("--channels: {e}"))?;
-            }
-            "--epoch-ms" => {
-                args.epoch_ms = value("--epoch-ms")?
-                    .parse()
-                    .map_err(|e| format!("--epoch-ms: {e}"))?;
-            }
-            "--seed" => {
-                args.seed = Some(
-                    value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?,
-                );
-            }
-            "--faults" => {
-                let spec = value("--faults")?;
-                let plan = FaultPlan::parse(&spec).map_err(|e| format!("--faults: {e}"))?;
-                plan.validate().map_err(|e| format!("--faults: {e}"))?;
-                args.faults = Some(plan);
-            }
-            "--replay" => args.replay = Some(value("--replay")?.into()),
-            "--out" => args.out = Some(value("--out")?.into()),
-            "--margin" => {
-                args.margin_pct = value("--margin")?
-                    .parse()
-                    .map_err(|e| format!("--margin: {e}"))?;
-            }
-            "--json" => args.json = true,
-            "--list" => args.list = true,
-            "--help" | "-h" => return Err("help".into()),
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    match args.command {
-        Command::Record if args.out.is_none() => Err("record requires --out PATH".into()),
-        Command::Record if args.replay.is_some() => {
-            Err("record captures from the live generator; --replay is not allowed".into())
-        }
-        _ => Ok(args),
+            _ => return Ok(()),
+        };
+        Err(message.into())
     }
 }
 
-/// Parses a policy wire name (the canonical grammar lives in
-/// [`PolicyKind::parse`]; this wrapper only decorates the error).
-fn parse_policy(name: &str) -> Result<PolicyKind, String> {
-    PolicyKind::parse(name).map_err(|e| format!("{e}; see `memscale-sim --help`"))
+/// Policy names as a job's policy list.
+fn grid(names: &[&str]) -> Vec<String> {
+    names.iter().map(|&name| name.into()).collect()
 }
 
-/// Renders the run summary as a pretty-printed JSON object without any
-/// external serialization dependency (the container builds offline).
-fn render_json(
-    run: &memscale_simulator::RunResult,
-    cmp: &memscale_simulator::harness::Comparison,
-    exp: &Experiment,
-    gamma: f64,
-) -> String {
-    let mut fields: Vec<(&str, String)> = vec![
-        ("mix", Json::Str(run.mix.clone()).render()),
-        ("policy", Json::Str(run.policy.clone()).render()),
-        ("generation", format!("\"{}\"", run.generation)),
-        ("gamma", format!("{gamma}")),
-        (
-            "baseline_duration_ms",
-            format!("{}", exp.baseline().duration.as_ms_f64()),
-        ),
-        ("run_duration_ms", format!("{}", run.duration.as_ms_f64())),
-        ("memory_savings", format!("{}", cmp.memory_savings)),
-        ("system_savings", format!("{}", cmp.system_savings)),
-        ("cpi_increase_avg", format!("{}", cmp.avg_cpi_increase())),
-        ("cpi_increase_max", format!("{}", cmp.max_cpi_increase())),
-        (
-            "mean_frequency_mhz",
-            format!("{}", run.mean_frequency_mhz()),
-        ),
-        ("reads", format!("{}", run.counters.reads)),
-        ("writebacks", format!("{}", run.counters.writes)),
-        ("powerdown_exits", format!("{}", run.counters.epdc)),
-        ("deep_powerdown_exits", format!("{}", run.counters.edpc)),
-        (
-            "deep_powerdown_time_ms",
-            format!("{}", run.deep_pd_time.as_ms_f64()),
-        ),
-        (
-            "memory_energy_j",
-            format!("{}", run.energy.memory_total_j()),
-        ),
-        (
-            "system_energy_j",
-            format!("{}", run.energy.system_total_j()),
-        ),
-        ("rest_of_system_w", format!("{}", run.rest_w)),
-    ];
+/// The value given to a flag, with the flag's name for error messages.
+#[derive(Clone, Copy)]
+struct Arg<'a> {
+    flag: &'a str,
+    text: &'a str,
+}
+
+impl Arg<'_> {
+    /// The value parsed as `T`; a parse error names the flag.
+    fn parse<T: FromStr>(self) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        self.text.parse().map_err(|e| format!("{}: {e}", self.flag))
+    }
+
+    /// Parses the value into `slot`.
+    fn set<T: FromStr>(self, slot: &mut T) -> Result<(), String>
+    where
+        T::Err: Display,
+    {
+        *slot = self.parse()?;
+        Ok(())
+    }
+
+    /// Parses the value into `slot`, as present.
+    fn set_some<T: FromStr>(self, slot: &mut Option<T>) -> Result<(), String>
+    where
+        T::Err: Display,
+    {
+        *slot = Some(self.parse()?);
+        Ok(())
+    }
+}
+
+/// Writes a flag's value into the invocation, or says why it cannot.
+type Setter = fn(&mut Cli, Arg<'_>) -> Result<(), String>;
+
+/// One row of a flag table: the flag, its value placeholder (empty for a
+/// switch) and its setter.
+struct Flag(&'static str, &'static str, Setter);
+
+/// Turns a switch on.
+fn on(switch: &mut bool) -> Result<(), String> {
+    *switch = true;
+    Ok(())
+}
+
+// Rows that several subcommands share.
+const MIX: Flag = Flag("--mix", "NAME", |c, a| a.set(&mut c.job().mix));
+const GENERATION: Flag = Flag("--generation", "ddr3|ddr4|lpddr3", |c, a| {
+    let g = MemGeneration::parse(a.text);
+    c.job().generation =
+        g.ok_or_else(|| format!("unknown generation {}; use ddr3|ddr4|lpddr3", a.text))?;
+    Ok(())
+});
+const DURATION: Flag = Flag("--duration-ms", "N", |c, a| a.set(&mut c.job().duration_ms));
+const CORES: Flag = Flag("--cores", "N", |c, a| a.set(&mut c.job().cores));
+const CHANNELS: Flag = Flag("--channels", "N", |c, a| a.set(&mut c.job().channels));
+const EPOCH: Flag = Flag("--epoch-ms", "N", |c, a| a.set(&mut c.job().epoch_ms));
+const SEED: Flag = Flag("--seed", "N", |c, a| a.set_some(&mut c.job().seed));
+const MARGIN: Flag = Flag("--margin", "PCT", |c, a| a.set(&mut c.job().margin_pct));
+const REPLAY: Flag = Flag("--replay", "PATH", |c, a| a.set_some(&mut c.job().trace));
+const OUT: Flag = Flag("--out", "PATH", |c, a| a.set_some(&mut c.out));
+const POLICIES: Flag = Flag("--policies", "a,b,c", |c, a| {
+    let names = a.text.split(',').filter(|name| !name.is_empty());
+    c.job().policies = names.map(String::from).collect();
+    Ok(())
+});
+const DEADLINE: Flag = Flag("--deadline-ms", "N", |c, a| {
+    a.parse()
+        .map(|ms| c.job().deadline_ms = (ms > 0).then_some(ms))
+});
+const FLEET_ADDR: Flag = Flag("--addr", "HOST:PORT", |c, a| a.set(&mut c.fleet.addr));
+const CLIENTS: Flag = Flag("--clients", "N", |c, a| a.set(&mut c.fleet.clients));
+const JOBS: Flag = Flag("--jobs", "N", |c, a| a.set(&mut c.fleet.jobs_per_client));
+const STATE_DIR: Flag = Flag("--state-dir", "DIR", |c, a| {
+    a.set_some(&mut c.server.state_dir)
+});
+const CACHE_CAP: Flag = Flag("--cache-cap", "N", |c, a| a.set(&mut c.server.cache_cap));
+
+/// The bare run command and `record`.
+const RUN: &[Flag] = &[
+    MIX,
+    Flag("--policy", "NAME", |c, a| {
+        a.parse().map(|v| c.job().policies = vec![v])
+    }),
+    GENERATION,
+    DURATION,
+    Flag("--gamma", "PCT", |c, a| a.set(&mut c.job().gamma_pct)),
+    CORES,
+    CHANNELS,
+    EPOCH,
+    SEED,
+    Flag("--faults", "SPEC", |c, a| {
+        let plan = FaultPlan::parse(a.text).map_err(|e| format!("--faults: {e}"))?;
+        plan.validate().map_err(|e| format!("--faults: {e}"))?;
+        c.faults = Some(plan);
+        Ok(())
+    }),
+    REPLAY,
+    OUT,
+    MARGIN,
+    Flag("--json", "", |c, _| on(&mut c.json)),
+    Flag("--list", "", |c, _| on(&mut c.list)),
+];
+
+/// `check`.
+const CHECK: &[Flag] = &[
+    Flag("--generation", "all|ddr3|ddr4|lpddr3", |c, a| {
+        c.check =
+            match a.text {
+                "all" => None,
+                name => Some(MemGeneration::parse(name).ok_or_else(|| {
+                    format!("unknown generation {name}; use all|ddr3|ddr4|lpddr3")
+                })?),
+            };
+        Ok(())
+    }),
+    Flag("--report", "PATH", OUT.2),
+];
+
+/// `serve`.
+const SERVE: &[Flag] = &[
+    Flag("--addr", "HOST:PORT", |c, a| a.set(&mut c.addr)),
+    Flag("--queue-depth", "N", |c, a| {
+        a.set(&mut c.server.queue_depth)
+    }),
+    Flag("--threads", "N", |c, a| {
+        // Zero keeps the default: one worker per CPU.
+        let default = ServerConfig::default().threads;
+        a.parse()
+            .map(|n| c.server.threads = if n > 0 { n } else { default })
+    }),
+    CACHE_CAP,
+    Flag("--cache-capacity", "N", CACHE_CAP.2),
+    STATE_DIR,
+    Flag("--cell-queue", "N", |c, a| a.set(&mut c.server.cell_queue)),
+    Flag("--default-deadline", "MS", |c, a| {
+        a.parse()
+            .map(|ms| c.server.default_deadline_ms = (ms > 0).then_some(ms))
+    }),
+    Flag("--cell-timeout", "MS", |c, a| {
+        a.set(&mut c.server.cell_timeout_ms)
+    }),
+    Flag("--io-timeout", "MS", |c, a| {
+        a.set(&mut c.server.io_timeout_ms)
+    }),
+    Flag("--drain-timeout", "MS", |c, a| {
+        a.set(&mut c.server.drain_timeout_ms)
+    }),
+];
+
+/// `slo`.
+const SLO: &[Flag] = &[
+    Flag("--arrivals", "SPEC", |c, a| {
+        a.set_some(&mut c.job().arrivals)
+    }),
+    Flag("--slo-p99-ms", "MS", |c, a| {
+        let ms: f64 = a.parse()?;
+        if !ms.is_finite() || ms <= 0.0 {
+            return Err(format!("--slo-p99-ms must be positive, got {ms}"));
+        }
+        c.job().slo_p99_ms = Some(ms);
+        Ok(())
+    }),
+    POLICIES,
+    Flag("--misses-per-request", "N", |c, a| {
+        a.set(&mut c.model.misses_per_core)
+    }),
+    Flag("--request-gap", "N", |c, a| {
+        a.set(&mut c.model.gap_instructions)
+    }),
+    Flag("--record", "PATH", |c, a| a.set_some(&mut c.record)),
+    REPLAY,
+    OUT,
+    MIX,
+    GENERATION,
+    DURATION,
+    SEED,
+    CORES,
+    CHANNELS,
+    EPOCH,
+    MARGIN,
+];
+
+/// `loadgen`.
+const LOADGEN: &[Flag] = &[
+    FLEET_ADDR,
+    CLIENTS,
+    JOBS,
+    MIX,
+    GENERATION,
+    DURATION,
+    POLICIES,
+    DEADLINE,
+    Flag("--retries", "N", |c, a| a.set(&mut c.fleet.max_retries)),
+    Flag("--connect-timeout", "MS", |c, a| {
+        a.set(&mut c.fleet.connect_timeout_ms)
+    }),
+    Flag("--read-timeout", "MS", |c, a| {
+        a.set(&mut c.fleet.read_timeout_ms)
+    }),
+    Flag("--reconnect-retries", "N", |c, a| {
+        a.set(&mut c.fleet.reconnect_retries)
+    }),
+    OUT,
+    Flag("--require-cache-hits", "", |c, _| {
+        on(&mut c.require_cache_hits)
+    }),
+    Flag("--open-loop", "RPS", |c, a| {
+        let rate: f64 = a.parse()?;
+        if !rate.is_finite() || rate <= 0.0 {
+            return Err(format!(
+                "--open-loop must be a positive rate in requests/second, got {}",
+                a.text
+            ));
+        }
+        c.fleet.open_loop_rps = rate;
+        Ok(())
+    }),
+];
+
+/// `chaos`.
+const CHAOS: &[Flag] = &[
+    FLEET_ADDR,
+    Flag("--seed", "N", |c, a| a.set(&mut c.fleet.seed)),
+    CLIENTS,
+    JOBS,
+    Flag("--flood", "N", |c, a| a.set(&mut c.flood)),
+    MIX,
+    DURATION,
+    POLICIES,
+    DEADLINE,
+    OUT,
+    Flag("--kill9", "", |c, _| on(&mut c.kill9)),
+    STATE_DIR,
+    Flag("--server-bin", "PATH", |c, a| a.set_some(&mut c.server_bin)),
+];
+
+/// A subcommand: its name (empty for the bare run command), what it does,
+/// the required part of its usage line and its flag table.
+struct Subcommand(&'static str, Command, &'static str, &'static [Flag]);
+
+/// Every subcommand; the first is the bare run command.
+const SUBCOMMANDS: &[Subcommand] = &[
+    Subcommand("", Command::Run, "", RUN),
+    Subcommand("record", Command::Record, "--out PATH", RUN),
+    Subcommand("trace-info", Command::TraceInfo, "PATH", &[]),
+    Subcommand("check", Command::Check, "", CHECK),
+    Subcommand("serve", Command::Serve, "--addr HOST:PORT", SERVE),
+    Subcommand("slo", Command::Slo, "--arrivals SPEC", SLO),
+    Subcommand("loadgen", Command::Loadgen, "--addr HOST:PORT", LOADGEN),
+    Subcommand(
+        "chaos",
+        Command::Chaos,
+        "(--addr HOST:PORT | --kill9 --state-dir DIR)",
+        CHAOS,
+    ),
+];
+
+/// A usage error: the subcommand whose usage to print and, unless help
+/// was asked for, what was wrong.
+type Usage = (&'static str, Option<String>);
+
+/// Parses the arguments after the program name.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, Usage> {
+    let mut args = args.into_iter().peekable();
+    let first = args.peek().cloned().unwrap_or_default();
+    let sub = SUBCOMMANDS.iter().skip(1).find(|s| s.0 == first);
+    let &Subcommand(name, command, _, flags) = sub.unwrap_or(&SUBCOMMANDS[0]);
+    if sub.is_some() {
+        args.next();
+    }
+    let usage = |e: String| (name, Some(e));
+    let mut cli = Cli::new(command);
+    if command == Command::TraceInfo {
+        let path = args
+            .next()
+            .ok_or_else(|| usage("trace-info requires a trace PATH".into()))?;
+        if let Some(extra) = args.next() {
+            return Err(usage(format!(
+                "trace-info takes exactly one PATH (got `{extra}`)"
+            )));
+        }
+        cli.job().trace = Some(path);
+        return Ok(cli);
+    }
+    let mut given = Vec::new();
+    while let Some(arg) = args.next() {
+        if arg == "--help" || arg == "-h" {
+            return Err((name, None));
+        }
+        let Some(Flag(flag, value, set)) = flags.iter().find(|f| f.0 == arg) else {
+            let what = format!("{name} flag");
+            return Err(usage(format!("unknown {} {arg}", what.trim_start())));
+        };
+        let text = if value.is_empty() {
+            String::new()
+        } else {
+            let missing = || usage(format!("missing value for {flag}"));
+            args.next().ok_or_else(missing)?
+        };
+        set(&mut cli, Arg { flag, text: &text }).map_err(usage)?;
+        given.push(*flag);
+    }
+    cli.check(&given).map_err(usage)?;
+    Ok(cli)
+}
+
+/// The usage of subcommand `name` (of every subcommand for the bare run
+/// command), generated from the flag tables.
+fn usage(name: &str) -> String {
+    let mut text = String::new();
+    for Subcommand(sub, _, synopsis, flags) in SUBCOMMANDS {
+        if !name.is_empty() && *sub != name {
+            continue;
+        }
+        let required = |flag: &str| synopsis.split([' ', '(', ')']).any(|word| word == flag);
+        let optional = flags
+            .iter()
+            .filter(|f| !required(f.0))
+            .map(|Flag(flag, value, _)| {
+                if value.is_empty() {
+                    format!("[{flag}]")
+                } else {
+                    format!("[{flag} {value}]")
+                }
+            });
+        let words = format!("{sub} {synopsis}");
+        let lead = if text.is_empty() { "usage:" } else { "      " };
+        let mut line = format!("{lead} memscale-sim");
+        for word in words.split_whitespace().map(String::from).chain(optional) {
+            if line.len() + word.len() >= 80 {
+                text.push_str(&line);
+                line = format!("\n{:19}", "");
+            }
+            line.push(' ');
+            line.push_str(&word);
+        }
+        text.push_str(&line);
+        text.push('\n');
+    }
+    let mixes: Vec<&str> = Mix::table1().iter().map(|m| m.name).collect();
+    format!(
+        "{text}policies: baseline fast-pd slow-pd deep-pd static:<mhz> decoupled\n\
+         \x20         memscale mem-energy memscale-pd per-channel\n\
+         arrivals: poisson:RATE | mmpp:ON,OFF,ON_MS,OFF_MS | diurnal:DURxRATE,... |\n\
+         \x20         diurnal:FILE.json\n\
+         mixes:    {}",
+        mixes.join(" ")
+    )
+}
+
+/// A failed command: the exit code and the message `main` prints.
+#[derive(Debug)]
+struct Exit(u8, String);
+
+impl Exit {
+    /// A usage problem (exit 2).
+    fn usage(e: impl Display) -> Self {
+        Exit(2, e.to_string())
+    }
+
+    /// A failure while running (exit 1).
+    fn run(e: impl Display) -> Self {
+        Exit(1, e.to_string())
+    }
+
+    /// A simulation error: exit 2 for a trace recorded under another
+    /// configuration (a usage problem — wrong trace for these flags),
+    /// exit 1 otherwise.
+    fn sim(e: SimError) -> Self {
+        let mismatch = matches!(e, SimError::Trace(TraceError::ConfigMismatch { .. }));
+        Exit(if mismatch { 2 } else { 1 }, e.to_string())
+    }
+}
+
+/// What a subcommand returns: its exit code, or the error that ends it.
+type Outcome = Result<ExitCode, Exit>;
+
+/// Writes an artifact; a failure names the file.
+fn write(path: &Path, bytes: impl AsRef<[u8]>) -> Result<(), Exit> {
+    std::fs::write(path, bytes).map_err(|e| Exit::run(format!("writing {}: {e}", path.display())))
+}
+
+/// Resolves a policy name (the grammar lives in [`PolicyKind::parse`])
+/// and checks that `generation` has it.
+fn parse_policy(name: &str, generation: MemGeneration) -> Result<PolicyKind, Exit> {
+    let policy = PolicyKind::parse(name)
+        .map_err(|e| Exit::usage(format!("{e}; see `memscale-sim --help`")))?;
+    if !policy.available_on(generation) {
+        return Err(Exit::usage(format!(
+            "{generation}: policy {} is not available on this generation",
+            policy.name()
+        )));
+    }
+    Ok(policy)
+}
+
+/// Renders the run summary as a pretty-printed JSON object.
+fn render_json(run: &RunResult, cmp: &Comparison, exp: &Experiment, gamma: f64) -> String {
+    let mut fields: Vec<(&str, String)> = Vec::new();
+    let mut put = |key: &'static str, value: &dyn Display| fields.push((key, value.to_string()));
+    put("mix", &Json::Str(run.mix.clone()).render());
+    put("policy", &Json::Str(run.policy.clone()).render());
+    put("generation", &format_args!("\"{}\"", run.generation));
+    put("gamma", &gamma);
+    put("baseline_duration_ms", &exp.baseline().duration.as_ms_f64());
+    put("run_duration_ms", &run.duration.as_ms_f64());
+    put("memory_savings", &cmp.memory_savings);
+    put("system_savings", &cmp.system_savings);
+    put("cpi_increase_avg", &cmp.avg_cpi_increase());
+    put("cpi_increase_max", &cmp.max_cpi_increase());
+    put("mean_frequency_mhz", &run.mean_frequency_mhz());
+    put("reads", &run.counters.reads);
+    put("writebacks", &run.counters.writes);
+    put("powerdown_exits", &run.counters.epdc);
+    put("deep_powerdown_exits", &run.counters.edpc);
+    put("deep_powerdown_time_ms", &run.deep_pd_time.as_ms_f64());
+    put("memory_energy_j", &run.energy.memory_total_j());
+    put("system_energy_j", &run.energy.system_total_j());
+    put("rest_of_system_w", &run.rest_w);
     if let Some(f) = &run.faults {
-        fields.push(("fault_seed", format!("{}", f.seed)));
-        fields.push(("faults_injected", format!("{}", f.total_injected())));
-        fields.push((
-            "faults_counter_corrupted",
-            format!("{}", f.counter_corrupted),
-        ));
-        fields.push(("faults_counter_stale", format!("{}", f.counter_stale)));
-        fields.push(("faults_counter_dropped", format!("{}", f.counter_dropped)));
-        fields.push(("faults_relock_overruns", format!("{}", f.relock_overruns)));
-        fields.push(("faults_switch_failures", format!("{}", f.switch_failures)));
-        fields.push(("faults_refresh_slips", format!("{}", f.refresh_slips)));
-        fields.push(("faults_refresh_drops", format!("{}", f.refresh_drops)));
-        fields.push(("faults_thermal_events", format!("{}", f.thermal_events)));
-        fields.push(("faults_pd_exit_spikes", format!("{}", f.pd_exit_spikes)));
-        fields.push((
-            "governor_discarded_profiles",
-            format!("{}", f.discarded_profiles),
-        ));
-        fields.push((
-            "governor_clamped_profiles",
-            format!("{}", f.clamped_profiles),
-        ));
-        fields.push((
-            "governor_forced_max_epochs",
-            format!("{}", f.forced_max_epochs),
-        ));
-        fields.push(("governor_failed_switches", format!("{}", f.failed_switches)));
+        put("fault_seed", &f.seed);
+        put("faults_injected", &f.total_injected());
+        put("faults_counter_corrupted", &f.counter_corrupted);
+        put("faults_counter_stale", &f.counter_stale);
+        put("faults_counter_dropped", &f.counter_dropped);
+        put("faults_relock_overruns", &f.relock_overruns);
+        put("faults_switch_failures", &f.switch_failures);
+        put("faults_refresh_slips", &f.refresh_slips);
+        put("faults_refresh_drops", &f.refresh_drops);
+        put("faults_thermal_events", &f.thermal_events);
+        put("faults_pd_exit_spikes", &f.pd_exit_spikes);
+        put("governor_discarded_profiles", &f.discarded_profiles);
+        put("governor_clamped_profiles", &f.clamped_profiles);
+        put("governor_forced_max_epochs", &f.forced_max_epochs);
+        put("governor_failed_switches", &f.failed_switches);
     }
     if let Some(report) = &run.audit {
-        fields.push((
-            "audit_commands_checked",
-            format!("{}", report.commands_checked),
-        ));
-        fields.push(("audit_violations", format!("{}", report.violations.len())));
+        put("audit_commands_checked", &report.commands_checked);
+        put("audit_violations", &report.violations.len());
     }
     let body: Vec<String> = fields
         .iter()
         .map(|(k, v)| format!("  \"{k}\": {v}"))
         .collect();
     format!("{{\n{}\n}}", body.join(",\n"))
-}
-
-/// Reports a simulation error: exit 2 for a trace/configuration mismatch
-/// (a usage problem — wrong trace for these flags), exit 1 otherwise.
-fn sim_error(e: &SimError) -> ExitCode {
-    eprintln!("error: {e}");
-    match e {
-        SimError::Trace(TraceError::ConfigMismatch { .. }) => ExitCode::from(2),
-        _ => ExitCode::from(1),
-    }
 }
 
 /// `memscale-sim record`: capture the miss streams of a recording baseline
@@ -856,8 +693,8 @@ fn record(
     cfg: &SimConfig,
     policy: PolicyKind,
     margin_pct: usize,
-    out: &std::path::Path,
-) -> ExitCode {
+    out: &Path,
+) -> Outcome {
     // The slowest static point stretches the run the furthest, so early
     // finishers pull the most events; recording it makes the artifact
     // replayable across the whole frequency grid.
@@ -870,14 +707,8 @@ fn record(
         mix.name,
         policies.len() + 1
     );
-    let (header, streams) = match record_trace(mix, cfg, &policies, margin_pct) {
-        Ok(hs) => hs,
-        Err(e) => return sim_error(&e),
-    };
-    if let Err(e) = write_trace_file(out, &header, &streams) {
-        eprintln!("error: {e}");
-        return ExitCode::from(1);
-    }
+    let (header, streams) = record_trace(mix, cfg, &policies, margin_pct).map_err(Exit::sim)?;
+    write_trace_file(out, &header, &streams).map_err(Exit::run)?;
     let total: usize = streams.iter().map(Vec::len).sum();
     println!(
         "wrote {} ({} apps, {} records, config {:#018x})",
@@ -886,7 +717,7 @@ fn record(
         total,
         header.config_hash
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `memscale-sim slo`: sweep a policy set against one seeded open-loop
@@ -896,73 +727,40 @@ fn record(
 /// replays from it (proving the artifact reproduces the live run); with
 /// `--replay PATH` an existing artifact feeds the sweep. Exit 1 when any
 /// policy breaches the configured p99 objective.
-fn run_slo(mix: &Mix, cfg: &SimConfig, slo: &SloArgs, margin_pct: usize) -> ExitCode {
-    let spec = match ArrivalSpec::parse(&slo.arrivals) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: --arrivals: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if slo.misses_per_core == 0 || slo.gap_instructions == 0 {
-        eprintln!("error: --misses-per-request and --request-gap must be at least 1");
-        return ExitCode::from(2);
+fn run_slo(mix: &Mix, cfg: &SimConfig, cli: &Cli) -> Outcome {
+    let job = &cli.fleet.template;
+    let arrivals = job.arrivals.as_deref().unwrap_or_default();
+    let spec = ArrivalSpec::parse(arrivals).map_err(|e| Exit::usage(format!("--arrivals: {e}")))?;
+    if cli.model.misses_per_core == 0 || cli.model.gap_instructions == 0 {
+        let e = "--misses-per-request and --request-gap must be at least 1";
+        return Err(Exit::usage(e));
     }
-    let mut shards = Vec::with_capacity(slo.policies.len());
-    for name in &slo.policies {
-        let policy = match parse_policy(name) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        if !policy.available_on(cfg.system.timing.generation) {
-            eprintln!(
-                "error: {}: policy {} is not available on this generation",
-                cfg.system.timing.generation,
-                policy.name()
-            );
-            return ExitCode::from(2);
-        }
-        shards.push(ShardSpec::of(policy));
-    }
+    let shards = job
+        .policies
+        .iter()
+        .map(|name| parse_policy(name, job.generation).map(ShardSpec::of))
+        .collect::<Result<Vec<_>, _>>()?;
     let mut svc = ServiceConfig::new(spec);
-    svc.model = RequestModel {
-        misses_per_core: slo.misses_per_core,
-        gap_instructions: slo.gap_instructions,
-        ..RequestModel::default()
-    };
-    if let Some(ms) = slo.slo_p99_ms {
-        svc = svc.with_slo(memscale_types::requests::SloSpec::p99(ms));
+    svc.model = cli.model;
+    if let Some(ms) = job.slo_p99_ms {
+        svc = svc.with_slo(SloSpec::p99(ms));
     }
 
-    let report = if let Some(path) = &slo.replay {
-        let trace = match ReplayTrace::open(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(1);
-            }
-        };
+    let report = if let Some(path) = &job.trace {
+        let trace = ReplayTrace::open(Path::new(path)).map_err(Exit::run)?;
         eprintln!(
-            "slo: replaying {} policy run(s) from {} ...",
-            shards.len(),
-            path.display()
+            "slo: replaying {} policy run(s) from {path} ...",
+            shards.len()
         );
         run_slo_sweep_replay(mix, cfg, &svc, &shards, &trace)
-    } else if let Some(path) = &slo.record {
+    } else if let Some(path) = &cli.record {
         eprintln!("slo: recording service trace ...");
-        let (header, streams) = match record_service_trace(mix, cfg, &svc, margin_pct) {
-            Ok(hs) => hs,
-            Err(e) => return sim_error(&e),
-        };
+        let (header, streams) =
+            record_service_trace(mix, cfg, &svc, job.margin_pct).map_err(Exit::sim)?;
         let total: usize = streams.iter().map(Vec::len).sum();
         let trace = ReplayTrace::from_streams(header, streams);
-        if let Err(e) = std::fs::write(path, trace.as_bytes()) {
-            eprintln!("error: {}", TraceError::io("writing trace file", &e));
-            return ExitCode::from(1);
-        }
+        std::fs::write(path, trace.as_bytes())
+            .map_err(|e| Exit::run(TraceError::io("writing trace file", &e)))?;
         eprintln!(
             "slo: wrote {} ({} records); replaying {} policy run(s) ...",
             path.display(),
@@ -977,44 +775,28 @@ fn run_slo(mix: &Mix, cfg: &SimConfig, slo: &SloArgs, margin_pct: usize) -> Exit
         );
         run_slo_sweep(mix, cfg, &svc, &shards)
     };
-    let report = match report {
-        Ok(r) => r,
-        Err(e) => return sim_error(&e),
-    };
+    let report = report.map_err(Exit::sim)?;
     let json = report.to_json();
     println!("{json}");
-    if let Some(out) = &slo.out {
-        let mut bytes = json;
-        bytes.push('\n');
-        if let Err(e) = std::fs::write(out, &bytes) {
-            eprintln!("error: writing {}: {e}", out.display());
-            return ExitCode::from(1);
-        }
+    if let Some(out) = &cli.out {
+        write(out, format!("{json}\n"))?;
     }
-    if report.any_breach() {
-        let worst = report
-            .outcomes
-            .iter()
-            .filter(|o| o.breach)
-            .map(|o| format!("{} (p99 {:.2} ms)", o.label, o.stats.p99_ms))
-            .collect::<Vec<_>>()
-            .join(", ");
-        eprintln!("error: SLO breached by {worst}");
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
+    if !report.any_breach() {
+        return Ok(ExitCode::SUCCESS);
     }
+    let worst = report
+        .outcomes
+        .iter()
+        .filter(|o| o.breach)
+        .map(|o| format!("{} (p99 {:.2} ms)", o.label, o.stats.p99_ms))
+        .collect::<Vec<_>>()
+        .join(", ");
+    Err(Exit::run(format!("SLO breached by {worst}")))
 }
 
 /// `memscale-sim trace-info`: parse and verify `path`, print its metadata.
-fn trace_info(path: &std::path::Path) -> ExitCode {
-    let trace = match ReplayTrace::open(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(1);
-        }
-    };
+fn trace_info(path: &Path) -> Outcome {
+    let trace = ReplayTrace::open(path).map_err(Exit::run)?;
     let header = trace.header();
     let summary = trace.summary();
     let total: u64 = summary.records_per_app.iter().sum();
@@ -1036,12 +818,12 @@ fn trace_info(path: &std::path::Path) -> ExitCode {
         "blocks          : {} ({} payload bytes)",
         summary.blocks, summary.payload_bytes
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `memscale-sim check`: run the static consistency analyzer over one or
 /// every generation; exit 0 only when no pass produced a diagnostic.
-fn run_check(generation: Option<MemGeneration>, report_path: Option<&std::path::Path>) -> ExitCode {
+fn run_check(generation: Option<MemGeneration>, report_path: Option<&Path>) -> Outcome {
     let reports = match generation {
         Some(gen) => vec![memscale_check::run_generation(gen)],
         None => memscale_check::run_all(),
@@ -1053,18 +835,15 @@ fn run_check(generation: Option<MemGeneration>, report_path: Option<&std::path::
     }
     print!("{text}");
     if let Some(path) = report_path {
-        if let Err(e) = std::fs::write(path, &text) {
-            eprintln!("error: writing {}: {e}", path.display());
-            return ExitCode::from(1);
-        }
+        write(path, &text)?;
     }
     let total: usize = reports.iter().map(|r| r.diagnostics.len()).sum();
-    if total == 0 {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("error: static analysis found {total} violation(s)");
-        ExitCode::from(1)
+    if total > 0 {
+        return Err(Exit::run(format!(
+            "static analysis found {total} violation(s)"
+        )));
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// SIGTERM/SIGINT → drain flag. The handler only stores to a static
@@ -1115,28 +894,9 @@ mod sigterm {
 /// `memscale-sim serve`: bind the sweep-job server and run the accept loop
 /// until SIGTERM/SIGINT triggers a graceful drain (exit 0) or the listener
 /// fails (exit 1).
-fn run_serve(serve: &ServeArgs) -> ExitCode {
-    let mut cfg = ServerConfig {
-        queue_depth: serve.queue_depth,
-        cell_queue: serve.cell_queue,
-        cache_cap: serve.cache_cap,
-        default_deadline_ms: (serve.default_deadline_ms > 0).then_some(serve.default_deadline_ms),
-        cell_timeout_ms: serve.cell_timeout_ms,
-        io_timeout_ms: serve.io_timeout_ms,
-        drain_timeout_ms: serve.drain_timeout_ms,
-        state_dir: serve.state_dir.clone(),
-        ..ServerConfig::default()
-    };
-    if serve.threads > 0 {
-        cfg.threads = serve.threads;
-    }
-    let server = match SweepServer::bind(&serve.addr, cfg, SimulatorBackend) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot bind {}: {e}", serve.addr);
-            return ExitCode::from(1);
-        }
-    };
+fn run_serve(addr: &str, cfg: ServerConfig) -> Outcome {
+    let server = SweepServer::bind(addr, cfg, SimulatorBackend)
+        .map_err(|e| Exit::run(format!("cannot bind {addr}: {e}")))?;
     if let Some(report) = server.recovery_report() {
         eprintln!(
             "memscale-serve recovered {} cell(s), {} baseline(s), {} interrupted job(s) \
@@ -1151,20 +911,15 @@ fn run_serve(serve: &ServeArgs) -> ExitCode {
         );
     }
     match server.local_addr() {
-        Ok(addr) => eprintln!("memscale-serve listening on {addr}"),
-        Err(_) => eprintln!("memscale-serve listening on {}", serve.addr),
+        Ok(bound) => eprintln!("memscale-serve listening on {bound}"),
+        Err(_) => eprintln!("memscale-serve listening on {addr}"),
     }
     sigterm::install();
-    match server.run_with_shutdown(&sigterm::TERM) {
-        Ok(()) => {
-            eprintln!("memscale-serve drained and exiting");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: accept loop failed: {e}");
-            ExitCode::from(1)
-        }
-    }
+    server
+        .run_with_shutdown(&sigterm::TERM)
+        .map_err(|e| Exit::run(format!("accept loop failed: {e}")))?;
+    eprintln!("memscale-serve drained and exiting");
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `memscale-sim loadgen`: drive a running server with a closed-loop client
@@ -1173,42 +928,19 @@ fn run_serve(serve: &ServeArgs) -> ExitCode {
 /// Exit 1 when any protocol error occurred, when nothing completed at all
 /// (no `done` and no structured `overloaded`), or — under
 /// `--require-cache-hits` — when the run saw no cache hits.
-fn run_loadgen(lg: &LoadgenArgs) -> ExitCode {
-    let mut template = memscale_types::serve::JobSpec::for_mix("job", &lg.mix);
-    template.generation = lg.generation;
-    template.duration_ms = lg.duration_ms;
-    template.policies = lg.policies.clone();
-    template.deadline_ms = (lg.deadline_ms > 0).then_some(lg.deadline_ms);
-    let mut cfg = LoadgenConfig::new(lg.addr.clone(), lg.clients, lg.jobs, template);
-    cfg.max_retries = lg.retries;
-    cfg.connect_timeout_ms = lg.connect_timeout_ms;
-    cfg.read_timeout_ms = lg.read_timeout_ms;
-    cfg.reconnect_retries = lg.reconnect_retries;
-    cfg.open_loop_rps = lg.open_loop_rps;
-    if cfg.open_loop_rps > 0.0 {
-        eprintln!(
-            "loadgen: {} client(s) x {} job(s) against {} (open loop, {} req/s offered) ...",
-            cfg.clients, cfg.jobs_per_client, cfg.addr, cfg.open_loop_rps
-        );
-    } else {
-        eprintln!(
-            "loadgen: {} client(s) x {} job(s) against {} ...",
-            cfg.clients, cfg.jobs_per_client, cfg.addr
-        );
-    }
-    let stats = match memscale_serve::loadgen::run(&cfg) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(1);
-        }
+fn run_loadgen(cli: &Cli) -> Outcome {
+    let cfg = &cli.fleet;
+    let open = match cfg.open_loop_rps {
+        rps if rps > 0.0 => format!(" (open loop, {rps} req/s offered)"),
+        _ => String::new(),
     };
-    let mut artifact = stats.to_bench_json(&cfg);
-    artifact.push('\n');
-    if let Err(e) = std::fs::write(&lg.out, &artifact) {
-        eprintln!("error: writing {}: {e}", lg.out.display());
-        return ExitCode::from(1);
-    }
+    eprintln!(
+        "loadgen: {} client(s) x {} job(s) against {}{open} ...",
+        cfg.clients, cfg.jobs_per_client, cfg.addr
+    );
+    let stats = memscale_serve::loadgen::run(cfg).map_err(Exit::run)?;
+    let out = cli.out.clone().unwrap_or_else(|| "BENCH_serve.json".into());
+    write(&out, stats.to_bench_json(cfg) + "\n")?;
     println!(
         "jobs ok {} | overloaded {} | failed {} | transport {} | protocol errors {}",
         stats.jobs_ok,
@@ -1228,25 +960,24 @@ fn run_loadgen(lg: &LoadgenArgs) -> ExitCode {
         stats.latency_quantile(0.99),
         stats.cache_hit_rate() * 100.0
     );
-    if lg.open_loop_rps > 0.0 {
+    if cfg.open_loop_rps > 0.0 {
         println!(
             "open loop: offered {:.2} req/s | achieved {:.2} req/s | late submissions {}",
-            lg.open_loop_rps,
+            cfg.open_loop_rps,
             stats.jobs_per_sec(),
             stats.late_submissions
         );
     }
-    println!("wrote {}", lg.out.display());
+    println!("wrote {}", out.display());
     let starved = stats.jobs_ok == 0 && stats.jobs_overloaded == 0;
-    let hits_missing = lg.require_cache_hits && stats.cache_hits == 0;
+    let hits_missing = cli.require_cache_hits && stats.cache_hits == 0;
     if stats.protocol_errors > 0 || starved || hits_missing {
         if hits_missing {
             eprintln!("error: --require-cache-hits: the run saw no cache hits");
         }
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
+        return Ok(ExitCode::from(1));
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `memscale-sim chaos`: point a loadgen fleet at a running server through
@@ -1258,65 +989,40 @@ fn run_loadgen(lg: &LoadgenArgs) -> ExitCode {
 /// server: it proves admission slots were not leaked by the faulted jobs.
 /// Exit 0 requires zero protocol violations, every job accounted for, and
 /// a successful probe.
-fn run_chaos(ch: &ChaosArgs) -> ExitCode {
-    let mut template = memscale_types::serve::JobSpec::for_mix("job", &ch.mix);
-    template.duration_ms = ch.duration_ms;
-    template.policies = ch.policies.clone();
-    template.deadline_ms = (ch.deadline_ms > 0).then_some(ch.deadline_ms);
-
-    if ch.kill9 {
-        return run_kill9(ch, template);
+fn run_chaos(cli: &Cli) -> Outcome {
+    if cli.kill9 {
+        return run_kill9(cli);
     }
-    let out = ch
-        .out
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("BENCH_chaos.json"));
-
-    let proxy_cfg = memscale_serve::ChaosConfig::new(ch.addr.clone(), ch.seed);
-    let proxy = match memscale_serve::ChaosProxy::bind("127.0.0.1:0", proxy_cfg) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: cannot bind chaos proxy: {e}");
-            return ExitCode::from(1);
-        }
+    let (upstream, seed) = (&cli.fleet.addr, cli.fleet.seed);
+    let out = cli.out.clone().unwrap_or_else(|| "BENCH_chaos.json".into());
+    let proxy = ChaosProxy::bind("127.0.0.1:0", ChaosConfig::new(upstream.clone(), seed))
+        .map_err(|e| Exit::run(format!("cannot bind chaos proxy: {e}")))?;
+    let handle = proxy
+        .spawn()
+        .map_err(|e| Exit::run(format!("cannot start chaos proxy: {e}")))?;
+    let cfg = LoadgenConfig {
+        addr: handle.addr().to_string(),
+        ..cli.fleet.clone()
     };
-    let handle = match proxy.spawn() {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("error: cannot start chaos proxy: {e}");
-            return ExitCode::from(1);
-        }
-    };
-    let proxy_addr = handle.addr().to_string();
     eprintln!(
-        "chaos: seed {} | {} client(s) x {} job(s) via {} -> {} | {} flood conns",
-        ch.seed, ch.clients, ch.jobs, proxy_addr, ch.addr, ch.flood
+        "chaos: seed {seed} | {} client(s) x {} job(s) via {} -> {upstream} | {} flood conns",
+        cfg.clients, cfg.jobs_per_client, cfg.addr, cli.flood
     );
-    let flood = memscale_serve::open_flood(&proxy_addr, ch.flood);
-
-    let mut cfg = LoadgenConfig::new(proxy_addr, ch.clients, ch.jobs, template.clone());
-    cfg.seed = ch.seed;
-    cfg.read_timeout_ms = 15_000;
-    let mut stats = match memscale_serve::loadgen::run(&cfg) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            drop(flood);
-            handle.stop();
-            return ExitCode::from(1);
-        }
-    };
+    let flood = memscale_serve::open_flood(&cfg.addr, cli.flood);
+    let stats = memscale_serve::loadgen::run(&cfg);
     drop(flood);
     let report = handle.stop();
+    let mut stats = stats.map_err(Exit::run)?;
     stats.chaos_faults_injected = report.total_injected();
 
     // Admission-correctness probe: after the chaos run settles, one clean
     // job straight at the server must still be admitted and complete.
     std::thread::sleep(std::time::Duration::from_millis(200));
-    let mut probe_template = template;
-    probe_template.deadline_ms = None;
-    let probe_cfg = LoadgenConfig::new(ch.addr.clone(), 1, 1, probe_template);
-    let probe_ok = match memscale_serve::loadgen::run(&probe_cfg) {
+    let probe = JobSpec {
+        deadline_ms: None,
+        ..cfg.template.clone()
+    };
+    let probe_ok = match memscale_serve::loadgen::run(&LoadgenConfig::new(upstream, 1, 1, probe)) {
         Ok(p) => p.jobs_ok == 1,
         Err(e) => {
             eprintln!("error: post-chaos probe: {e}");
@@ -1324,13 +1030,8 @@ fn run_chaos(ch: &ChaosArgs) -> ExitCode {
         }
     };
 
-    let mut artifact = stats.to_bench_json_named(&cfg, "serve_chaos");
-    artifact.push('\n');
-    if let Err(e) = std::fs::write(&out, &artifact) {
-        eprintln!("error: writing {}: {e}", out.display());
-        return ExitCode::from(1);
-    }
-    let offered = ch.clients * ch.jobs;
+    write(&out, stats.to_bench_json_named(&cfg, "serve_chaos") + "\n")?;
+    let offered = cfg.clients * cfg.jobs_per_client;
     println!(
         "faults injected {} (torn {} | dropped {} | disconnects {} | stalls {}) over {} conns",
         report.total_injected(),
@@ -1358,10 +1059,9 @@ fn run_chaos(ch: &ChaosArgs) -> ExitCode {
     );
     println!("wrote {}", out.display());
     if stats.protocol_errors == 0 && stats.jobs_accounted() == offered && probe_ok {
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
-        eprintln!("error: chaos run violated serving invariants");
-        ExitCode::from(1)
+        Err(Exit::run("chaos run violated serving invariants"))
     }
 }
 
@@ -1372,43 +1072,32 @@ fn run_chaos(ch: &ChaosArgs) -> ExitCode {
 /// same directory, and asserts the recovery invariants (no duplicate or
 /// corrupt cells, warm cache hits on resubmit, byte-identical results vs
 /// an uninterrupted control run). Writes `BENCH_recovery.json`.
-fn run_kill9(ch: &ChaosArgs, template: memscale_types::serve::JobSpec) -> ExitCode {
-    let state_dir = ch.state_dir.clone().expect("checked in parse_args");
-    let server_bin = match &ch.server_bin {
+fn run_kill9(cli: &Cli) -> Outcome {
+    let state_dir = cli.server.state_dir.clone().expect("checked in parse_args");
+    let server_bin = match &cli.server_bin {
         Some(path) => path.clone(),
-        None => match std::env::current_exe() {
-            Ok(path) => path,
-            Err(e) => {
-                eprintln!("error: cannot locate this binary (pass --server-bin): {e}");
-                return ExitCode::from(1);
-            }
-        },
+        None => std::env::current_exe().map_err(|e| {
+            Exit::run(format!(
+                "cannot locate this binary (pass --server-bin): {e}"
+            ))
+        })?,
     };
-    let out = ch
+    let out = cli
         .out
         .clone()
-        .unwrap_or_else(|| PathBuf::from("BENCH_recovery.json"));
-    let mut cfg = memscale_serve::recovery::RecoveryConfig::new(server_bin, state_dir, template);
-    cfg.seed = ch.seed;
+        .unwrap_or_else(|| "BENCH_recovery.json".into());
+    let template = cli.fleet.template.clone();
+    let mut cfg = RecoveryConfig::new(server_bin, state_dir, template);
+    cfg.seed = cli.fleet.seed;
     eprintln!(
         "chaos --kill9: seed {} | {} cell(s) | state dir {}",
-        ch.seed,
-        ch.policies.len(),
+        cfg.seed,
+        cfg.template.policies.len(),
         cfg.state_dir.display()
     );
-    let outcome = match memscale_serve::recovery::run(&cfg) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: recovery invariants violated: {e}");
-            return ExitCode::from(1);
-        }
-    };
-    let mut artifact = outcome.to_bench_json(ch.seed);
-    artifact.push('\n');
-    if let Err(e) = std::fs::write(&out, &artifact) {
-        eprintln!("error: writing {}: {e}", out.display());
-        return ExitCode::from(1);
-    }
+    let outcome = memscale_serve::recovery::run(&cfg)
+        .map_err(|e| Exit::run(format!("recovery invariants violated: {e}")))?;
+    write(&out, outcome.to_bench_json(cfg.seed) + "\n")?;
     println!(
         "killed after {} of {} cell(s) | journal tail torn {} B | interrupted job marked: {}",
         outcome.cells_before_kill,
@@ -1426,168 +1115,58 @@ fn run_kill9(ch: &ChaosArgs, template: memscale_types::serve::JobSpec) -> ExitCo
         if outcome.byte_identical { "yes" } else { "NO" }
     );
     println!("wrote {}", out.display());
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            if e != "help" {
-                eprintln!("error: {e}\n");
-            }
-            let mixes: Vec<&str> = Mix::table1().iter().map(|m| m.name).collect();
-            eprintln!(
-                "usage: memscale-sim [--mix NAME] [--policy NAME] [--duration-ms N]\n\
-                 \x20                  [--generation ddr3|ddr4|lpddr3]\n\
-                 \x20                  [--gamma PCT] [--cores N] [--channels N]\n\
-                 \x20                  [--epoch-ms N] [--seed N] [--faults SPEC]\n\
-                 \x20                  [--replay PATH] [--json] [--list]\n\
-                 \x20      memscale-sim record --out PATH [--margin PCT] [run options]\n\
-                 \x20      memscale-sim trace-info PATH\n\
-                 \x20      memscale-sim check [--generation all|ddr3|ddr4|lpddr3] [--report PATH]\n\
-                 \x20      memscale-sim serve --addr HOST:PORT [--queue-depth N] [--threads N]\n\
-                 \x20                  [--cache-capacity N] [--cell-queue N] [--default-deadline MS]\n\
-                 \x20                  [--cell-timeout MS] [--io-timeout MS] [--drain-timeout MS]\n\
-                 \x20                  [--state-dir DIR]\n\
-                 \x20      memscale-sim slo --arrivals SPEC [--slo-p99-ms N] [--policies a,b,c]\n\
-                 \x20                  [--mix NAME] [--generation G] [--duration-ms N] [--seed N]\n\
-                 \x20                  [--cores N] [--channels N] [--epoch-ms N]\n\
-                 \x20                  [--misses-per-request N] [--request-gap N]\n\
-                 \x20                  [--record PATH | --replay PATH] [--margin PCT] [--out PATH]\n\
-                 \x20                  (SPEC: poisson:RATE | mmpp:ON,OFF,ON_MS,OFF_MS |\n\
-                 \x20                   diurnal:DURxRATE,... | diurnal:FILE.json)\n\
-                 \x20      memscale-sim loadgen --addr HOST:PORT [--clients N] [--jobs N]\n\
-                 \x20                  [--mix NAME] [--generation G] [--duration-ms N]\n\
-                 \x20                  [--policies a,b,c] [--deadline-ms N] [--retries N]\n\
-                 \x20                  [--connect-timeout MS] [--read-timeout MS]\n\
-                 \x20                  [--reconnect-retries N] [--out PATH] [--require-cache-hits]\n\
-                 \x20                  [--open-loop RPS]\n\
-                 \x20      memscale-sim chaos --addr HOST:PORT [--seed N] [--clients N] [--jobs N]\n\
-                 \x20                  [--flood N] [--mix NAME] [--duration-ms N]\n\
-                 \x20                  [--policies a,b,c] [--deadline-ms N] [--out PATH]\n\
-                 \x20      memscale-sim chaos --kill9 --state-dir DIR [--seed N]\n\
-                 \x20                  [--policies a,b,c] [--server-bin PATH] [--out PATH]\n\
-                 policies: baseline fast-pd slow-pd deep-pd static:<mhz> decoupled\n\
-                 \x20         memscale mem-energy memscale-pd per-channel\n\
-                 mixes:    {}",
-                mixes.join(" ")
-            );
-            return if e == "help" {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(2)
-            };
-        }
-    };
-
-    if let Command::TraceInfo(path) = &args.command {
-        return trace_info(path);
-    }
-
-    if let Command::Check { generation, report } = &args.command {
-        return run_check(*generation, report.as_deref());
-    }
-
-    if let Command::Serve(serve) = &args.command {
-        return run_serve(serve);
-    }
-
-    if let Command::Loadgen(lg) = &args.command {
-        return run_loadgen(lg);
-    }
-
-    if let Command::Chaos(ch) = &args.command {
-        return run_chaos(ch);
-    }
-
-    if args.list {
+/// The simulating subcommands: the bare run command, `record` and `slo`.
+fn simulate(cli: &Cli) -> Outcome {
+    if cli.list {
         for mix in Mix::table1() {
             println!("{mix}  apps: {}", mix.apps.join(", "));
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
-
-    let mix = match Mix::by_name(&args.mix) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("error: {e} (or try --list)");
-            return ExitCode::from(2);
-        }
+    let job = &cli.fleet.template;
+    let mix = Mix::by_name(&job.mix).map_err(|e| Exit::usage(format!("{e} (or try --list)")))?;
+    // `slo` resolves its own policy list; the others run one policy.
+    let policy = match cli.command {
+        Command::Slo => None,
+        _ => Some(parse_policy(&job.policies[0], job.generation)?),
     };
-    let policy = match parse_policy(&args.policy) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
+    let mut cfg = SimConfig::for_job(job);
+    cfg.faults = cli.faults.clone();
+    cfg.system.validate().map_err(Exit::usage)?;
+    let Some(policy) = policy else {
+        return run_slo(&mix, &cfg, cli);
     };
-    if !policy.available_on(args.generation) {
-        eprintln!(
-            "error: {}: policy {} is not available on this generation",
-            args.generation,
-            policy.name()
-        );
-        return ExitCode::from(2);
+    if cli.command == Command::Record {
+        let out = cli.out.as_deref().expect("checked in parse_args");
+        return record(&mix, &cfg, policy, job.margin_pct, out);
     }
 
-    let mut cfg =
-        SimConfig::for_generation(args.generation).with_duration(Picos::from_ms(args.duration_ms));
-    cfg.governor.gamma = args.gamma_pct / 100.0;
-    cfg.governor.epoch = Picos::from_ms(args.epoch_ms);
-    cfg.system.cpu.cores = args.cores;
-    cfg.system.topology.channels = args.channels;
-    if let Some(seed) = args.seed {
-        cfg.seed = seed;
-    }
-    cfg.faults = args.faults.clone();
-    if let Err(e) = cfg.system.validate() {
-        eprintln!("error: {e}");
-        return ExitCode::from(2);
-    }
-
-    if args.command == Command::Record {
-        let out = args.out.as_ref().expect("checked in parse_args");
-        return record(&mix, &cfg, policy, args.margin_pct, out);
-    }
-
-    if let Command::Slo(slo) = &args.command {
-        return run_slo(&mix, &cfg, slo, args.margin_pct);
-    }
-
-    let replay = match args.replay.as_ref().map(|p| ReplayTrace::open(p)) {
-        None => None,
-        Some(Ok(trace)) => Some(trace),
-        Some(Err(e)) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(1);
-        }
-    };
-
+    let replay = job
+        .trace
+        .as_deref()
+        .map(|p| ReplayTrace::open(Path::new(p)));
+    let replay = replay.transpose().map_err(Exit::run)?;
     eprintln!(
         "calibrating baseline for {mix} ({} ms{}) ...",
-        args.duration_ms,
+        job.duration_ms,
         if replay.is_some() { ", replay" } else { "" }
     );
-    let calibrated = match &replay {
+    let exp = match &replay {
         None => Experiment::calibrate(&mix, &cfg),
         Some(trace) => Experiment::calibrate_replay(&mix, &cfg, trace),
     };
-    let exp = match calibrated {
-        Ok(exp) => exp,
-        Err(e) => return sim_error(&e),
-    };
+    let exp = exp.map_err(Exit::sim)?;
     eprintln!("running {} ...", policy.name());
     let evaluated = match &replay {
         None => exp.evaluate(policy),
         Some(trace) => exp.evaluate_replay(policy, trace),
     };
-    let (run, cmp) = match evaluated {
-        Ok(rc) => rc,
-        Err(e) => return sim_error(&e),
-    };
+    let (run, cmp) = evaluated.map_err(Exit::sim)?;
 
-    if args.json {
+    if cli.json {
         println!("{}", render_json(&run, &cmp, &exp, cfg.governor.gamma));
     } else {
         println!("workload            : {}", run.mix);
@@ -1599,7 +1178,7 @@ fn main() -> ExitCode {
             "CPI increase        : avg {:.1}%, worst {:.1}% (bound {:.0}%)",
             cmp.avg_cpi_increase() * 100.0,
             cmp.max_cpi_increase() * 100.0,
-            args.gamma_pct
+            job.gamma_pct
         );
         println!("mean bus frequency  : {:.0} MHz", run.mean_frequency_mhz());
         println!(
@@ -1650,8 +1229,180 @@ fn main() -> ExitCode {
     // are bounded so the command stream passes the audit rule pack. A dirty
     // audit under faults is a distinct, scriptable failure.
     if run.faults.is_some() && run.audit.as_ref().is_some_and(|r| !r.is_clean()) {
-        eprintln!("error: fault run violated protocol conformance");
-        return ExitCode::from(3);
+        return Err(Exit(3, "fault run violated protocol conformance".into()));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
+}
+
+fn main() -> ExitCode {
+    let cli = match parse_args(std::env::args().skip(1)) {
+        Ok(cli) => cli,
+        Err((name, error)) => {
+            if let Some(e) = &error {
+                eprintln!("error: {e}\n");
+            }
+            eprintln!("{}", usage(name));
+            return ExitCode::from(if error.is_some() { 2 } else { 0 });
+        }
+    };
+    let outcome = match cli.command {
+        Command::TraceInfo => trace_info(Path::new(
+            cli.fleet.template.trace.as_deref().unwrap_or_default(),
+        )),
+        Command::Check => run_check(cli.check, cli.out.as_deref()),
+        Command::Serve => run_serve(&cli.addr, cli.server),
+        Command::Loadgen => run_loadgen(&cli),
+        Command::Chaos => run_chaos(&cli),
+        Command::Run | Command::Record | Command::Slo => simulate(&cli),
+    };
+    outcome.unwrap_or_else(|Exit(code, e)| {
+        eprintln!("error: {e}");
+        ExitCode::from(code)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Parses space-separated arguments.
+    fn parse(args: &str) -> Result<Cli, Usage> {
+        parse_args(args.split(' ').filter(|a| !a.is_empty()).map(String::from))
+    }
+
+    fn error(args: &str) -> String {
+        let e = parse(args).err().and_then(|(_, e)| e);
+        e.unwrap_or_else(|| panic!("`{args}` parses"))
+    }
+
+    /// The flags each subcommand accepted before the tables replaced the
+    /// hand-written loops (the bare run command first).
+    const ACCEPTED: [(&str, &str); 7] = [
+        ("", "--mix --policy --generation --duration-ms --gamma --cores --channels --epoch-ms --seed --faults --replay --out --margin --json --list"),
+        ("record", "--mix --policy --generation --duration-ms --gamma --cores --channels --epoch-ms --seed --faults --replay --out --margin --json --list"),
+        ("check", "--generation --report"),
+        ("serve", "--addr --queue-depth --threads --cache-cap --cache-capacity --state-dir --cell-queue --default-deadline --cell-timeout --io-timeout --drain-timeout"),
+        ("slo", "--arrivals --slo-p99-ms --policies --misses-per-request --request-gap --record --replay --out --mix --generation --duration-ms --seed --cores --channels --epoch-ms --margin"),
+        ("loadgen", "--addr --clients --jobs --mix --generation --duration-ms --policies --deadline-ms --retries --connect-timeout --read-timeout --reconnect-retries --out --require-cache-hits --open-loop"),
+        ("chaos", "--addr --seed --clients --jobs --flood --mix --duration-ms --policies --deadline-ms --out --kill9 --state-dir --server-bin"),
+    ];
+
+    #[test]
+    fn each_subcommand_accepts_the_flags_it_always_did() {
+        for (name, accepted) in ACCEPTED {
+            let sub = SUBCOMMANDS.iter().find(|s| s.0 == name).expect(name);
+            let mut table: Vec<&str> = sub.3.iter().map(|f| f.0).collect();
+            let mut want: Vec<&str> = accepted.split(' ').collect();
+            table.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(table, want, "{name}");
+            let help = usage(name);
+            assert!(want.iter().all(|flag| help.contains(flag)), "{help}");
+        }
+        assert_eq!(SUBCOMMANDS.len(), ACCEPTED.len() + 1, "plus trace-info");
+    }
+
+    #[test]
+    fn defaults_are_the_library_defaults() {
+        let run = parse("").unwrap().fleet.template;
+        assert_eq!((run.mix.as_str(), run.duration_ms), ("MID1", 20));
+        assert_eq!(run.policies, ["memscale"]);
+        let cfg = SimConfig::default().with_duration(Picos::from_ms(20));
+        assert_eq!(SimConfig::for_job(&run), cfg);
+        let slo = parse("slo --arrivals poisson:1").unwrap();
+        assert_eq!(
+            slo.fleet.template.policies,
+            ["baseline", "static:400", "memscale"]
+        );
+        assert_eq!(slo.model, RequestModel::default());
+        let serve = parse("serve --addr a:1").unwrap();
+        assert_eq!(serve.server, ServerConfig::default());
+
+        let grid = ["static:800", "memscale"].map(String::from).to_vec();
+        let job = JobSpec::for_mix("job", "MID1");
+        let lg = parse("loadgen --addr a:1").unwrap().fleet;
+        assert_eq!((lg.clients, lg.jobs_per_client), (4, 2));
+        let template = JobSpec {
+            duration_ms: 2,
+            policies: grid.clone(),
+            ..job.clone()
+        };
+        assert_eq!(lg.template, template);
+        // `LoadgenConfig` has no `PartialEq`; its `Debug` shows every field.
+        let want = LoadgenConfig::new("a:1", 4, 2, template);
+        assert_eq!(format!("{lg:?}"), format!("{want:?}"));
+
+        let chaos = parse("chaos --addr a:1").unwrap();
+        let f = &chaos.fleet;
+        assert_eq!(
+            (f.seed, f.clients, f.jobs_per_client, chaos.flood),
+            (7, 8, 3, 16)
+        );
+        assert_eq!((f.read_timeout_ms, &f.template.policies), (15_000, &grid));
+    }
+
+    #[test]
+    fn alias_zero_and_all_keep_their_meaning() {
+        for flag in ["--cache-cap", "--cache-capacity"] {
+            let serve = parse(&format!("serve --addr a {flag} 9")).unwrap();
+            assert_eq!(serve.server.cache_cap, 9, "{flag}");
+        }
+        let zeros = parse("serve --addr a --threads 0 --default-deadline 0");
+        assert_eq!(zeros.unwrap().server, ServerConfig::default());
+        let set = parse("serve --addr a --threads 3 --default-deadline 5").unwrap();
+        assert_eq!(
+            (set.server.threads, set.server.default_deadline_ms),
+            (3, Some(5))
+        );
+        let lg = parse("loadgen --addr a --deadline-ms 0").unwrap();
+        assert_eq!(lg.fleet.template.deadline_ms, None);
+        assert_eq!(parse("check --generation all").unwrap().check, None);
+        let one = parse("check --generation lpddr3").unwrap().check;
+        assert_eq!(one, Some(MemGeneration::Lpddr3));
+    }
+
+    #[test]
+    fn kill9_widens_only_the_default_grid() {
+        let wide = parse("chaos --kill9 --state-dir d").unwrap();
+        assert_eq!(wide.fleet.template.policies.len(), 4);
+        let mine = parse("chaos --kill9 --state-dir d --policies memscale").unwrap();
+        assert_eq!(mine.fleet.template.policies, ["memscale"]);
+        let live = parse("chaos --addr a --state-dir d").unwrap();
+        assert_eq!(live.fleet.template.policies.len(), 2);
+    }
+
+    #[test]
+    fn usage_errors_say_what_is_wrong() {
+        for (args, want) in [
+            ("--mxi", "unknown flag --mxi"),
+            ("serve --bogus", "unknown serve flag --bogus"),
+            ("--mix", "missing value for --mix"),
+            ("--cores x", "--cores: invalid digit"),
+            ("serve --cache-capacity x", "--cache-capacity: invalid"),
+            ("--generation ddr5", "unknown generation ddr5; use ddr3"),
+            ("check --generation x", "unknown generation x; use all"),
+            ("--faults all=2", "--faults: "),
+            ("loadgen --open-loop -1", "--open-loop must be a positive"),
+            ("slo --slo-p99-ms nan", "--slo-p99-ms must be positive"),
+            ("record", "record requires --out PATH"),
+            ("record --out t --replay r", "record captures from the live"),
+            ("serve", "serve requires --addr HOST:PORT"),
+            ("loadgen", "loadgen requires --addr HOST:PORT"),
+            ("slo", "slo requires --arrivals SPEC"),
+            ("slo --arrivals p --policies ,", "slo requires at least one"),
+            (
+                "slo --arrivals p --record a --replay b",
+                "slo takes --record",
+            ),
+            ("chaos", "chaos requires --addr HOST:PORT"),
+            ("chaos --kill9", "chaos --kill9 requires --state-dir DIR"),
+            ("trace-info", "trace-info requires a trace PATH"),
+            ("trace-info a b", "trace-info takes exactly one PATH"),
+        ] {
+            let e = error(args);
+            assert!(e.starts_with(want), "{args}: {e}");
+        }
+        assert!(matches!(parse("slo --help"), Err(("slo", None))));
+        assert!(matches!(parse("-h"), Err(("", None))));
+    }
 }

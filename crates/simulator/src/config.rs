@@ -4,6 +4,7 @@ use memscale::governor::GovernorConfig;
 use memscale_mc::RowPolicy;
 use memscale_types::config::SystemConfig;
 use memscale_types::faults::FaultPlan;
+use memscale_types::serve::JobSpec;
 use memscale_types::time::Picos;
 
 /// Everything one simulation run needs besides the mix and the policy.
@@ -62,6 +63,23 @@ impl SimConfig {
             system: SystemConfig::for_generation(generation),
             ..SimConfig::default()
         }
+    }
+
+    /// The run `job` describes (unvalidated): its generation's defaults
+    /// with the job's horizon, γ, epoch, cores, channels and seed. The one
+    /// derivation of a run from a run description; the sweep server and
+    /// `memscale-sim` both build their runs here.
+    pub fn for_job(job: &JobSpec) -> Self {
+        let mut cfg = SimConfig::for_generation(job.generation)
+            .with_duration(Picos::from_ms(job.duration_ms));
+        cfg.governor.gamma = job.gamma_pct / 100.0;
+        cfg.governor.epoch = Picos::from_ms(job.epoch_ms);
+        cfg.system.cpu.cores = job.cores;
+        cfg.system.topology.channels = job.channels;
+        if let Some(seed) = job.seed {
+            cfg.seed = seed;
+        }
+        cfg
     }
 
     /// Re-bases this configuration on `generation`, keeping every
@@ -146,6 +164,25 @@ mod tests {
         let d = SimConfig::for_generation(MemGeneration::Ddr4);
         assert_eq!(d.system.timing.generation, MemGeneration::Ddr4);
         assert_eq!(d.system.topology.banks_per_rank, 16);
+    }
+
+    #[test]
+    fn job_fields_reach_the_run() {
+        use memscale_types::config::MemGeneration;
+        let mut job = JobSpec::for_mix("j", "MID1");
+        job.generation = MemGeneration::Ddr4;
+        job.gamma_pct = 5.0;
+        job.seed = Some(9);
+        job.channels = 2;
+        let c = SimConfig::for_job(&job);
+        assert_eq!(c.system.timing.generation, MemGeneration::Ddr4);
+        assert_eq!(c.duration, Picos::from_ms(4));
+        assert_eq!(c.governor.epoch, Picos::from_ms(5));
+        assert!((c.governor.gamma - 0.05).abs() < 1e-12);
+        assert_eq!((c.seed, c.system.topology.channels), (9, 2));
+        assert_eq!(c.system.cpu.cores, 16);
+        job.seed = None;
+        assert_eq!(SimConfig::for_job(&job).seed, SimConfig::default().seed);
     }
 
     #[test]

@@ -30,7 +30,6 @@ use memscale_trace::format::{crc32, read_varint, write_varint};
 use memscale_trace::{ReplayTrace, TraceReader};
 use memscale_types::freq::MemFreq;
 use memscale_types::serve::{CellFailure, CellMetrics, ErrorCode, JobSpec};
-use memscale_types::time::Picos;
 use memscale_types::CancelToken;
 use memscale_workloads::Mix;
 use std::path::Path;
@@ -72,20 +71,6 @@ fn sim_error_code(e: &SimError) -> ErrorCode {
     }
 }
 
-/// Builds the run configuration a job describes (unvalidated).
-fn build_config(job: &JobSpec) -> SimConfig {
-    let mut cfg =
-        SimConfig::for_generation(job.generation).with_duration(Picos::from_ms(job.duration_ms));
-    cfg.governor.gamma = job.gamma_pct / 100.0;
-    cfg.governor.epoch = Picos::from_ms(job.epoch_ms);
-    cfg.system.cpu.cores = job.cores;
-    cfg.system.topology.channels = job.channels;
-    if let Some(seed) = job.seed {
-        cfg.seed = seed;
-    }
-    cfg
-}
-
 /// Parses a job's optional service workload (`arrivals` + `slo_p99_ms`).
 fn service_config(job: &JobSpec) -> Result<Option<ServiceConfig>, (ErrorCode, String)> {
     let Some(spec) = &job.arrivals else {
@@ -114,7 +99,7 @@ fn service_identity(job: &JobSpec) -> Option<String> {
 impl SimulatorBackend {
     fn resolve(&self, job: &JobSpec) -> Result<(Mix, SimConfig), (ErrorCode, String)> {
         let mix = Mix::by_name(&job.mix).map_err(|e| (ErrorCode::UnknownMix, e.to_string()))?;
-        let cfg = build_config(job);
+        let cfg = SimConfig::for_job(job);
         cfg.system
             .validate()
             .map_err(|e| (ErrorCode::InvalidConfig, e.to_string()))?;

@@ -24,8 +24,8 @@ use crate::result::RunResult;
 use crate::shard::ShardSpec;
 use memscale::policies::PolicyKind;
 use memscale_arrivals::{ArrivalSpec, RequestModel, RequestSource, RequestTracker};
-use memscale_serve::json::Json;
 use memscale_trace::{MissTape, ReplayTrace, TraceHeader};
+use memscale_types::json::Json;
 use memscale_types::requests::{RequestStats, SloSpec};
 use memscale_types::time::Picos;
 use memscale_types::CancelToken;

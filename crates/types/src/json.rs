@@ -1,8 +1,8 @@
-//! A minimal JSON value model, parser and renderer.
+//! The workspace's one JSON value model, parser and renderer.
 //!
-//! The build container is offline, so the serve protocol cannot lean on
-//! `serde`; this module implements the subset of JSON the wire format needs
-//! with two properties the server relies on:
+//! The workspace builds without `serde`, so the serve wire protocol, the
+//! diurnal schedule files of `memscale-arrivals` and every JSON report are
+//! read and written here. The parser has two properties its users rely on:
 //!
 //! * **no panics on arbitrary input** — every malformed byte sequence
 //!   becomes a [`JsonError`] naming the offset;

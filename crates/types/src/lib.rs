@@ -14,6 +14,8 @@
 //!   paper's memory controller.
 //! * [`config`] — plain-data configuration (topology, CPU, DRAM timing,
 //!   power constants) mirroring Table 2 of the paper.
+//! * [`json`] — the JSON value model, parser and renderer behind the serve
+//!   protocol, the diurnal schedule files and the JSON reports.
 //!
 //! # Example
 //!
@@ -39,6 +41,7 @@ pub mod faults;
 pub mod freq;
 pub mod ids;
 pub mod invariants;
+pub mod json;
 pub mod requests;
 pub mod rng;
 pub mod serve;

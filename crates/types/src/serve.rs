@@ -66,9 +66,10 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// A job over `mix` with the server-side defaults the CLI also uses:
-    /// DDR3, 4 ms horizon, γ = 10 %, 5 ms epochs, 16 cores, 4 channels,
-    /// default policy grid, 50 % margin.
+    /// A job over `mix` with the server-side defaults: DDR3, 4 ms horizon,
+    /// γ = 10 %, 5 ms epochs, 16 cores, 4 channels, default policy grid,
+    /// 50 % margin. `memscale-sim` starts every subcommand from these and
+    /// sets only its own horizon and policy list.
     pub fn for_mix(id: impl Into<String>, mix: impl Into<String>) -> Self {
         JobSpec {
             id: id.into(),
