@@ -69,9 +69,11 @@ pub fn slo_diurnal() -> Table {
 
     let mut reports = Vec::new();
     for arrivals in TIERS {
-        let svc = ServiceConfig::new(ArrivalSpec::parse(arrivals).unwrap())
-            .with_slo(SloSpec::p99(SLO_P99_MS));
-        let report = run_slo_sweep(&mix, &cfg, &svc, &shards).unwrap();
+        let cfg = cfg.clone().with_service(
+            ServiceConfig::new(ArrivalSpec::parse(arrivals).unwrap())
+                .with_slo(SloSpec::p99(SLO_P99_MS)),
+        );
+        let report = run_slo_sweep(&mix, &cfg, &shards, None).unwrap();
         for o in &report.outcomes {
             t.row(vec![
                 arrivals.into(),
@@ -86,7 +88,7 @@ pub fn slo_diurnal() -> Table {
                 if o.breach { "BREACH" } else { "meets" }.into(),
             ]);
         }
-        reports.push((arrivals, svc, report));
+        reports.push((arrivals, cfg, report));
     }
 
     let offpeak_hold = reports[..2].iter().all(|(_, _, r)| !r.any_breach());
@@ -121,8 +123,8 @@ pub fn slo_diurnal() -> Table {
 
     // Determinism gate: a second sweep at the same seed must reproduce the
     // report byte-for-byte (the `memscale-sim slo` contract).
-    let (_, svc, first) = &reports[0];
-    let again = run_slo_sweep(&mix, &cfg, svc, &shards).unwrap();
+    let (_, cfg, first) = &reports[0];
+    let again = run_slo_sweep(&mix, cfg, &shards, None).unwrap();
     t.check(
         "same-seed rerun reproduces the report byte-for-byte",
         again.to_json() == first.to_json(),

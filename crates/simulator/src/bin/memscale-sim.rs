@@ -51,22 +51,19 @@
 //! protocol audit.
 
 use memscale::policies::PolicyKind;
-use memscale_arrivals::{ArrivalSpec, RequestModel};
+use memscale_arrivals::RequestModel;
 use memscale_serve::loadgen::LoadgenConfig;
 use memscale_serve::recovery::RecoveryConfig;
 use memscale_serve::server::ServerConfig;
 use memscale_serve::{ChaosConfig, ChaosProxy, SweepServer};
 use memscale_simulator::harness::{record_trace, Comparison, Experiment};
-use memscale_simulator::slo::{
-    record_service_trace, run_slo_sweep, run_slo_sweep_replay, ServiceConfig,
-};
+use memscale_simulator::slo::run_slo_sweep;
 use memscale_simulator::{RunResult, ShardSpec, SimConfig, SimError, SimulatorBackend};
 use memscale_trace::{write_trace_file, ReplayTrace, TraceError};
 use memscale_types::config::MemGeneration;
 use memscale_types::faults::FaultPlan;
 use memscale_types::freq::MemFreq;
 use memscale_types::json::Json;
-use memscale_types::requests::SloSpec;
 use memscale_types::serve::JobSpec;
 use memscale_types::time::Picos;
 use memscale_workloads::Mix;
@@ -315,30 +312,29 @@ const STATE_DIR: Flag = Flag("--state-dir", "DIR", |c, a| {
 });
 const CACHE_CAP: Flag = Flag("--cache-cap", "N", |c, a| a.set(&mut c.server.cache_cap));
 
-/// The bare run command and `record`.
+const POLICY: Flag = Flag("--policy", "NAME", |c, a| {
+    a.parse().map(|v| c.job().policies = vec![v])
+});
+const GAMMA: Flag = Flag("--gamma", "PCT", |c, a| a.set(&mut c.job().gamma_pct));
+const FAULTS: Flag = Flag("--faults", "SPEC", |c, a| {
+    let plan = FaultPlan::parse(a.text).map_err(|e| format!("--faults: {e}"))?;
+    plan.validate().map_err(|e| format!("--faults: {e}"))?;
+    c.faults = Some(plan);
+    Ok(())
+});
+const JSON: Flag = Flag("--json", "", |c, _| on(&mut c.json));
+const LIST: Flag = Flag("--list", "", |c, _| on(&mut c.list));
+
+/// The bare run command.
 const RUN: &[Flag] = &[
-    MIX,
-    Flag("--policy", "NAME", |c, a| {
-        a.parse().map(|v| c.job().policies = vec![v])
-    }),
-    GENERATION,
-    DURATION,
-    Flag("--gamma", "PCT", |c, a| a.set(&mut c.job().gamma_pct)),
-    CORES,
-    CHANNELS,
-    EPOCH,
-    SEED,
-    Flag("--faults", "SPEC", |c, a| {
-        let plan = FaultPlan::parse(a.text).map_err(|e| format!("--faults: {e}"))?;
-        plan.validate().map_err(|e| format!("--faults: {e}"))?;
-        c.faults = Some(plan);
-        Ok(())
-    }),
-    REPLAY,
-    OUT,
-    MARGIN,
-    Flag("--json", "", |c, _| on(&mut c.json)),
-    Flag("--list", "", |c, _| on(&mut c.list)),
+    MIX, POLICY, GENERATION, DURATION, GAMMA, CORES, CHANNELS, EPOCH, SEED, FAULTS, REPLAY, JSON,
+    LIST,
+];
+
+/// `record`: the run flags, plus where to write the trace and its margin.
+const RECORD: &[Flag] = &[
+    MIX, POLICY, GENERATION, DURATION, GAMMA, CORES, CHANNELS, EPOCH, SEED, FAULTS, REPLAY, OUT,
+    MARGIN, JSON, LIST,
 ];
 
 /// `check`.
@@ -481,7 +477,7 @@ struct Subcommand(&'static str, Command, &'static str, &'static [Flag]);
 /// Every subcommand; the first is the bare run command.
 const SUBCOMMANDS: &[Subcommand] = &[
     Subcommand("", Command::Run, "", RUN),
-    Subcommand("record", Command::Record, "--out PATH", RUN),
+    Subcommand("record", Command::Record, "--out PATH", RECORD),
     Subcommand("trace-info", Command::TraceInfo, "PATH", &[]),
     Subcommand("check", Command::Check, "", CHECK),
     Subcommand("serve", Command::Serve, "--addr HOST:PORT", SERVE),
@@ -514,6 +510,9 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, Usage> {
         let path = args
             .next()
             .ok_or_else(|| usage("trace-info requires a trace PATH".into()))?;
+        if path == "--help" || path == "-h" {
+            return Err((name, None));
+        }
         if let Some(extra) = args.next() {
             return Err(usage(format!(
                 "trace-info takes exactly one PATH (got `{extra}`)"
@@ -725,12 +724,11 @@ fn record(
 ///
 /// With `--record PATH` the service trace is captured first and the sweep
 /// replays from it (proving the artifact reproduces the live run); with
-/// `--replay PATH` an existing artifact feeds the sweep. Exit 1 when any
-/// policy breaches the configured p99 objective.
+/// `--replay PATH` an existing artifact feeds the sweep, provided it was
+/// recorded under the same run description, workload included. Exit 1
+/// when any policy breaches the configured p99 objective.
 fn run_slo(mix: &Mix, cfg: &SimConfig, cli: &Cli) -> Outcome {
     let job = &cli.fleet.template;
-    let arrivals = job.arrivals.as_deref().unwrap_or_default();
-    let spec = ArrivalSpec::parse(arrivals).map_err(|e| Exit::usage(format!("--arrivals: {e}")))?;
     if cli.model.misses_per_core == 0 || cli.model.gap_instructions == 0 {
         let e = "--misses-per-request and --request-gap must be at least 1";
         return Err(Exit::usage(e));
@@ -740,23 +738,17 @@ fn run_slo(mix: &Mix, cfg: &SimConfig, cli: &Cli) -> Outcome {
         .iter()
         .map(|name| parse_policy(name, job.generation).map(ShardSpec::of))
         .collect::<Result<Vec<_>, _>>()?;
-    let mut svc = ServiceConfig::new(spec);
-    svc.model = cli.model;
-    if let Some(ms) = job.slo_p99_ms {
-        svc = svc.with_slo(SloSpec::p99(ms));
-    }
 
-    let report = if let Some(path) = &job.trace {
+    let trace = if let Some(path) = &job.trace {
         let trace = ReplayTrace::open(Path::new(path)).map_err(Exit::run)?;
         eprintln!(
             "slo: replaying {} policy run(s) from {path} ...",
             shards.len()
         );
-        run_slo_sweep_replay(mix, cfg, &svc, &shards, &trace)
+        Some(trace)
     } else if let Some(path) = &cli.record {
         eprintln!("slo: recording service trace ...");
-        let (header, streams) =
-            record_service_trace(mix, cfg, &svc, job.margin_pct).map_err(Exit::sim)?;
+        let (header, streams) = record_trace(mix, cfg, &[], job.margin_pct).map_err(Exit::sim)?;
         let total: usize = streams.iter().map(Vec::len).sum();
         let trace = ReplayTrace::from_streams(header, streams);
         std::fs::write(path, trace.as_bytes())
@@ -767,15 +759,15 @@ fn run_slo(mix: &Mix, cfg: &SimConfig, cli: &Cli) -> Outcome {
             total,
             shards.len()
         );
-        run_slo_sweep_replay(mix, cfg, &svc, &shards, &trace)
+        Some(trace)
     } else {
         eprintln!(
             "slo: running {} policy run(s) (live sources) ...",
             shards.len()
         );
-        run_slo_sweep(mix, cfg, &svc, &shards)
+        None
     };
-    let report = report.map_err(Exit::sim)?;
+    let report = run_slo_sweep(mix, cfg, &shards, trace.as_ref()).map_err(Exit::sim)?;
     let json = report.to_json();
     println!("{json}");
     if let Some(out) = &cli.out {
@@ -1133,8 +1125,11 @@ fn simulate(cli: &Cli) -> Outcome {
         Command::Slo => None,
         _ => Some(parse_policy(&job.policies[0], job.generation)?),
     };
-    let mut cfg = SimConfig::for_job(job);
+    let mut cfg = SimConfig::for_job(job).map_err(|e| Exit::usage(format!("--arrivals: {e}")))?;
     cfg.faults = cli.faults.clone();
+    if let Some(svc) = &mut cfg.service {
+        svc.model = cli.model;
+    }
     cfg.system.validate().map_err(Exit::usage)?;
     let Some(policy) = policy else {
         return run_slo(&mix, &cfg, cli);
@@ -1275,10 +1270,12 @@ mod tests {
         e.unwrap_or_else(|| panic!("`{args}` parses"))
     }
 
-    /// The flags each subcommand accepted before the tables replaced the
-    /// hand-written loops (the bare run command first).
+    /// The flags each subcommand accepts (the bare run command first):
+    /// the ones it accepted before the tables replaced the hand-written
+    /// loops, less the bare command's `--out` and `--margin`, which only
+    /// `record` reads.
     const ACCEPTED: [(&str, &str); 7] = [
-        ("", "--mix --policy --generation --duration-ms --gamma --cores --channels --epoch-ms --seed --faults --replay --out --margin --json --list"),
+        ("", "--mix --policy --generation --duration-ms --gamma --cores --channels --epoch-ms --seed --faults --replay --json --list"),
         ("record", "--mix --policy --generation --duration-ms --gamma --cores --channels --epoch-ms --seed --faults --replay --out --margin --json --list"),
         ("check", "--generation --report"),
         ("serve", "--addr --queue-depth --threads --cache-cap --cache-capacity --state-dir --cell-queue --default-deadline --cell-timeout --io-timeout --drain-timeout"),
@@ -1308,7 +1305,7 @@ mod tests {
         assert_eq!((run.mix.as_str(), run.duration_ms), ("MID1", 20));
         assert_eq!(run.policies, ["memscale"]);
         let cfg = SimConfig::default().with_duration(Picos::from_ms(20));
-        assert_eq!(SimConfig::for_job(&run), cfg);
+        assert_eq!(SimConfig::for_job(&run), Ok(cfg));
         let slo = parse("slo --arrivals poisson:1").unwrap();
         assert_eq!(
             slo.fleet.template.policies,
@@ -1404,5 +1401,13 @@ mod tests {
         }
         assert!(matches!(parse("slo --help"), Err(("slo", None))));
         assert!(matches!(parse("-h"), Err(("", None))));
+        assert!(matches!(
+            parse("trace-info --help"),
+            Err(("trace-info", None))
+        ));
+        for flag in ["--out", "--margin"] {
+            let e = error(&format!("{flag} x"));
+            assert!(e.starts_with(&format!("unknown flag {flag}")), "{e}");
+        }
     }
 }

@@ -1,9 +1,12 @@
 //! Simulation-run configuration.
 
+use crate::slo::ServiceConfig;
 use memscale::governor::GovernorConfig;
+use memscale_arrivals::{ArrivalError, ArrivalSpec};
 use memscale_mc::RowPolicy;
 use memscale_types::config::SystemConfig;
 use memscale_types::faults::FaultPlan;
+use memscale_types::requests::SloSpec;
 use memscale_types::serve::JobSpec;
 use memscale_types::time::Picos;
 
@@ -29,6 +32,10 @@ pub struct SimConfig {
     /// Fault-injection plan (`None` or an all-zero-rate plan leaves the
     /// run byte-identical to a faultless build; see DESIGN.md §9).
     pub faults: Option<FaultPlan>,
+    /// Open-loop service workload (`None`: the mix's batch traces). When
+    /// set, the cores serve its request stream for the run's duration
+    /// and every run reports its request latencies (DESIGN.md §16).
+    pub service: Option<ServiceConfig>,
 }
 
 impl Default for SimConfig {
@@ -43,6 +50,7 @@ impl Default for SimConfig {
             timeline_interval: None,
             row_policy: RowPolicy::ClosedPage,
             faults: None,
+            service: None,
         }
     }
 }
@@ -66,10 +74,16 @@ impl SimConfig {
     }
 
     /// The run `job` describes (unvalidated): its generation's defaults
-    /// with the job's horizon, γ, epoch, cores, channels and seed. The one
-    /// derivation of a run from a run description; the sweep server and
-    /// `memscale-sim` both build their runs here.
-    pub fn for_job(job: &JobSpec) -> Self {
+    /// with the job's horizon, γ, epoch, cores, channels and seed, and
+    /// its service workload when it names arrivals (with the default
+    /// request model and the job's p99 objective). The one derivation of
+    /// a run from a run description; the sweep server and `memscale-sim`
+    /// both build their runs here.
+    ///
+    /// # Errors
+    ///
+    /// The [`ArrivalError`] of a malformed `arrivals` spec.
+    pub fn for_job(job: &JobSpec) -> Result<Self, ArrivalError> {
         let mut cfg = SimConfig::for_generation(job.generation)
             .with_duration(Picos::from_ms(job.duration_ms));
         cfg.governor.gamma = job.gamma_pct / 100.0;
@@ -79,7 +93,12 @@ impl SimConfig {
         if let Some(seed) = job.seed {
             cfg.seed = seed;
         }
-        cfg
+        if let Some(spec) = &job.arrivals {
+            let mut svc = ServiceConfig::new(ArrivalSpec::parse(spec)?);
+            svc.slo = job.slo_p99_ms.map(SloSpec::p99);
+            cfg.service = Some(svc);
+        }
+        Ok(cfg)
     }
 
     /// Re-bases this configuration on `generation`, keeping every
@@ -112,17 +131,30 @@ impl SimConfig {
         self
     }
 
+    /// Runs the open-loop service workload `svc` instead of the mix's
+    /// batch traces.
+    #[must_use]
+    pub fn with_service(mut self, svc: ServiceConfig) -> Self {
+        self.service = Some(svc);
+        self
+    }
+
     /// A 64-bit fingerprint of every knob that shapes a run's miss stream
     /// and results — the hardware system, governor, duration, seed, slice
-    /// size, timeline, row policy and fault plan.
+    /// size, timeline, row policy, fault plan and service workload
+    /// (arrivals, request model and SLO target).
     ///
-    /// Trace artifacts embed this fingerprint, and replay refuses a trace
-    /// whose fingerprint differs from the replay run's. The hash is FNV-1a
-    /// over the stable `Debug` rendering of the fields; it is a
-    /// *compatibility guard within one build of the workspace*, not a
-    /// portable schema (the trace format version covers cross-build skew).
+    /// Trace artifacts embed this fingerprint, replay refuses a trace
+    /// whose fingerprint differs from the replay run's, and the sweep
+    /// server keys its caches and journal by it. The hash is FNV-1a over
+    /// the stable `Debug` rendering of the fields; it is a *compatibility
+    /// guard within one build of the workspace*, not a portable schema
+    /// (the trace format version covers cross-build skew). The workload
+    /// joins the rendering only when one is set, so a batch configuration
+    /// keeps the hash its recorded traces, cache keys and journal entries
+    /// carry.
     pub fn fingerprint(&self) -> u64 {
-        let canonical = format!(
+        let mut canonical = format!(
             "{:?}|{:?}|{:?}|{}|{}|{:?}|{:?}|{:?}",
             self.system,
             self.governor,
@@ -133,6 +165,9 @@ impl SimConfig {
             self.row_policy,
             self.faults,
         );
+        if let Some(svc) = &self.service {
+            canonical.push_str(&format!("|{svc:?}"));
+        }
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in canonical.bytes() {
             h ^= u64::from(b);
@@ -174,15 +209,23 @@ mod tests {
         job.gamma_pct = 5.0;
         job.seed = Some(9);
         job.channels = 2;
-        let c = SimConfig::for_job(&job);
+        let c = SimConfig::for_job(&job).unwrap();
         assert_eq!(c.system.timing.generation, MemGeneration::Ddr4);
         assert_eq!(c.duration, Picos::from_ms(4));
         assert_eq!(c.governor.epoch, Picos::from_ms(5));
         assert!((c.governor.gamma - 0.05).abs() < 1e-12);
         assert_eq!((c.seed, c.system.topology.channels), (9, 2));
         assert_eq!(c.system.cpu.cores, 16);
+        assert_eq!(c.service, None);
         job.seed = None;
-        assert_eq!(SimConfig::for_job(&job).seed, SimConfig::default().seed);
+        job.arrivals = Some("poisson:1500".into());
+        job.slo_p99_ms = Some(5.0);
+        let c = SimConfig::for_job(&job).unwrap();
+        assert_eq!(c.seed, SimConfig::default().seed);
+        let svc = ServiceConfig::new(ArrivalSpec::parse("poisson:1500").unwrap());
+        assert_eq!(c.service, Some(svc.with_slo(SloSpec::p99(5.0))));
+        job.arrivals = Some("warp:9".into());
+        assert!(SimConfig::for_job(&job).is_err());
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::result::{RunResult, TimelineSample};
+use crate::slo::{request_sources, request_tracker};
 use memscale::policies::{Policy, PolicyKind};
 use memscale::profile::{AppSample, EpochProfile};
 use memscale_cpu::{CoreCounters, CoreState, InOrderCore};
@@ -162,8 +163,10 @@ pub struct Simulation {
     // the token stops the run within one epoch of simulated progress.
     cancel: CancelToken,
 
-    // Open-loop request-latency tracking (None for batch runs). Fed one
-    // observation per served miss; folded into the result at finish.
+    // Open-loop request-latency tracking (None for batch runs). Built
+    // from the config's service workload, fed one observation per served
+    // miss (tagged with the instant the memory wait finished), and folded
+    // into the result at finish.
     request_tracker: Option<memscale_arrivals::RequestTracker>,
 
     // Fault injection (None unless the config carries an active plan; the
@@ -193,7 +196,9 @@ impl Simulation {
     /// Builds a simulation of `mix` under `policy_kind` whose miss events
     /// come from `sources` (one per core) instead of the live generator —
     /// the replay entry point ([`memscale_trace::ReplayTrace::streams`]
-    /// supplies such sources from a recorded artifact).
+    /// supplies such sources from a recorded artifact). When `cfg` carries
+    /// a service workload, the run tracks its requests and the result
+    /// reports their latencies ([`RunResult::requests`]).
     ///
     /// # Errors
     ///
@@ -293,7 +298,7 @@ impl Simulation {
             completion: vec![None; n],
             remaining_targets: 0,
             cancel: CancelToken::new(),
-            request_tracker: None,
+            request_tracker: cfg.service.as_ref().map(|svc| request_tracker(cfg, svc)),
             injector,
             epoch_faults: memscale_faults::EpochFaultSet::default(),
             stale_decide: None,
@@ -313,16 +318,6 @@ impl Simulation {
     /// default token is never raised, so untokened runs are unaffected.
     pub fn set_cancel_token(&mut self, cancel: CancelToken) {
         self.cancel = cancel;
-    }
-
-    /// Installs an open-loop request-latency tracker (service-workload
-    /// runs). The engine reports every served miss to it — tagged with the
-    /// instant the memory wait finished — and the final `RunResult` carries
-    /// the aggregated [`memscale_types::requests::RequestStats`]. The
-    /// tracker must be built for the same core count and request model as
-    /// the installed sources, or request accounting will be misaligned.
-    pub fn set_request_tracker(&mut self, tracker: memscale_arrivals::RequestTracker) {
-        self.request_tracker = Some(tracker);
     }
 
     /// Pulls core `c`'s next miss from its source. A live
@@ -801,8 +796,13 @@ impl Simulation {
     }
 }
 
-/// The live generator's miss sources for `mix` under `cfg`, one per core.
+/// The live generator's miss sources for `mix` under `cfg`, one per core:
+/// the request stream of `cfg`'s service workload when it has one, the
+/// mix's batch traces otherwise.
 pub(crate) fn live_sources(mix: &Mix, cfg: &SimConfig) -> Vec<Box<dyn MissSource + Send>> {
+    if let Some(svc) = &cfg.service {
+        return request_sources(mix, cfg, svc);
+    }
     mix.traces(cfg.system.cpu.cores, cfg.slice_lines, cfg.seed)
         .into_iter()
         .map(|s| Box::new(s) as Box<dyn MissSource + Send>)

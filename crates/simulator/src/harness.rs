@@ -8,6 +8,8 @@
 //! to the baseline — the quantities plotted in Figs 5, 6, 9, 11 and the
 //! sensitivity studies. [`record_calibrated`] records a replayable trace
 //! and hands back its recording baseline as the calibrated experiment.
+//! A configuration with a service workload (DESIGN.md §16) runs each
+//! policy for the baseline's duration instead of over its work.
 
 use crate::config::SimConfig;
 use crate::engine::{live_sources, Simulation};
@@ -211,8 +213,11 @@ impl Experiment {
         self.run_sources(policy, cfg, sources, &CancelToken::new())
     }
 
-    /// Runs `policy` over the baseline's work with miss events from
-    /// `sources`, and compares.
+    /// Runs `policy` with miss events from `sources`, and compares. A
+    /// batch run executes the baseline's work. A service run lasts the
+    /// baseline's duration, because its requests arrive on the clock
+    /// whatever the policy: it shows no CPI increase, and its governor gets
+    /// no rest-of-system power, so only its memory savings compare.
     fn run_sources(
         &self,
         policy: PolicyKind,
@@ -221,9 +226,13 @@ impl Experiment {
         cancel: &CancelToken,
     ) -> Result<(RunResult, Comparison), SimError> {
         let mut sim = Simulation::with_sources(&self.mix, policy, cfg, sources)?;
-        sim.set_rest_of_system_w(self.rest_w);
         sim.set_cancel_token(cancel.clone());
-        let run = sim.run_until_work(&self.baseline.work, self.rest_w)?;
+        let run = if cfg.service.is_some() {
+            sim.run_for(self.baseline.duration, 0.0)?
+        } else {
+            sim.set_rest_of_system_w(self.rest_w);
+            sim.run_until_work(&self.baseline.work, self.rest_w)?
+        };
         let cmp = self.compare(&run);
         Ok((run, cmp))
     }
@@ -319,6 +328,10 @@ pub fn check_trace(mix: &Mix, cfg: &SimConfig, trace: &ReplayTrace) -> Result<()
 /// continuation events per app (with a 64-event floor), so policies slower
 /// than any of the recorded ones still replay without exhausting. Each
 /// event is generated once.
+///
+/// A service workload needs no extra policies: its runs last a fixed
+/// duration, so the Baseline, always at maximum frequency, is the fastest
+/// consumer and its prefix bounds every other policy's.
 ///
 /// The baseline read exactly the events the trace starts with, so the
 /// returned experiment is bit-identical to [`Experiment::calibrate_replay`]

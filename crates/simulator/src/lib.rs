@@ -50,7 +50,4 @@ pub use memscale_faults::FaultReport;
 pub use result::{RunResult, TimelineSample};
 pub use service::{ServeBaseline, SimulatorBackend};
 pub use shard::{default_grid, replay_sequential, replay_sharded, ShardResult, ShardSpec};
-pub use slo::{
-    record_service_calibrated, record_service_trace, run_service_policy, run_service_policy_replay,
-    run_slo_sweep, run_slo_sweep_replay, PolicyOutcome, ServiceConfig, SloReport,
-};
+pub use slo::{run_slo_sweep, PolicyOutcome, ServiceConfig, SloReport};

@@ -16,14 +16,16 @@
 //! * per-cell evaluations — `evaluate_replay` of the cell's policy,
 //!   mirroring [`crate::shard::replay_sharded`] one cell at a time so the
 //!   server can schedule and cache cells independently.
+//!
+//! A job's service workload (`arrivals`, `slo_p99_ms`) is part of its
+//! [`SimConfig`], so the fingerprint separates batch from service jobs and
+//! one service workload from another, and the same calls run both kinds.
 
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::harness::{record_calibrated, Experiment};
 use crate::shard::default_grid;
-use crate::slo::{record_service_calibrated, run_service_policy_replay_cancellable, ServiceConfig};
 use memscale::policies::PolicyKind;
-use memscale_arrivals::ArrivalSpec;
 use memscale_serve::server::{JobPlan, SweepBackend};
 use memscale_serve::wire::{decode_job, encode_job};
 use memscale_trace::format::{crc32, read_varint, write_varint};
@@ -32,6 +34,8 @@ use memscale_types::freq::MemFreq;
 use memscale_types::serve::{CellFailure, CellMetrics, ErrorCode, JobSpec};
 use memscale_types::CancelToken;
 use memscale_workloads::Mix;
+use std::fs::File;
+use std::io::Read;
 use std::path::Path;
 
 /// The calibrated artifact shared by every cell of a job.
@@ -39,20 +43,6 @@ use std::path::Path;
 pub struct ServeBaseline {
     exp: Experiment,
     trace: ReplayTrace,
-    /// Service-workload context for open-loop jobs (`arrivals` set):
-    /// cells replay through the SLO harness instead of the fixed-work
-    /// comparison, and their metrics carry p99/violation counts.
-    service: Option<ServiceContext>,
-}
-
-/// Everything an open-loop cell needs beyond the shared trace. The
-/// savings denominator is the memory energy of the experiment's baseline,
-/// which is the Baseline policy's service run.
-#[derive(Debug)]
-struct ServiceContext {
-    mix: Mix,
-    cfg: SimConfig,
-    svc: ServiceConfig,
 }
 
 /// The simulator-backed sweep backend handed to
@@ -71,35 +61,11 @@ fn sim_error_code(e: &SimError) -> ErrorCode {
     }
 }
 
-/// Parses a job's optional service workload (`arrivals` + `slo_p99_ms`).
-fn service_config(job: &JobSpec) -> Result<Option<ServiceConfig>, (ErrorCode, String)> {
-    let Some(spec) = &job.arrivals else {
-        return Ok(None);
-    };
-    let arrivals =
-        ArrivalSpec::parse(spec).map_err(|e| (ErrorCode::BadRequest, format!("arrivals: {e}")))?;
-    let mut svc = ServiceConfig::new(arrivals);
-    if let Some(p99) = job.slo_p99_ms {
-        svc = svc.with_slo(memscale_types::requests::SloSpec::p99(p99));
-    }
-    Ok(Some(svc))
-}
-
-/// Identity string of a job's service workload, folded into the cache
-/// CRC: `SimConfig::fingerprint` does not cover the arrival spec or the
-/// SLO target, and cached cells store violation counts, so jobs that
-/// differ in either must never share cells.
-fn service_identity(job: &JobSpec) -> Option<String> {
-    job.arrivals.as_ref().map(|spec| match job.slo_p99_ms {
-        Some(slo) => format!("svc|{spec}|slo={slo}"),
-        None => format!("svc|{spec}|slo=none"),
-    })
-}
-
 impl SimulatorBackend {
     fn resolve(&self, job: &JobSpec) -> Result<(Mix, SimConfig), (ErrorCode, String)> {
         let mix = Mix::by_name(&job.mix).map_err(|e| (ErrorCode::UnknownMix, e.to_string()))?;
-        let cfg = SimConfig::for_job(job);
+        let cfg = SimConfig::for_job(job)
+            .map_err(|e| (ErrorCode::BadRequest, format!("arrivals: {e}")))?;
         cfg.system
             .validate()
             .map_err(|e| (ErrorCode::InvalidConfig, e.to_string()))?;
@@ -112,9 +78,6 @@ impl SweepBackend for SimulatorBackend {
 
     fn plan(&self, job: &JobSpec) -> Result<JobPlan, (ErrorCode, String)> {
         let (mix, cfg) = self.resolve(job)?;
-        // Reject malformed arrival specs before admission, like every
-        // other shape defect.
-        service_config(job)?;
         let cells: Vec<String> = if job.policies.is_empty() {
             default_grid(job.generation)
                 .iter()
@@ -139,24 +102,19 @@ impl SweepBackend for SimulatorBackend {
                 })
                 .collect::<Result<_, _>>()?
         };
-        // Input identity: trace bytes for replay jobs; the canonical mix
-        // name for live-recorded jobs (the fingerprint already pins seed,
-        // duration and hardware, so regeneration is deterministic).
-        let base_crc = match &job.trace {
-            Some(path) => {
-                let bytes = std::fs::read(path)
-                    .map_err(|e| (ErrorCode::Trace, format!("cannot read trace {path}: {e}")))?;
-                crc32(&bytes)
-            }
-            None => crc32(mix.name.as_bytes()),
-        };
-        let trace_crc = match service_identity(job) {
-            Some(id) => crc32(format!("{base_crc:08x}|{id}").as_bytes()),
-            None => base_crc,
-        };
+        // Input identity: the canonical mix name, then the trace file's
+        // bytes for a replay job. A live job's input is the mix alone: the
+        // fingerprint pins seed, duration, hardware and workload, so
+        // regeneration is deterministic.
+        let mut input = mix.name.as_bytes().to_vec();
+        if let Some(path) = &job.trace {
+            File::open(path)
+                .and_then(|mut file| file.read_to_end(&mut input))
+                .map_err(|e| (ErrorCode::Trace, format!("cannot read trace {path}: {e}")))?;
+        }
         Ok(JobPlan {
             fingerprint: cfg.fingerprint(),
-            trace_crc,
+            trace_crc: crc32(&input),
             cells,
         })
     }
@@ -164,7 +122,6 @@ impl SweepBackend for SimulatorBackend {
     fn calibrate(&self, job: &JobSpec) -> Result<ServeBaseline, (ErrorCode, String)> {
         let (mix, cfg) = self.resolve(job)?;
         let sim_err = |e: SimError| (sim_error_code(&e), e.to_string());
-        let svc = service_config(job)?;
         let (exp, trace) = match &job.trace {
             Some(path) => {
                 let trace = ReplayTrace::open(Path::new(path))
@@ -173,30 +130,19 @@ impl SweepBackend for SimulatorBackend {
                 (exp, trace)
             }
             None => {
-                // The recording baseline is the calibrated experiment. An
-                // open-loop job records its policy-independent service
-                // stream under Baseline, the fastest consumer, whose prefix
-                // bounds every cell; a batch job records with the grid's
-                // slowest static point so every cell replays within margin
-                // (same rationale as `record_and_sweep`).
-                let (exp, header, streams) = match &svc {
-                    Some(svc) => record_service_calibrated(&mix, &cfg, svc, job.margin_pct),
-                    None => record_calibrated(
-                        &mix,
-                        &cfg,
-                        &[PolicyKind::Static(MemFreq::MIN)],
-                        job.margin_pct,
-                    ),
-                }
-                .map_err(sim_err)?;
+                // The recording baseline is the calibrated experiment. A
+                // batch job also records the grid's slowest static point so
+                // every cell replays within margin; a service job's
+                // Baseline run already bounds every cell (see
+                // `record_calibrated`).
+                let slowest = [PolicyKind::Static(MemFreq::MIN)];
+                let extra: &[PolicyKind] = if cfg.service.is_some() { &[] } else { &slowest };
+                let (exp, header, streams) =
+                    record_calibrated(&mix, &cfg, extra, job.margin_pct).map_err(sim_err)?;
                 (exp, ReplayTrace::from_streams(header, streams))
             }
         };
-        Ok(ServeBaseline {
-            exp,
-            trace,
-            service: svc.map(|svc| ServiceContext { mix, cfg, svc }),
-        })
+        Ok(ServeBaseline { exp, trace })
     }
 
     /// Serializes a baseline as `varint(job JSON length) | job JSON | trace
@@ -218,8 +164,9 @@ impl SweepBackend for SimulatorBackend {
     /// parse the embedded job, read the trace (CRC-checked by the trace
     /// format), and recalibrate by replay — which is deterministic given the
     /// same configuration and trace, so a recovered baseline behaves exactly
-    /// like the one that was persisted. Any defect yields `None` (the
-    /// server counts it as a corrupt record and recalibrates from scratch).
+    /// like the one that was persisted. Any defect, a trace recorded under
+    /// another run description included, yields `None` (the server counts
+    /// it as a corrupt record and recalibrates from scratch).
     fn decode_baseline(&self, bytes: &[u8]) -> Option<ServeBaseline> {
         let mut pos = 0usize;
         let json_len = usize::try_from(read_varint(bytes, &mut pos).ok()?).ok()?;
@@ -228,14 +175,7 @@ impl SweepBackend for SimulatorBackend {
         let trace = TraceReader::new(bytes.get(pos + json_len..)?).read().ok()?;
         let (mix, cfg) = self.resolve(&job).ok()?;
         let exp = Experiment::calibrate_replay(&mix, &cfg, &trace).ok()?;
-        let service = service_config(&job)
-            .ok()?
-            .map(|svc| ServiceContext { mix, cfg, svc });
-        Some(ServeBaseline {
-            exp,
-            trace,
-            service,
-        })
+        Some(ServeBaseline { exp, trace })
     }
 
     fn run_cell(
@@ -246,50 +186,25 @@ impl SweepBackend for SimulatorBackend {
     ) -> Result<CellMetrics, CellFailure> {
         let policy =
             PolicyKind::parse(label).map_err(|e| CellFailure::new(ErrorCode::UnknownPolicy, e))?;
-        if let Some(ctx) = &baseline.service {
-            // Open-loop cell: fixed-duration service replay judged on the
-            // request-latency distribution. Savings compare memory energy
-            // against the Baseline service run; the fixed-work CPI
-            // comparison does not apply to fixed-duration runs, so the
-            // CPI-increase fields stay zero.
-            let run = run_service_policy_replay_cancellable(
-                &ctx.mix,
-                policy,
-                &ctx.cfg,
-                &ctx.svc,
-                &baseline.trace,
-                cancel,
-            )
-            .map_err(|e| CellFailure::new(sim_error_code(&e), e.to_string()))?;
-            let stats = run.requests.unwrap_or_default();
-            let baseline_memory_j = baseline.exp.baseline().energy.memory_total_j();
-            let savings = if baseline_memory_j > 0.0 {
-                1.0 - run.energy.memory_total_j() / baseline_memory_j
-            } else {
-                0.0
-            };
-            return Ok(CellMetrics {
-                memory_savings: savings,
-                system_savings: savings,
-                cpi_increase_avg: 0.0,
-                cpi_increase_max: 0.0,
-                mean_frequency_mhz: run.mean_frequency_mhz(),
-                p99_ms: Some(stats.p99_ms),
-                slo_violations: Some(stats.slo_violations),
-            });
-        }
         let (run, cmp) = baseline
             .exp
             .evaluate_replay_cancellable(policy, &baseline.trace, cancel)
             .map_err(|e| CellFailure::new(sim_error_code(&e), e.to_string()))?;
+        // A service run reports its requests. It lasts the baseline's
+        // duration, so its CPI increase reads 0, and only its memory
+        // savings compare (see `crate::harness`).
+        let requests = run.requests;
         Ok(CellMetrics {
             memory_savings: cmp.memory_savings,
-            system_savings: cmp.system_savings,
+            system_savings: match requests {
+                Some(_) => cmp.memory_savings,
+                None => cmp.system_savings,
+            },
             cpi_increase_avg: cmp.avg_cpi_increase(),
             cpi_increase_max: cmp.max_cpi_increase(),
             mean_frequency_mhz: run.mean_frequency_mhz(),
-            p99_ms: None,
-            slo_violations: None,
+            p99_ms: requests.map(|s| s.p99_ms),
+            slo_violations: requests.map(|s| s.slo_violations),
         })
     }
 }
@@ -477,12 +392,39 @@ mod tests {
         job.slo_p99_ms = Some(5.0);
         let svc2 = SimulatorBackend.plan(&job).expect("service+slo plan");
         // Cached cells must never cross the batch/service boundary or an
-        // SLO-target change (violation counts depend on the target).
-        assert_ne!(plain.trace_crc, svc1.trace_crc);
-        assert_ne!(svc1.trace_crc, svc2.trace_crc);
-        // The hardware fingerprint is identical: only the input identity
-        // differs.
-        assert_eq!(plain.fingerprint, svc1.fingerprint);
+        // SLO-target change (violation counts depend on the target): the
+        // fingerprint covers the workload.
+        assert_ne!(plain.fingerprint, svc1.fingerprint);
+        assert_ne!(svc1.fingerprint, svc2.fingerprint);
+        // The input is the same live mix in all three.
+        assert_eq!(plain.trace_crc, svc1.trace_crc);
+        assert_eq!(svc1.trace_crc, svc2.trace_crc);
+    }
+
+    #[test]
+    fn a_trace_job_input_covers_the_mix() {
+        let path = std::env::temp_dir().join(format!("memscale_plan_{}.trace", std::process::id()));
+        std::fs::write(
+            &path,
+            b"any bytes: plan reads the file, calibration parses it",
+        )
+        .unwrap();
+        let mut job = tiny_job();
+        job.trace = Some(path.display().to_string());
+        let mid1 = SimulatorBackend.plan(&job).expect("MID1 plan");
+        job.mix = "MID2".into();
+        let mid2 = SimulatorBackend.plan(&job).expect("MID2 plan");
+        std::fs::remove_file(&path).ok();
+        // The same file under two mixes: two inputs, so a MID2 job never
+        // answers from a MID1 job's cells.
+        assert_ne!(mid1.trace_crc, mid2.trace_crc);
+        assert_eq!(mid1.fingerprint, mid2.fingerprint);
+        // A live job's input is its mix name alone.
+        job.trace = None;
+        assert_eq!(
+            SimulatorBackend.plan(&job).unwrap().trace_crc,
+            crc32(b"MID2")
+        );
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //!
 //! [`Arc`]: std::sync::Arc
 
-use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::harness::{Comparison, Experiment};
 use crate::result::RunResult;
@@ -100,27 +99,4 @@ pub fn replay_sequential(
         .iter()
         .map(|s| (s.clone(), exp.evaluate_replay(s.policy, trace)))
         .collect()
-}
-
-/// Records `mix` under `cfg` (via [`crate::harness::record_calibrated`]
-/// with the grid's slowest static point included, so every shard replays
-/// within margin), then sweeps `shards` in parallel against the recording
-/// baseline. Convenience entry point for the bench harness and examples.
-///
-/// # Errors
-///
-/// Propagates recording/calibration errors; per-shard errors are reported
-/// inside the returned vector.
-pub fn record_and_sweep(
-    mix: &memscale_workloads::Mix,
-    cfg: &SimConfig,
-    shards: &[ShardSpec],
-    margin_pct: usize,
-) -> Result<(Experiment, Vec<ShardResult>), SimError> {
-    let slowest = PolicyKind::Static(MemFreq::MIN);
-    let (exp, header, streams) =
-        crate::harness::record_calibrated(mix, cfg, &[slowest], margin_pct)?;
-    let trace = ReplayTrace::from_streams(header, streams);
-    let results = replay_sharded(&exp, &trace, shards);
-    Ok((exp, results))
 }

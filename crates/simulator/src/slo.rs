@@ -10,31 +10,36 @@
 //! because arrivals keep coming at the offered rate regardless of how fast
 //! the policy drains them.
 //!
+//! The workload is part of the run description
+//! ([`SimConfig::service`]): a configuration that carries one runs its
+//! request stream through every entry point — live, recorded, replayed,
+//! served — and its fingerprint covers the workload, so a trace replays
+//! only under the workload it was recorded with.
+//!
 //! The service traffic is a pure function of `(arrival spec, seed, request
 //! model)` — it never consults the policy — so one recording under the
 //! Baseline (the fastest consumer, which pulls the longest event prefix in
 //! a fixed-duration run) replays bit-exactly under every policy through
-//! `memscale-trace`, exactly like the batch traces.
+//! `memscale-trace`, exactly like the batch traces:
+//! [`crate::harness::record_calibrated`] with no extra policies records it.
 
 use crate::config::SimConfig;
-use crate::engine::Simulation;
+use crate::engine::{live_sources, Simulation};
 use crate::error::SimError;
-use crate::harness::{check_trace, trace_header, Experiment};
+use crate::harness::check_trace;
 use crate::result::RunResult;
 use crate::shard::ShardSpec;
-use memscale::policies::PolicyKind;
 use memscale_arrivals::{ArrivalSpec, RequestModel, RequestSource, RequestTracker};
-use memscale_trace::{MissTape, ReplayTrace, TraceHeader};
+use memscale_trace::ReplayTrace;
 use memscale_types::json::Json;
 use memscale_types::requests::{RequestStats, SloSpec};
 use memscale_types::time::Picos;
-use memscale_types::CancelToken;
-use memscale_workloads::{spec, MissEvent, MissSource, Mix};
+use memscale_workloads::{spec, MissSource, Mix};
 use rayon::prelude::*;
 
 /// The service workload of an SLO evaluation: who arrives, how much work
 /// each request carries, and the latency objective to judge against.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
     /// Arrival process of the open-loop request stream.
     pub arrivals: ArrivalSpec,
@@ -72,7 +77,7 @@ impl ServiceConfig {
 ///
 /// Panics if the mix names an unknown application (impossible for the
 /// Table 1 mixes).
-pub fn request_sources(
+pub(crate) fn request_sources(
     mix: &Mix,
     cfg: &SimConfig,
     svc: &ServiceConfig,
@@ -99,7 +104,7 @@ pub fn request_sources(
 /// The request tracker matching [`request_sources`] under `cfg`: same
 /// arrival substream, same burst size, tracking every request scheduled
 /// within the run horizon.
-pub fn request_tracker(cfg: &SimConfig, svc: &ServiceConfig) -> RequestTracker {
+pub(crate) fn request_tracker(cfg: &SimConfig, svc: &ServiceConfig) -> RequestTracker {
     RequestTracker::new(
         &svc.arrivals,
         cfg.seed,
@@ -108,110 +113,6 @@ pub fn request_tracker(cfg: &SimConfig, svc: &ServiceConfig) -> RequestTracker {
         svc.model.misses_per_core,
         svc.slo,
     )
-}
-
-/// Runs the service workload under `policy` for `cfg.duration` with live
-/// request sources and returns the result (carrying
-/// [`RunResult::requests`]).
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from building or running the simulation.
-pub fn run_service_policy(
-    mix: &Mix,
-    policy: PolicyKind,
-    cfg: &SimConfig,
-    svc: &ServiceConfig,
-) -> Result<RunResult, SimError> {
-    let mut sim = Simulation::with_sources(mix, policy, cfg, request_sources(mix, cfg, svc))?;
-    sim.set_request_tracker(request_tracker(cfg, svc));
-    sim.run_for(cfg.duration, 0.0)
-}
-
-/// Like [`run_service_policy`], but the miss events replay from a recorded
-/// service trace ([`record_service_trace`]). Replaying at the recording
-/// seed/configuration reproduces the live run bit-identically.
-///
-/// # Errors
-///
-/// [`SimError::Trace`] for a trace from a different configuration,
-/// [`SimError::TraceExhausted`] when the recording margin is too small for
-/// this policy, plus the errors of [`run_service_policy`].
-pub fn run_service_policy_replay(
-    mix: &Mix,
-    policy: PolicyKind,
-    cfg: &SimConfig,
-    svc: &ServiceConfig,
-    trace: &ReplayTrace,
-) -> Result<RunResult, SimError> {
-    run_service_policy_replay_cancellable(mix, policy, cfg, svc, trace, &CancelToken::new())
-}
-
-/// Like [`run_service_policy_replay`], with cooperative cancellation
-/// checked at epoch boundaries — the serving layer's deadline/drain path.
-///
-/// # Errors
-///
-/// The errors of [`run_service_policy_replay`], plus
-/// [`SimError::Cancelled`] when `cancel` fires mid-run.
-pub fn run_service_policy_replay_cancellable(
-    mix: &Mix,
-    policy: PolicyKind,
-    cfg: &SimConfig,
-    svc: &ServiceConfig,
-    trace: &ReplayTrace,
-    cancel: &CancelToken,
-) -> Result<RunResult, SimError> {
-    check_trace(mix, cfg, trace)?;
-    let mut sim = Simulation::with_sources(mix, policy, cfg, trace.streams())?;
-    sim.set_cancel_token(cancel.clone());
-    sim.set_request_tracker(request_tracker(cfg, svc));
-    sim.run_for(cfg.duration, 0.0)
-}
-
-/// Records a replayable trace of the service workload, and hands back the
-/// recording run as the calibrated Baseline [`Experiment`].
-///
-/// One Baseline run reads a [`MissTape`] over the live request sources: in
-/// a fixed-duration open-loop run the *fastest* policy consumes the most
-/// events, and Baseline (always at maximum frequency) is the fastest, so
-/// its prefix bounds every other policy's consumption. The tape then draws
-/// `margin_pct` percent more continuation events per core (64-event
-/// floor), mirroring [`crate::harness::record_calibrated`].
-///
-/// The experiment's baseline is the Baseline service run: its memory energy
-/// is the savings denominator of every service cell, and equals that of
-/// [`run_service_policy_replay`] under [`PolicyKind::Baseline`] (the
-/// request tracker only observes a run).
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the recording run.
-pub fn record_service_calibrated(
-    mix: &Mix,
-    cfg: &SimConfig,
-    svc: &ServiceConfig,
-    margin_pct: usize,
-) -> Result<(Experiment, TraceHeader, Vec<Vec<MissEvent>>), SimError> {
-    let tape = MissTape::new(request_sources(mix, cfg, svc));
-    let exp = Experiment::calibrate_sources(mix, cfg, tape.cursors())?;
-    Ok((exp, trace_header(mix, cfg), tape.finish(margin_pct)))
-}
-
-/// [`record_service_calibrated`] without the experiment: the header and
-/// per-core streams of a replayable service trace.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the recording run.
-pub fn record_service_trace(
-    mix: &Mix,
-    cfg: &SimConfig,
-    svc: &ServiceConfig,
-    margin_pct: usize,
-) -> Result<(TraceHeader, Vec<Vec<MissEvent>>), SimError> {
-    let (_, header, streams) = record_service_calibrated(mix, cfg, svc, margin_pct)?;
-    Ok((header, streams))
 }
 
 /// One policy's verdict in an SLO sweep.
@@ -331,44 +232,42 @@ fn report_of(
     }
 }
 
-/// Runs the service workload under every shard in parallel (live sources)
-/// and judges each against the SLO. Shard order is preserved.
+/// Runs `cfg`'s service workload under every shard in parallel and judges
+/// each against the SLO. Every shard replays `trace` when one is given
+/// (checked once against `mix` and `cfg` before any shard runs), and
+/// regenerates the request stream live otherwise. Shard order is
+/// preserved.
 ///
 /// # Errors
 ///
-/// Propagates the first shard's [`SimError`], if any — live open-loop runs
-/// only fail on configuration errors, which affect every shard alike.
+/// [`SimError::Trace`] for a trace recorded under another run
+/// description, workload included; otherwise the first shard's
+/// [`SimError`], if any — open-loop runs only fail on configuration
+/// errors (which affect every shard alike) or on a trace too short for
+/// the run ([`SimError::TraceExhausted`]).
+///
+/// # Panics
+///
+/// Panics if `cfg` carries no service workload.
 pub fn run_slo_sweep(
     mix: &Mix,
     cfg: &SimConfig,
-    svc: &ServiceConfig,
     shards: &[ShardSpec],
+    trace: Option<&ReplayTrace>,
 ) -> Result<SloReport, SimError> {
-    let outcomes: Result<Vec<_>, SimError> = shards
-        .par_iter()
-        .map(|s| run_service_policy(mix, s.policy, cfg, svc).map(|run| outcome_of(s, &run, svc)))
-        .collect();
-    Ok(report_of(mix, cfg, svc, outcomes?))
-}
-
-/// Like [`run_slo_sweep`], but every shard replays the identical recorded
-/// service trace instead of regenerating it live.
-///
-/// # Errors
-///
-/// The errors of [`run_service_policy_replay`].
-pub fn run_slo_sweep_replay(
-    mix: &Mix,
-    cfg: &SimConfig,
-    svc: &ServiceConfig,
-    shards: &[ShardSpec],
-    trace: &ReplayTrace,
-) -> Result<SloReport, SimError> {
+    if let Some(trace) = trace {
+        check_trace(mix, cfg, trace)?;
+    }
+    let svc = cfg
+        .service
+        .as_ref()
+        .expect("an SLO sweep needs a service workload");
     let outcomes: Result<Vec<_>, SimError> = shards
         .par_iter()
         .map(|s| {
-            run_service_policy_replay(mix, s.policy, cfg, svc, trace)
-                .map(|run| outcome_of(s, &run, svc))
+            let sources = trace.map_or_else(|| live_sources(mix, cfg), ReplayTrace::streams);
+            let sim = Simulation::with_sources(mix, s.policy, cfg, sources)?;
+            Ok(outcome_of(s, &sim.run_for(cfg.duration, 0.0)?, svc))
         })
         .collect();
     Ok(report_of(mix, cfg, svc, outcomes?))
@@ -377,24 +276,25 @@ pub fn run_slo_sweep_replay(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::record_trace;
+    use memscale::policies::PolicyKind;
 
-    fn quick_cfg() -> SimConfig {
-        let mut cfg = SimConfig::quick();
+    /// A 4-core, 4 ms run of `rate` arrivals under a 2 ms p99 objective.
+    fn quick_cfg(rate: &str) -> SimConfig {
+        let mut cfg = SimConfig::quick().with_service(
+            ServiceConfig::new(ArrivalSpec::parse(rate).unwrap()).with_slo(SloSpec::p99(2.0)),
+        );
         cfg.system.cpu.cores = 4;
         cfg.duration = Picos::from_ms(4);
         cfg
     }
 
-    fn svc(rate: &str) -> ServiceConfig {
-        ServiceConfig::new(ArrivalSpec::parse(rate).unwrap()).with_slo(SloSpec::p99(2.0))
-    }
-
     #[test]
     fn service_run_attaches_request_stats() {
         let mix = Mix::by_name("MID1").unwrap();
-        let cfg = quick_cfg();
-        let run =
-            run_service_policy(&mix, PolicyKind::Baseline, &cfg, &svc("poisson:2000")).unwrap();
+        let cfg = quick_cfg("poisson:2000");
+        let sim = Simulation::new(&mix, PolicyKind::Baseline, &cfg).unwrap();
+        let run = sim.run_for(cfg.duration, 0.0).unwrap();
         let stats = run.requests.expect("tracker installed");
         assert!(stats.submitted > 0, "no requests submitted");
         assert!(stats.completed > 0, "no requests completed");
@@ -405,47 +305,44 @@ mod tests {
     #[test]
     fn same_seed_sweeps_are_byte_identical() {
         let mix = Mix::by_name("MID1").unwrap();
-        let cfg = quick_cfg();
+        let cfg = quick_cfg("diurnal:1x1000,1x3000");
         let shards = [
             ShardSpec::of(PolicyKind::Baseline),
             ShardSpec::of(PolicyKind::MemScale),
         ];
-        let s = svc("diurnal:1x1000,1x3000");
-        let a = run_slo_sweep(&mix, &cfg, &s, &shards).unwrap();
-        let b = run_slo_sweep(&mix, &cfg, &s, &shards).unwrap();
+        let a = run_slo_sweep(&mix, &cfg, &shards, None).unwrap();
+        let b = run_slo_sweep(&mix, &cfg, &shards, None).unwrap();
         assert_eq!(a.to_json(), b.to_json());
     }
 
     #[test]
     fn replayed_sweep_matches_live_sweep_bit_exactly() {
         let mix = Mix::by_name("MID1").unwrap();
-        let cfg = quick_cfg();
-        let s = svc("poisson:1500");
+        let cfg = quick_cfg("poisson:1500");
         let shards = [
             ShardSpec::of(PolicyKind::Baseline),
             ShardSpec::of(PolicyKind::MemScale),
         ];
-        let live = run_slo_sweep(&mix, &cfg, &s, &shards).unwrap();
-        let (header, streams) = record_service_trace(&mix, &cfg, &s, 50).unwrap();
+        let live = run_slo_sweep(&mix, &cfg, &shards, None).unwrap();
+        let (header, streams) = record_trace(&mix, &cfg, &[], 50).unwrap();
         let trace = ReplayTrace::from_streams(header, streams);
-        let replayed = run_slo_sweep_replay(&mix, &cfg, &s, &shards, &trace).unwrap();
+        let replayed = run_slo_sweep(&mix, &cfg, &shards, Some(&trace)).unwrap();
         assert_eq!(live.to_json(), replayed.to_json());
     }
 
     #[test]
     fn overload_breaches_and_underload_does_not() {
         let mix = Mix::by_name("MID1").unwrap();
-        let cfg = quick_cfg();
         let shards = [ShardSpec::of(PolicyKind::Baseline)];
         // Sparse traffic finishes well inside a generous bound.
-        let light = ServiceConfig::new(ArrivalSpec::parse("poisson:300").unwrap())
-            .with_slo(SloSpec::p99(3.0));
-        let ok = run_slo_sweep(&mix, &cfg, &light, &shards).unwrap();
+        let mut light = quick_cfg("poisson:300");
+        light.service.as_mut().unwrap().slo = Some(SloSpec::p99(3.0));
+        let ok = run_slo_sweep(&mix, &light, &shards, None).unwrap();
         assert!(!ok.any_breach(), "light load breached: {}", ok.to_json());
         // Saturating traffic cannot hold a tight bound: the backlog grows.
-        let heavy = ServiceConfig::new(ArrivalSpec::parse("poisson:20000").unwrap())
-            .with_slo(SloSpec::p99(0.5));
-        let bad = run_slo_sweep(&mix, &cfg, &heavy, &shards).unwrap();
+        let mut heavy = quick_cfg("poisson:20000");
+        heavy.service.as_mut().unwrap().slo = Some(SloSpec::p99(0.5));
+        let bad = run_slo_sweep(&mix, &heavy, &shards, None).unwrap();
         assert!(bad.any_breach(), "overload did not breach");
     }
 

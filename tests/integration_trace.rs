@@ -48,11 +48,14 @@ fn encoded_crc(header: &TraceHeader, streams: &[Vec<MissEvent>]) -> u32 {
 #[test]
 fn replay_is_bit_identical_on_every_generation() {
     // The CRC of each recording's encoded bytes: the golden fixture pins
-    // the encoder, these pin what recording feeds it.
-    for (generation, expected_crc) in [
-        (MemGeneration::Ddr3, 0xb7d6_bd2c_u32),
-        (MemGeneration::Ddr4, 0x1626_d237),
-        (MemGeneration::Lpddr3, 0x7f3a_acb0),
+    // the encoder, these pin what recording feeds it. The file starts
+    // with the header followed by the header's own CRC-32, so the
+    // whole-file CRC cannot see a header byte: the config hash, the
+    // header field that ties a trace to its run, is pinned beside it.
+    for (generation, expected_crc, expected_hash) in [
+        (MemGeneration::Ddr3, 0xb7d6_bd2c_u32, 0x5d39_9a51_0abb_cc31),
+        (MemGeneration::Ddr4, 0x1626_d237, 0xa7ea_ab48_214f_bbcb),
+        (MemGeneration::Lpddr3, 0x7f3a_acb0, 0xab07_080b_7fc6_7130),
     ] {
         let cfg = SimConfig::quick().with_generation(generation);
         let mix = Mix::by_name("MID1").unwrap();
@@ -60,6 +63,11 @@ fn replay_is_bit_identical_on_every_generation() {
             record_calibrated(&mix, &cfg, &[PolicyKind::Static(MemFreq::MIN)], 50).unwrap();
         let crc = encoded_crc(&header, &streams);
         assert_eq!(crc, expected_crc, "{generation}: recording CRC {crc:#010x}");
+        let hash = header.config_hash;
+        assert_eq!(
+            hash, expected_hash,
+            "{generation}: config hash {hash:#018x}"
+        );
         let trace = ReplayTrace::from_streams(header, streams);
 
         let live = Experiment::calibrate(&mix, &cfg).unwrap();
