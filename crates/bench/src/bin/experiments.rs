@@ -1,54 +1,103 @@
-//! Runs the complete experiment suite and regenerates `EXPERIMENTS.md`.
+//! Regenerates the paper's tables and figures.
 //!
-//! Usage: `cargo run --release -p memscale-bench --bin experiments [out.md]`
+//! Usage: `cargo run --release -p memscale-bench --bin experiments [NAME…]`
+//!
+//! With no names, runs every experiment and regenerates `EXPERIMENTS.md`.
+//! With names (`table1`, `fig5`, `slo_diurnal`, …), prints only those
+//! tables to stdout.
 
-use memscale_bench::exp;
+use memscale_bench::exp::{self, HeadlineDataset, PolicyDataset};
 use memscale_bench::Table;
+use std::cell::OnceCell;
 use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::time::Instant;
 
-fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "EXPERIMENTS.md".to_string());
+/// The datasets several experiments share, each built on first use.
+#[derive(Default)]
+struct Datasets {
+    headline: OnceCell<HeadlineDataset>,
+    policies: OnceCell<PolicyDataset>,
+}
+
+impl Datasets {
+    fn headline(&self) -> &HeadlineDataset {
+        self.headline.get_or_init(exp::headline_dataset)
+    }
+
+    fn policies(&self) -> &PolicyDataset {
+        self.policies.get_or_init(exp::policy_dataset)
+    }
+}
+
+/// Builds one experiment's table.
+type Stage = fn(&Datasets) -> Table;
+
+/// Every experiment, in the order `EXPERIMENTS.md` lists them.
+const STAGES: &[(&str, Stage)] = &[
+    ("table1", |_| exp::table1()),
+    ("table2", |_| exp::table2()),
+    ("fig2", |_| exp::fig2()),
+    ("fig5", |d| exp::fig5(d.headline())),
+    ("fig6", |d| exp::fig6(d.headline())),
+    ("fig7", |_| exp::fig7()),
+    ("fig8", |_| exp::fig8()),
+    ("fig9", |d| exp::fig9(d.policies())),
+    ("fig10", |d| exp::fig10(d.policies())),
+    ("fig11", |d| exp::fig11(d.policies())),
+    ("fig12", |_| exp::fig12()),
+    ("fig13", |_| exp::fig13()),
+    ("fig14", |_| exp::fig14()),
+    ("fig15", |_| exp::fig15()),
+    ("sens_epoch", |_| exp::sens_epoch()),
+    ("sens_cores", |_| exp::sens_cores()),
+    ("ext_per_channel", |_| exp::ext_per_channel()),
+    ("generations", |_| exp::generations()),
+    ("fault_sweep", |_| exp::fault_sweep()),
+    ("ablation_row_policy", |_| exp::ablation_row_policy()),
+    ("ablation_slack", |_| exp::ablation_slack()),
+    ("slo_diurnal", |_| exp::slo_diurnal()),
+];
+
+fn main() -> ExitCode {
+    let mut stages = Vec::new();
+    for name in std::env::args().skip(1) {
+        let Some(stage) = STAGES.iter().find(|(stage, _)| *stage == name) else {
+            let names: Vec<&str> = STAGES.iter().map(|(stage, _)| *stage).collect();
+            eprintln!(
+                "error: unknown experiment {name}\n\
+                 usage: experiments [NAME...]\n\
+                 names: {}",
+                names.join(" ")
+            );
+            return ExitCode::from(2);
+        };
+        stages.push(stage);
+    }
+    let all = stages.is_empty();
+    if all {
+        stages.extend(STAGES);
+    }
+
     let started = Instant::now();
-    let mut tables: Vec<Table> = Vec::new();
+    let datasets = Datasets::default();
+    let tables: Vec<Table> = stages
+        .into_iter()
+        .map(|(name, run)| {
+            let t = run(&datasets);
+            eprintln!("[{:>7.1?}] {name} done", started.elapsed());
+            println!("{}", t.to_markdown());
+            t
+        })
+        .collect();
+    if all {
+        write_report(&tables, started);
+    }
+    ExitCode::SUCCESS
+}
 
-    let mut stage = |name: &str, t: Table| {
-        eprintln!("[{:>7.1?}] {name} done", started.elapsed());
-        println!("{}", t.to_markdown());
-        tables.push(t);
-    };
-
-    stage("table1", exp::table1());
-    stage("table2", exp::table2());
-    stage("fig2", exp::fig2());
-
-    let headline = exp::headline_dataset();
-    stage("fig5", exp::fig5(&headline));
-    stage("fig6", exp::fig6(&headline));
-
-    stage("fig7", exp::fig7());
-    stage("fig8", exp::fig8());
-
-    let policies = exp::policy_dataset();
-    stage("fig9", exp::fig9(&policies));
-    stage("fig10", exp::fig10(&policies));
-    stage("fig11", exp::fig11(&policies));
-
-    stage("fig12", exp::fig12());
-    stage("fig13", exp::fig13());
-    stage("fig14", exp::fig14());
-    stage("fig15", exp::fig15());
-    stage("sens_epoch", exp::sens_epoch());
-    stage("sens_cores", exp::sens_cores());
-    stage("ext_per_channel", exp::ext_per_channel());
-    stage("generations", exp::generations());
-    stage("fault_sweep", exp::fault_sweep());
-    stage("ablation_row_policy", exp::ablation_row_policy());
-    stage("ablation_slack", exp::ablation_slack());
-    stage("slo_diurnal", exp::slo_diurnal());
-
+/// Writes every table to `EXPERIMENTS.md`, under a pass/miss summary.
+fn write_report(tables: &[Table], started: Instant) {
     let mut md = String::new();
     let _ = writeln!(md, "# MemScale — Reproduced Experiments\n");
     let _ = writeln!(
@@ -69,7 +118,7 @@ fn main() {
         "**Shape summary: {passes}/{} artifacts pass all their checks.**\n",
         tables.len()
     );
-    for t in &tables {
+    for t in tables {
         let _ = writeln!(md, "{}", t.to_markdown());
     }
     let _ = writeln!(
@@ -77,9 +126,9 @@ fn main() {
         "_Total generation time: {:.1} s (single-threaded)._",
         started.elapsed().as_secs_f64()
     );
-    std::fs::write(&out_path, md).expect("write EXPERIMENTS.md");
+    std::fs::write("EXPERIMENTS.md", md).expect("write EXPERIMENTS.md");
     eprintln!(
-        "wrote {out_path} ({passes}/{} artifacts pass)",
+        "wrote EXPERIMENTS.md ({passes}/{} artifacts pass)",
         tables.len()
     );
 }

@@ -4,12 +4,12 @@
 //! Each `fig*`/`table*`/`sens*` function in [`exp`] reproduces one artifact
 //! of the paper's evaluation and returns a [`report::Table`] with the same
 //! rows/series the paper plots, annotated with the paper's qualitative
-//! expectations. Binaries under `src/bin/` print individual artifacts; the
-//! `experiments` binary runs the full set and regenerates `EXPERIMENTS.md`.
+//! expectations. The `experiments` binary prints the artifacts it is named
+//! and, named none, runs the full set and regenerates `EXPERIMENTS.md`.
 
 #![forbid(unsafe_code)]
 
 pub mod exp;
 pub mod report;
 
-pub use report::{BenchArtifact, Table};
+pub use report::Table;

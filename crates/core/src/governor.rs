@@ -62,7 +62,7 @@ impl Default for GovernorConfig {
 
 /// Per-frequency diagnostic: (dilation vs max freq, predicted memory W,
 /// SER score); `None` when slack rules the frequency out.
-pub type CandidateScore = Option<(f64, f64, f64)>;
+type CandidateScore = Option<(f64, f64, f64)>;
 
 /// Outcome of the governor's plausibility check on one [`EpochProfile`]
 /// (the clamp → last-good → `f_max` degradation ladder's first rung).
@@ -510,17 +510,6 @@ impl MemScaleGovernor {
             self.force_max = self.force_max.max(1);
         }
         self.predicted_dilation = None;
-    }
-
-    /// Per-candidate diagnostics from one decision pass: predicted mean
-    /// dilation versus max frequency, predicted memory power, and the SER
-    /// numerator score (`None` when slack rules the frequency out).
-    pub fn explain(&mut self, profile: &EpochProfile) -> Vec<(MemFreq, CandidateScore)> {
-        self.ensure_slack(profile.apps.len());
-        MemFreq::ALL
-            .iter()
-            .map(|&f| (f, self.score(profile, f)))
-            .collect()
     }
 
     fn score(&self, raw_profile: &EpochProfile, f: MemFreq) -> CandidateScore {

@@ -107,18 +107,6 @@ impl MemoryController {
         &self.counters
     }
 
-    /// The address map in use.
-    #[inline]
-    pub fn address_map(&self) -> &AddressMap {
-        &self.map
-    }
-
-    /// Number of channels.
-    #[inline]
-    pub fn channel_count(&self) -> usize {
-        self.channels.len()
-    }
-
     /// Pending writebacks on `channel`.
     #[inline]
     pub fn pending_writebacks(&self, channel: ChannelId) -> usize {

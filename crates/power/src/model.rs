@@ -31,12 +31,6 @@ impl PowerModel {
         }
     }
 
-    /// The underlying DRAM-device calculator.
-    #[inline]
-    pub fn dram_calc(&self) -> &DramPowerCalc {
-        &self.calc
-    }
-
     /// Memory-controller power (W) at data-bus utilization `util` and
     /// operating point `freq`.
     ///

@@ -99,7 +99,6 @@ struct PoolShared {
     /// Signalled when a job leaves the queue (space for blocked producers).
     space: Condvar,
     capacity: usize,
-    executed: AtomicUsize,
 }
 
 /// A persistent pool of worker threads pulling jobs from a **bounded** FIFO
@@ -140,7 +139,6 @@ impl ThreadPool {
             work: Condvar::new(),
             space: Condvar::new(),
             capacity: queue_capacity.max(1),
-            executed: AtomicUsize::new(0),
         });
         let workers = (0..threads.max(1))
             .map(|_| {
@@ -151,12 +149,6 @@ impl ThreadPool {
         ThreadPool { shared, workers }
     }
 
-    /// A pool sized like the parallel iterators: [`current_num_threads`]
-    /// workers, queue capacity `queue_capacity`.
-    pub fn with_default_threads(queue_capacity: usize) -> Self {
-        ThreadPool::new(current_num_threads(), queue_capacity)
-    }
-
     /// Jobs currently waiting in the queue (excluding running jobs).
     pub fn queue_len(&self) -> usize {
         self.shared
@@ -165,11 +157,6 @@ impl ThreadPool {
             .expect("pool lock poisoned")
             .queue
             .len()
-    }
-
-    /// Total jobs that have finished executing since the pool was built.
-    pub fn jobs_executed(&self) -> usize {
-        self.shared.executed.load(Ordering::Relaxed)
     }
 
     /// Submits `job`, failing fast with [`QueueFull`] when the queue is at
@@ -286,10 +273,8 @@ fn worker_loop(shared: &PoolShared) {
             }
         };
         // A panicking job must not take its worker thread (and eventually
-        // the whole pool) down with it; the panic payload is dropped and
-        // the job still counts as executed.
+        // the whole pool) down with it; the panic payload is dropped.
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-        shared.executed.fetch_add(1, Ordering::Relaxed);
     }
 }
 

@@ -192,9 +192,6 @@ impl Cli {
         let arrivals = job.arrivals.as_deref().unwrap_or_default();
         let message = match self.command {
             Command::Record if self.out.is_none() => "record requires --out PATH",
-            Command::Record if job.trace.is_some() => {
-                "record captures from the live generator; --replay is not allowed"
-            }
             Command::Serve if self.addr.is_empty() => "serve requires --addr HOST:PORT",
             Command::Loadgen if self.fleet.addr.is_empty() => "loadgen requires --addr HOST:PORT",
             Command::Slo if arrivals.is_empty() => {
@@ -331,10 +328,12 @@ const RUN: &[Flag] = &[
     LIST,
 ];
 
-/// `record`: the run flags, plus where to write the trace and its margin.
+/// `record`: the run flags, less `--replay` (it records the live
+/// generator) and `--json` (it prints no report), plus where to write the
+/// trace and its margin.
 const RECORD: &[Flag] = &[
-    MIX, POLICY, GENERATION, DURATION, GAMMA, CORES, CHANNELS, EPOCH, SEED, FAULTS, REPLAY, OUT,
-    MARGIN, JSON, LIST,
+    MIX, POLICY, GENERATION, DURATION, GAMMA, CORES, CHANNELS, EPOCH, SEED, FAULTS, OUT, MARGIN,
+    LIST,
 ];
 
 /// `check`.
@@ -1273,10 +1272,11 @@ mod tests {
     /// The flags each subcommand accepts (the bare run command first):
     /// the ones it accepted before the tables replaced the hand-written
     /// loops, less the bare command's `--out` and `--margin`, which only
-    /// `record` reads.
+    /// `record` reads, and `record`'s `--json` and `--replay`, which it
+    /// never honoured.
     const ACCEPTED: [(&str, &str); 7] = [
         ("", "--mix --policy --generation --duration-ms --gamma --cores --channels --epoch-ms --seed --faults --replay --json --list"),
-        ("record", "--mix --policy --generation --duration-ms --gamma --cores --channels --epoch-ms --seed --faults --replay --out --margin --json --list"),
+        ("record", "--mix --policy --generation --duration-ms --gamma --cores --channels --epoch-ms --seed --faults --out --margin --list"),
         ("check", "--generation --report"),
         ("serve", "--addr --queue-depth --threads --cache-cap --cache-capacity --state-dir --cell-queue --default-deadline --cell-timeout --io-timeout --drain-timeout"),
         ("slo", "--arrivals --slo-p99-ms --policies --misses-per-request --request-gap --record --replay --out --mix --generation --duration-ms --seed --cores --channels --epoch-ms --margin"),
@@ -1382,7 +1382,8 @@ mod tests {
             ("loadgen --open-loop -1", "--open-loop must be a positive"),
             ("slo --slo-p99-ms nan", "--slo-p99-ms must be positive"),
             ("record", "record requires --out PATH"),
-            ("record --out t --replay r", "record captures from the live"),
+            ("record --out t --replay r", "unknown record flag --replay"),
+            ("record --out t --json", "unknown record flag --json"),
             ("serve", "serve requires --addr HOST:PORT"),
             ("loadgen", "loadgen requires --addr HOST:PORT"),
             ("slo", "slo requires --arrivals SPEC"),

@@ -298,12 +298,22 @@ pub fn trace_header(mix: &Mix, cfg: &SimConfig) -> TraceHeader {
 /// Returns [`SimError::Trace`] with [`TraceError::ConfigMismatch`] naming
 /// the first disagreeing field.
 pub fn check_trace(mix: &Mix, cfg: &SimConfig, trace: &ReplayTrace) -> Result<(), SimError> {
-    trace.check_compat(
+    check_header(mix, cfg, trace.header())
+}
+
+/// [`check_trace`] on a trace's header alone, for callers that have parsed
+/// only the header (see [`memscale_trace::TraceReader::read_header`]).
+pub(crate) fn check_header(
+    mix: &Mix,
+    cfg: &SimConfig,
+    header: &TraceHeader,
+) -> Result<(), SimError> {
+    header.check_compat(
         cfg.system.timing.generation,
         cfg.fingerprint(),
         cfg.system.cpu.cores,
     )?;
-    for (core, name) in trace.header().apps.iter().enumerate() {
+    for (core, name) in header.apps.iter().enumerate() {
         let expected = mix.app_on_core(core);
         if name != expected {
             return Err(TraceError::ConfigMismatch {

@@ -5,8 +5,9 @@
 //! behind its [`SweepBackend`] trait. A job resolves to:
 //!
 //! * a **plan** — configuration fingerprint, input CRC and policy cells —
-//!   computed before admission, so malformed jobs are rejected without
-//!   costing a simulation;
+//!   computed before admission, so malformed jobs, and jobs naming a trace
+//!   whose header does not match their run, are rejected without costing
+//!   a simulation;
 //! * a **baseline bundle** ([`ServeBaseline`]) — the calibrated
 //!   [`Experiment`] plus the [`ReplayTrace`] every cell replays — built
 //!   once per `(fingerprint, input)` and shared via the server's
@@ -23,7 +24,7 @@
 
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::harness::{record_calibrated, Experiment};
+use crate::harness::{check_header, record_calibrated, Experiment};
 use crate::shard::default_grid;
 use memscale::policies::PolicyKind;
 use memscale_serve::server::{JobPlan, SweepBackend};
@@ -111,6 +112,14 @@ impl SweepBackend for SimulatorBackend {
             File::open(path)
                 .and_then(|mut file| file.read_to_end(&mut input))
                 .map_err(|e| (ErrorCode::Trace, format!("cannot read trace {path}: {e}")))?;
+            // The header ends in its own CRC-32, so the input's CRC cannot
+            // tell one header from another of the same length: check it
+            // here, before admission and any cache lookup.
+            let header = TraceReader::new(&input[mix.name.len()..])
+                .read_header()
+                .map_err(|e| (ErrorCode::Trace, format!("trace {path}: {e}")))?;
+            check_header(&mix, &cfg, &header)
+                .map_err(|e| (ErrorCode::Trace, format!("trace {path}: {e}")))?;
         }
         Ok(JobPlan {
             fingerprint: cfg.fingerprint(),
@@ -401,30 +410,65 @@ mod tests {
         assert_eq!(svc1.trace_crc, svc2.trace_crc);
     }
 
+    /// Writes a record-free trace file stamped with the header a recording
+    /// of `job` carries, and returns its path.
+    fn trace_file_for(job: &JobSpec, tag: &str) -> std::path::PathBuf {
+        let (mix, cfg) = SimulatorBackend.resolve(job).expect("resolves");
+        let name = format!("memscale_plan_{tag}_{}.trace", std::process::id());
+        let path = std::env::temp_dir().join(name);
+        memscale_trace::write_trace_file(&path, &crate::trace_header(&mix, &cfg), &[])
+            .expect("writes");
+        path
+    }
+
     #[test]
     fn a_trace_job_input_covers_the_mix() {
-        let path = std::env::temp_dir().join(format!("memscale_plan_{}.trace", std::process::id()));
-        std::fs::write(
-            &path,
-            b"any bytes: plan reads the file, calibration parses it",
-        )
-        .unwrap();
         let mut job = tiny_job();
+        let path = trace_file_for(&job, "mix");
         job.trace = Some(path.display().to_string());
         let mid1 = SimulatorBackend.plan(&job).expect("MID1 plan");
-        job.mix = "MID2".into();
-        let mid2 = SimulatorBackend.plan(&job).expect("MID2 plan");
-        std::fs::remove_file(&path).ok();
-        // The same file under two mixes: two inputs, so a MID2 job never
+        let mut input = b"MID1".to_vec();
+        input.extend(std::fs::read(&path).unwrap());
+        assert_eq!(mid1.trace_crc, crc32(&input));
+        // The same file under another mix is refused, so a MID2 job never
         // answers from a MID1 job's cells.
-        assert_ne!(mid1.trace_crc, mid2.trace_crc);
-        assert_eq!(mid1.fingerprint, mid2.fingerprint);
+        job.mix = "MID2".into();
+        let (code, detail) = SimulatorBackend.plan(&job).expect_err("MID2 plan");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(code, ErrorCode::Trace);
+        assert!(detail.contains("app table"), "{detail}");
         // A live job's input is its mix name alone.
         job.trace = None;
         assert_eq!(
             SimulatorBackend.plan(&job).unwrap().trace_crc,
             crc32(b"MID2")
         );
+    }
+
+    /// The input CRC cannot see a trace's header, so a trace recorded under
+    /// another configuration would share a matching trace's cache entries
+    /// if `plan` did not check the header itself.
+    #[test]
+    fn plan_refuses_a_trace_recorded_under_another_configuration() {
+        let mut job = tiny_job();
+        let mut other = job.clone();
+        other.gamma_pct += 5.0;
+        let matching = trace_file_for(&job, "match");
+        let foreign = trace_file_for(&other, "foreign");
+        let garbage =
+            std::env::temp_dir().join(format!("memscale_plan_{}.bin", std::process::id()));
+        std::fs::write(&garbage, b"not a trace").unwrap();
+        let [accepted, foreign, garbage] = [matching, foreign, garbage].map(|path| {
+            job.trace = Some(path.display().to_string());
+            let plan = SimulatorBackend.plan(&job);
+            std::fs::remove_file(&path).ok();
+            plan
+        });
+        assert_eq!(accepted.expect("matching trace").cells.len(), 2);
+        let (code, detail) = foreign.expect_err("foreign trace");
+        assert_eq!(code, ErrorCode::Trace);
+        assert!(detail.contains("config hash"), "{detail}");
+        assert_eq!(garbage.expect_err("not a trace").0, ErrorCode::Trace);
     }
 
     #[test]

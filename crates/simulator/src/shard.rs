@@ -88,8 +88,9 @@ pub fn replay_sharded(
         .collect()
 }
 
-/// Sequential reference implementation of [`replay_sharded`], for speedup
-/// measurements and single-threaded environments.
+/// Sequential reference implementation of [`replay_sharded`]: the same
+/// shards, evaluated one after another on the calling thread. The parallel
+/// sweep must match it shard for shard.
 pub fn replay_sequential(
     exp: &Experiment,
     trace: &ReplayTrace,

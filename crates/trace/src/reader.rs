@@ -101,15 +101,20 @@ impl<R: Read> TraceReader<R> {
         self.read_array(at).map(u64::from_le_bytes)
     }
 
-    /// Parses the whole trace, verifying the header CRC, every block CRC,
-    /// every record and the end marker's total record count. The records
-    /// are decoded to check them, not kept: the trace holds the bytes.
+    /// Parses the header alone and verifies its CRC, leaving the record
+    /// blocks unread: enough to tell whether a trace fits a run (see
+    /// [`TraceHeader::check_compat`]) without validating its records.
     ///
     /// # Errors
     ///
-    /// Returns a [`TraceError`] describing the first defect found; arbitrary
-    /// input bytes can never cause a panic.
-    pub fn read(mut self) -> Result<ReplayTrace, TraceError> {
+    /// Returns a [`TraceError`] describing the first defect in the header;
+    /// arbitrary input bytes can never cause a panic.
+    pub fn read_header(mut self) -> Result<TraceHeader, TraceError> {
+        self.header().map(|(header, _)| header)
+    }
+
+    /// Parses the header and its CRC; returns it with the format version.
+    fn header(&mut self) -> Result<(TraceHeader, u16), TraceError> {
         if self.read_array("trace magic")? != MAGIC {
             return Err(TraceError::BadMagic);
         }
@@ -157,8 +162,19 @@ impl<R: Read> TraceReader<R> {
             slice_lines,
             apps,
         };
+        Ok((header, version))
+    }
 
-        // Blocks.
+    /// Parses the whole trace, verifying the header CRC, every block CRC,
+    /// every record and the end marker's total record count. The records
+    /// are decoded to check them, not kept: the trace holds the bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`TraceError`] describing the first defect found; arbitrary
+    /// input bytes can never cause a panic.
+    pub fn read(mut self) -> Result<ReplayTrace, TraceError> {
+        let (header, version) = self.header()?;
         let n = header.apps.len();
         let mut blocks: BlockIndex = vec![Vec::new(); n];
         let mut records = vec![0usize; n];
@@ -377,43 +393,6 @@ impl ReplayTrace {
         (0..self.apps())
             .map(|app| Box::new(self.stream(app)) as Box<dyn MissSource + Send>)
             .collect()
-    }
-
-    /// Verifies this trace was recorded under the configuration a replay
-    /// run is about to use.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::ConfigMismatch`] naming the first disagreeing
-    /// field (generation, config hash, or app count).
-    pub fn check_compat(
-        &self,
-        generation: MemGeneration,
-        config_hash: u64,
-        cores: usize,
-    ) -> Result<(), TraceError> {
-        if self.header.generation != generation {
-            return Err(TraceError::ConfigMismatch {
-                field: "generation",
-                expected: generation.to_string(),
-                got: self.header.generation.to_string(),
-            });
-        }
-        if self.header.config_hash != config_hash {
-            return Err(TraceError::ConfigMismatch {
-                field: "config hash",
-                expected: format!("{config_hash:#018x}"),
-                got: format!("{:#018x}", self.header.config_hash),
-            });
-        }
-        if self.apps.len() != cores {
-            return Err(TraceError::ConfigMismatch {
-                field: "app count",
-                expected: cores.to_string(),
-                got: self.apps.len().to_string(),
-            });
-        }
-        Ok(())
     }
 }
 

@@ -27,6 +27,43 @@ pub struct TraceHeader {
 }
 
 impl TraceHeader {
+    /// Verifies this header was stamped under the configuration a replay
+    /// run is about to use.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::ConfigMismatch`] naming the first disagreeing
+    /// field (generation, config hash, or app count).
+    pub fn check_compat(
+        &self,
+        generation: MemGeneration,
+        config_hash: u64,
+        cores: usize,
+    ) -> Result<(), TraceError> {
+        if self.generation != generation {
+            return Err(TraceError::ConfigMismatch {
+                field: "generation",
+                expected: generation.to_string(),
+                got: self.generation.to_string(),
+            });
+        }
+        if self.config_hash != config_hash {
+            return Err(TraceError::ConfigMismatch {
+                field: "config hash",
+                expected: format!("{config_hash:#018x}"),
+                got: format!("{:#018x}", self.config_hash),
+            });
+        }
+        if self.apps.len() != cores {
+            return Err(TraceError::ConfigMismatch {
+                field: "app count",
+                expected: cores.to_string(),
+                got: self.apps.len().to_string(),
+            });
+        }
+        Ok(())
+    }
+
     /// Serializes the header (everything the header CRC covers).
     fn encode(&self) -> Result<Vec<u8>, TraceError> {
         let mut out = Vec::with_capacity(64 + self.apps.len() * 12);
@@ -62,7 +99,6 @@ pub struct TraceWriter<W: Write> {
     out: W,
     pending: Vec<Vec<MissEvent>>,
     prev_line: Vec<u64>,
-    counts: Vec<u64>,
     total: u64,
     /// Bytes written so far.
     written: usize,
@@ -88,7 +124,6 @@ impl<W: Write> TraceWriter<W> {
             out,
             pending: vec![Vec::with_capacity(BLOCK_RECORDS); n],
             prev_line: vec![0; n],
-            counts: vec![0; n],
             total: 0,
             written: bytes.len() + 4, // the header and its CRC
             blocks: vec![Vec::new(); n],
@@ -160,7 +195,6 @@ impl<W: Write> TraceWriter<W> {
         let start = self.written + 12;
         self.blocks[app].push(start..start + payload.len());
         self.written = start + payload.len() + 4;
-        self.counts[app] += u64::from(record_count);
         self.total += u64::from(record_count);
         Ok(())
     }
@@ -196,15 +230,6 @@ impl<W: Write> TraceWriter<W> {
             .flush()
             .map_err(|e| TraceError::io("flushing trace file", &e))?;
         Ok((self.out, self.blocks))
-    }
-
-    /// Records written so far per app (flushed and pending).
-    pub fn record_counts(&self) -> Vec<u64> {
-        self.counts
-            .iter()
-            .zip(&self.pending)
-            .map(|(&flushed, pending)| flushed + pending.len() as u64)
-            .collect()
     }
 }
 

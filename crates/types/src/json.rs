@@ -477,7 +477,7 @@ mod tests {
 
     #[test]
     fn string_escapes_round_trip() {
-        let v = Json::Str("line\nquote\"back\\tab\tnul\u{1}".into());
+        let v = Json::Str("line\nquote\"back\\tab\tcr\rnul\u{1}".into());
         let rendered = v.render();
         assert_eq!(parse(&rendered).unwrap(), v);
         assert_eq!(

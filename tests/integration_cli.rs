@@ -15,7 +15,7 @@ fn sim(sub: &str, args: &[&str]) -> Output {
 /// Each subcommand's flags; the bare run command first.
 const FLAGS: [(&str, &str); 7] = [
     ("", "--mix --policy --generation --duration-ms --gamma --cores --channels --epoch-ms --seed --faults --replay --json --list"),
-    ("record", "--mix --policy --generation --duration-ms --gamma --cores --channels --epoch-ms --seed --faults --replay --out --margin --json --list"),
+    ("record", "--mix --policy --generation --duration-ms --gamma --cores --channels --epoch-ms --seed --faults --out --margin --list"),
     ("check", "--generation --report"),
     ("serve", "--addr --queue-depth --threads --cache-cap --cache-capacity --state-dir --cell-queue --default-deadline --cell-timeout --io-timeout --drain-timeout"),
     ("slo", "--arrivals --slo-p99-ms --policies --misses-per-request --request-gap --record --replay --out --mix --generation --duration-ms --seed --cores --channels --epoch-ms --margin"),

@@ -3,8 +3,8 @@
 //! disk round trip) and only under the run description it was recorded
 //! with, service runs must stay protocol-audit-clean on every memory
 //! generation, and the `memscale-sim slo` CLI must emit byte-identical
-//! reports across same-seed reruns, exit non-zero on an SLO breach and
-//! refuse a trace of another workload.
+//! reports across same-seed reruns and thread counts, exit non-zero on an
+//! SLO breach and refuse a trace of another workload.
 
 use memscale::policies::PolicyKind;
 use memscale_arrivals::ArrivalSpec;
@@ -235,6 +235,32 @@ fn cli_reports_are_byte_identical_across_same_seed_reruns() {
     let text = String::from_utf8(bytes_a).unwrap();
     assert!(text.contains("\"schema\": \"memscale.slo.v1\""), "{text}");
     assert!(text.contains("\"breach\": false"), "{text}");
+}
+
+/// The sweep's cells run in parallel; the report must not depend on how
+/// many threads run them. Only the child's environment sets the count.
+#[test]
+fn cli_reports_are_byte_identical_at_any_thread_count() {
+    let runs: Vec<(Option<i32>, Vec<u8>)> = ["1", "2", "8"]
+        .into_iter()
+        .map(|threads| {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_memscale-sim"))
+                .args(["slo", "--arrivals", "poisson:2000", "--slo-p99-ms", "5"])
+                .args(["--policies", "baseline,memscale,static:200"])
+                .args(["--duration-ms", "2", "--cores", "4", "--seed", "11"])
+                .env("RAYON_NUM_THREADS", threads)
+                .stderr(std::process::Stdio::null())
+                .output()
+                .expect("spawn memscale-sim");
+            (out.status.code(), out.stdout)
+        })
+        .collect();
+    let text = String::from_utf8_lossy(&runs[0].1);
+    assert!(text.contains("\"schema\": \"memscale.slo.v1\""), "{text}");
+    for (threads, run) in ["2", "8"].iter().zip(&runs[1..]) {
+        assert_eq!(run.0, runs[0].0, "exit code at {threads} threads");
+        assert!(run.1 == runs[0].1, "report at {threads} threads differs");
+    }
 }
 
 #[test]
