@@ -347,27 +347,6 @@ impl MemoryController {
         (overruns, spikes)
     }
 
-    /// Samples the paper's §3.1 power-model counters (PTC/PTCKEL/ATCKEL/
-    /// POCC) over the window since `earlier_ranks`/`earlier_pocc` snapshots.
-    pub fn power_counters(
-        &self,
-        earlier_ranks: &[RankStats],
-        earlier_pocc: u64,
-        window: Picos,
-    ) -> crate::power_counters::PowerCounters {
-        let deltas: Vec<RankStats> = self
-            .rank_stats()
-            .iter()
-            .zip(earlier_ranks)
-            .map(|(now, then)| now.delta(then))
-            .collect();
-        crate::power_counters::PowerCounters::sample(
-            &deltas,
-            self.counters.pocc - earlier_pocc,
-            window,
-        )
-    }
-
     /// Snapshot of every rank's cumulative statistics (channel-major order).
     pub fn rank_stats(&self) -> Vec<RankStats> {
         self.channels

@@ -27,11 +27,9 @@
 
 pub mod counters;
 pub mod outstanding;
-pub mod power_counters;
 pub mod wbqueue;
 
 mod controller;
 
 pub use controller::{MemoryController, ReadResult, RowPolicy};
 pub use counters::McCounters;
-pub use power_counters::PowerCounters;

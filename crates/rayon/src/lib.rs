@@ -65,28 +65,6 @@ where
 /// A queued unit of work.
 type PoolJob = Box<dyn FnOnce() + Send + 'static>;
 
-/// Error returned by [`ThreadPool::try_execute`] when the work queue is at
-/// capacity — the caller's backpressure signal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueueFull {
-    /// Number of jobs waiting when the submission was rejected.
-    pub depth: usize,
-    /// The queue's configured capacity.
-    pub capacity: usize,
-}
-
-impl std::fmt::Display for QueueFull {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "work queue full ({}/{} jobs queued)",
-            self.depth, self.capacity
-        )
-    }
-}
-
-impl std::error::Error for QueueFull {}
-
 struct PoolState {
     queue: VecDeque<PoolJob>,
     shutdown: bool,
@@ -104,12 +82,12 @@ struct PoolShared {
 /// A persistent pool of worker threads pulling jobs from a **bounded** FIFO
 /// queue. Unlike the scoped fan-out of [`ParallelIterator`], the pool
 /// outlives individual submissions, so long-running services can feed it a
-/// stream of independent jobs:
+/// stream of independent jobs. A submit to a full queue waits for space:
 ///
-/// * [`ThreadPool::try_execute`] rejects with [`QueueFull`] when the queue
-///   is at capacity — the caller can surface structured backpressure
-///   (e.g. an overload response) instead of buffering unboundedly;
-/// * [`ThreadPool::execute`] blocks the producer until space frees up.
+/// * [`ThreadPool::execute`] blocks the producer until space frees up;
+/// * [`ThreadPool::execute_cancellable`] gives up when a cancellation flag
+///   raises or a deadline passes, and tells the job whether it was
+///   cancelled while it sat in the queue.
 ///
 /// Dropping the pool drains the queue (queued jobs still run) and joins the
 /// workers.
@@ -157,29 +135,6 @@ impl ThreadPool {
             .expect("pool lock poisoned")
             .queue
             .len()
-    }
-
-    /// Submits `job`, failing fast with [`QueueFull`] when the queue is at
-    /// capacity.
-    ///
-    /// # Errors
-    ///
-    /// [`QueueFull`] carries the observed depth and the capacity.
-    pub fn try_execute<F>(&self, job: F) -> Result<(), QueueFull>
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        let mut state = self.shared.state.lock().expect("pool lock poisoned");
-        if state.queue.len() >= self.shared.capacity {
-            return Err(QueueFull {
-                depth: state.queue.len(),
-                capacity: self.shared.capacity,
-            });
-        }
-        state.queue.push_back(Box::new(job));
-        drop(state);
-        self.shared.work.notify_one();
-        Ok(())
     }
 
     /// Submits `job`, blocking while the queue is at capacity
@@ -550,40 +505,6 @@ mod tests {
         }
         drop(pool); // drains the queue and joins workers
         assert_eq!(count.load(Ordering::Relaxed), 50);
-    }
-
-    #[test]
-    fn pool_try_execute_rejects_when_full() {
-        // One worker blocked on a gate, capacity 1: the second queued job
-        // fills the queue, the third is rejected with the observed depth.
-        let pool = ThreadPool::new(1, 1);
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let g = Arc::clone(&gate);
-        pool.execute(move || {
-            let (lock, cv) = &*g;
-            let mut open = lock.lock().unwrap();
-            while !*open {
-                open = cv.wait(open).unwrap();
-            }
-        });
-        // Wait for the worker to pick the blocker up so the queue is empty.
-        while pool.queue_len() > 0 {
-            std::thread::yield_now();
-        }
-        assert!(pool.try_execute(|| {}).is_ok());
-        let err = pool.try_execute(|| {}).unwrap_err();
-        assert_eq!(
-            err,
-            QueueFull {
-                depth: 1,
-                capacity: 1
-            }
-        );
-        assert!(err.to_string().contains("1/1"));
-        let (lock, cv) = &*gate;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
-        drop(pool);
     }
 
     #[test]

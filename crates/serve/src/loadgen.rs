@@ -24,13 +24,11 @@
 //! violations (never acceptable — the server sent a malformed or
 //! inconsistent stream).
 
-use crate::wire::{decode_response, encode_job, Response};
+use crate::wire::{Connection, Response};
 use memscale_arrivals::{ArrivalProcess, ArrivalSpec};
 use memscale_types::json::Json;
 use memscale_types::rng::{SplitMix64, GOLDEN_GAMMA};
 use memscale_types::serve::{DoneReason, ErrorCode, JobSpec};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 /// Load-generator parameters.
@@ -311,62 +309,29 @@ struct JobOutcome {
     late: bool,
 }
 
-/// One client connection: a writer half and a buffered reader half.
-struct ClientConn {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
+/// Sleeps the exponential backoff before retry number `attempt` (from 1):
+/// the base doubled per attempt (capped at 64×) plus seeded jitter below it.
+fn back_off(cfg: &LoadgenConfig, attempt: usize, rng: &mut SplitMix64) {
+    let backoff = cfg
+        .backoff_base_ms
+        .max(1)
+        .saturating_mul(1u64 << (attempt - 1).min(6));
+    let jitter = rng.next_u64() % backoff;
+    std::thread::sleep(Duration::from_millis(backoff + jitter));
 }
 
-/// Connects to `addr` with the configured timeouts.
-fn connect(
-    addr: &str,
-    connect_timeout_ms: u64,
-    read_timeout_ms: u64,
-) -> Result<ClientConn, String> {
-    use std::net::ToSocketAddrs;
-    let sock_addr = addr
-        .to_socket_addrs()
-        .map_err(|e| format!("cannot resolve {addr}: {e}"))?
-        .next()
-        .ok_or_else(|| format!("cannot resolve {addr}: no addresses"))?;
-    let stream = if connect_timeout_ms > 0 {
-        TcpStream::connect_timeout(&sock_addr, Duration::from_millis(connect_timeout_ms))
-    } else {
-        TcpStream::connect(sock_addr)
-    }
-    .map_err(|e| format!("cannot connect to {addr}: {e} — is the server running?"))?;
-    if read_timeout_ms > 0 {
-        let timeout = Some(Duration::from_millis(read_timeout_ms));
-        let _ = stream.set_read_timeout(timeout);
-        let _ = stream.set_write_timeout(timeout);
-    }
-    let writer = stream
-        .try_clone()
-        .map_err(|e| format!("socket clone failed: {e}"))?;
-    Ok(ClientConn {
-        writer,
-        reader: BufReader::new(stream),
-    })
-}
-
-/// Connects with up to `cfg.reconnect_retries` extra attempts, sleeping
-/// the same exponential backoff plus seeded jitter as `overloaded`
-/// retries between them. With the default of zero retries this is a
-/// single fail-fast attempt.
-fn connect_with_retries(cfg: &LoadgenConfig, rng: &mut SplitMix64) -> Result<ClientConn, String> {
+/// Connects with up to `cfg.reconnect_retries` extra attempts, backing off
+/// between them like `overloaded` retries. With the default of zero
+/// retries this is a single fail-fast attempt.
+fn connect_with_retries(cfg: &LoadgenConfig, rng: &mut SplitMix64) -> Result<Connection, String> {
     let mut attempt = 0usize;
     loop {
-        match connect(&cfg.addr, cfg.connect_timeout_ms, cfg.read_timeout_ms) {
+        match Connection::open(&cfg.addr, cfg.connect_timeout_ms, cfg.read_timeout_ms) {
             Ok(conn) => return Ok(conn),
             Err(e) if attempt >= cfg.reconnect_retries => return Err(e),
             Err(_) => {
                 attempt += 1;
-                let backoff = cfg
-                    .backoff_base_ms
-                    .max(1)
-                    .saturating_mul(1u64 << (attempt - 1).min(6));
-                let jitter = rng.next_u64() % backoff;
-                std::thread::sleep(Duration::from_millis(backoff + jitter));
+                back_off(cfg, attempt, rng);
             }
         }
     }
@@ -447,7 +412,7 @@ fn run_client(cfg: &LoadgenConfig, client: usize, fleet_start: Instant) -> Vec<J
             client as u64,
         )
     });
-    let mut conn: Option<ClientConn> = None;
+    let mut conn: Option<Connection> = None;
     let mut outcomes = Vec::with_capacity(cfg.jobs_per_client);
     for job_idx in 0..cfg.jobs_per_client {
         // Open loop: wait for this job's scheduled arrival. A slot that
@@ -481,18 +446,13 @@ fn run_client(cfg: &LoadgenConfig, client: usize, fleet_start: Instant) -> Vec<J
             // Unique per attempt so a retried job can never be confused
             // with stale lines of its previous incarnation.
             spec.id = format!("c{client}-j{job_idx}-a{retries}");
-            let (mut o, usable) = submit_one(&mut c.writer, &mut c.reader, &spec);
+            let (mut o, usable) = submit_one(c, &spec);
             if !usable {
                 conn = None;
             }
             if o.overloaded && retries < cfg.max_retries {
                 retries += 1;
-                let backoff = cfg
-                    .backoff_base_ms
-                    .max(1)
-                    .saturating_mul(1u64 << (retries - 1).min(6));
-                let jitter = rng.next_u64() % backoff;
-                std::thread::sleep(Duration::from_millis(backoff + jitter));
+                back_off(cfg, retries, &mut rng);
                 continue;
             }
             o.retries = retries;
@@ -510,42 +470,28 @@ fn run_client(cfg: &LoadgenConfig, client: usize, fleet_start: Instant) -> Vec<J
 
 /// Submits one job and consumes its response stream. Returns the outcome
 /// plus whether the connection is still usable for the next submission.
-fn submit_one(
-    writer: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
-    spec: &JobSpec,
-) -> (JobOutcome, bool) {
+fn submit_one(conn: &mut Connection, spec: &JobSpec) -> (JobOutcome, bool) {
     let mut outcome = JobOutcome::default();
     let started = Instant::now();
-    let mut line = encode_job(spec);
-    line.push('\n');
-    if writer.write_all(line.as_bytes()).is_err() {
+    if conn.submit(spec).is_err() {
         outcome.transport = true;
         return (outcome, false);
     }
     let mut expected_cells: Option<usize> = None;
     let mut seen_cells = 0usize;
     loop {
-        let mut buf = String::new();
-        match reader.read_line(&mut buf) {
-            Ok(0) | Err(_) => {
-                // EOF, reset or read timeout mid-job: the transport died,
-                // not the protocol.
+        let resp = match conn.next_response() {
+            // EOF, reset or read timeout mid-job: the transport died, not
+            // the protocol.
+            None => {
                 outcome.transport = true;
                 return (outcome, false);
             }
-            Ok(_) => {}
-        }
-        let trimmed = buf.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let resp = match decode_response(trimmed) {
-            Ok(resp) => resp,
-            Err(_) => {
+            Some(Err(_)) => {
                 outcome.protocol_errors += 1;
                 continue;
             }
+            Some(Ok(resp)) => resp,
         };
         // Connections serve one job at a time, so a line carrying a
         // different id means the request was corrupted in flight (a

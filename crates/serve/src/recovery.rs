@@ -22,13 +22,11 @@
 //! The outcome feeds `BENCH_recovery.json` via
 //! [`RecoveryOutcome::to_bench_json`].
 
-use crate::wire::{decode_response, encode_job, Response};
+use crate::wire::{Connection, Response};
 use memscale_types::json::Json;
 use memscale_types::rng::SplitMix64;
 use memscale_types::serve::{CellMetrics, JobSpec, JobSummary};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -197,18 +195,17 @@ fn free_addr() -> Result<String, String> {
     Ok(addr.to_string())
 }
 
-/// Polls `addr` until the server accepts or `timeout_ms` elapses.
-fn connect_poll(addr: &str, timeout_ms: u64) -> Result<TcpStream, String> {
-    let deadline = Instant::now() + Duration::from_millis(timeout_ms.max(1));
+/// Polls `addr` until the server accepts or `cfg.connect_timeout_ms`
+/// elapses.
+fn connect_poll(cfg: &RecoveryConfig, addr: &str) -> Result<Connection, String> {
+    let deadline = Instant::now() + Duration::from_millis(cfg.connect_timeout_ms.max(1));
     loop {
-        match TcpStream::connect(addr) {
-            Ok(stream) => return Ok(stream),
-            Err(e) => {
-                if Instant::now() >= deadline {
-                    return Err(format!("server at {addr} never accepted: {e}"));
-                }
-                std::thread::sleep(Duration::from_millis(25));
+        match Connection::open(addr, 0, cfg.read_timeout_ms.max(1)) {
+            Ok(conn) => return Ok(conn),
+            Err(e) if Instant::now() >= deadline => {
+                return Err(format!("server at {addr} never accepted: {e}"))
             }
+            Err(_) => std::thread::sleep(Duration::from_millis(25)),
         }
     }
 }
@@ -216,22 +213,28 @@ fn connect_poll(addr: &str, timeout_ms: u64) -> Result<TcpStream, String> {
 /// One observed job stream.
 #[derive(Debug, Default)]
 struct JobObservation {
-    /// label → (served from cache, bit-images of the five metrics).
-    cells: HashMap<String, (bool, Option<[u64; 5]>)>,
+    /// label → (served from cache, metrics of an ok cell).
+    cells: HashMap<String, (bool, Option<CellMetrics>)>,
     summary: Option<JobSummary>,
     protocol_errors: usize,
     duplicate_labels: usize,
     wall_ms: f64,
 }
 
-fn metric_bits(m: &CellMetrics) -> [u64; 5] {
-    [
-        m.memory_savings.to_bits(),
-        m.system_savings.to_bits(),
-        m.cpi_increase_avg.to_bits(),
-        m.cpi_increase_max.to_bits(),
-        m.mean_frequency_mhz.to_bits(),
-    ]
+/// The labels of `control`'s cells whose result `resubmit` did not
+/// reproduce bit for bit, in every metric field.
+fn differing_cells(control: &JobObservation, resubmit: &JobObservation) -> Vec<String> {
+    let bits = |obs: &JobObservation, label: &str| {
+        obs.cells
+            .get(label)
+            .map(|(_, metrics)| metrics.as_ref().map(CellMetrics::bits))
+    };
+    control
+        .cells
+        .keys()
+        .filter(|label| bits(control, label) != bits(resubmit, label))
+        .cloned()
+        .collect()
 }
 
 /// Submits `job` to `addr` and reads its stream. With
@@ -246,42 +249,20 @@ fn run_job_against(
     stop_after_cells: Option<usize>,
 ) -> Result<JobObservation, String> {
     let started = Instant::now();
-    let stream = connect_poll(addr, cfg.connect_timeout_ms)?;
-    stream
-        .set_read_timeout(Some(Duration::from_millis(cfg.read_timeout_ms.max(1))))
-        .map_err(|e| format!("cannot set read timeout: {e}"))?;
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| format!("cannot clone socket: {e}"))?;
-    let mut line = encode_job(job);
-    line.push('\n');
-    writer
-        .write_all(line.as_bytes())
+    let mut conn = connect_poll(cfg, addr)?;
+    conn.submit(job)
         .map_err(|e| format!("cannot submit job: {e}"))?;
-
     let mut obs = JobObservation::default();
     let mut fresh_cells = 0usize;
-    let mut reader = BufReader::new(stream);
-    let mut buf = String::new();
-    loop {
-        buf.clear();
-        match reader.read_line(&mut buf) {
-            Ok(0) => break,
-            Err(_) => break,
-            Ok(_) => {}
-        }
-        let trimmed = buf.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        match decode_response(trimmed) {
+    while let Some(resp) = conn.next_response() {
+        match resp {
             Err(_) => obs.protocol_errors += 1,
             Ok(Response::Admitted { .. }) => {}
             Ok(Response::Cell { outcome, .. }) => {
-                let bits = outcome.result.as_ref().ok().map(metric_bits);
+                let metrics = outcome.result.as_ref().ok().copied();
                 if obs
                     .cells
-                    .insert(outcome.label.clone(), (outcome.cached, bits))
+                    .insert(outcome.label, (outcome.cached, metrics))
                     .is_some()
                 {
                     obs.duplicate_labels += 1;
@@ -289,8 +270,7 @@ fn run_job_against(
                 if !outcome.cached {
                     fresh_cells += 1;
                     if stop_after_cells.is_some_and(|k| fresh_cells >= k) {
-                        obs.wall_ms = started.elapsed().as_secs_f64() * 1e3;
-                        return Ok(obs);
+                        break;
                     }
                 }
             }
@@ -334,7 +314,6 @@ fn tear_tail(path: &Path, tear: u64) -> Result<u64, String> {
 ///
 /// Environmental failures (cannot spawn, connect, or submit) and every
 /// violated recovery invariant, as a human-readable description.
-#[allow(clippy::too_many_lines)]
 pub fn run(cfg: &RecoveryConfig) -> Result<RecoveryOutcome, String> {
     let cells = cfg.template.policies.len();
     if cells < 3 {
@@ -394,7 +373,7 @@ pub fn run(cfg: &RecoveryConfig) -> Result<RecoveryOutcome, String> {
     let addr = free_addr()?;
     let restart_started = Instant::now();
     let mut server = ServerProc::spawn(cfg, &addr, &crash_dir)?;
-    let probe = connect_poll(&addr, cfg.connect_timeout_ms)?;
+    let probe = connect_poll(cfg, &addr)?;
     let recovery_wall_ms = restart_started.elapsed().as_secs_f64() * 1e3;
     drop(probe);
     let mut job = cfg.template.clone();
@@ -425,13 +404,10 @@ pub fn run(cfg: &RecoveryConfig) -> Result<RecoveryOutcome, String> {
     if summary.cache_hits == 0 {
         violations.push("resubmitted job saw no warm cache hits".into());
     }
-    let mut byte_identical = true;
-    for (label, (_, control_bits)) in &control.cells {
-        let resubmit_bits = resubmit.cells.get(label).map(|(_, b)| *b);
-        if resubmit_bits != Some(*control_bits) {
-            byte_identical = false;
-            violations.push(format!("cell {label} differs from the control run"));
-        }
+    let differing = differing_cells(&control, &resubmit);
+    let byte_identical = differing.is_empty();
+    for label in differing {
+        violations.push(format!("cell {label} differs from the control run"));
     }
     if !violations.is_empty() {
         return Err(format!(
@@ -492,6 +468,37 @@ mod tests {
             assert!(json.contains(field), "missing {field} in {json}");
         }
         assert!((outcome.warm_hit_rate() - 0.6).abs() < 1e-12);
+    }
+
+    #[test]
+    fn comparison_sees_every_metric_field() {
+        let metrics = CellMetrics {
+            memory_savings: 0.2,
+            system_savings: 0.1,
+            cpi_increase_avg: 0.01,
+            cpi_increase_max: 0.03,
+            mean_frequency_mhz: 500.0,
+            p99_ms: Some(3.5),
+            slo_violations: Some(2),
+        };
+        let observed = |m: CellMetrics| JobObservation {
+            cells: HashMap::from([("memscale".to_string(), (false, Some(m)))]),
+            ..JobObservation::default()
+        };
+        let control = observed(metrics);
+        assert!(differing_cells(&control, &observed(metrics)).is_empty());
+        for changed in [
+            CellMetrics {
+                p99_ms: Some(3.75),
+                ..metrics
+            },
+            CellMetrics {
+                slo_violations: Some(3),
+                ..metrics
+            },
+        ] {
+            assert_eq!(differing_cells(&control, &observed(changed)), ["memscale"]);
+        }
     }
 
     #[test]

@@ -48,12 +48,13 @@ use memscale_store::StoreError;
 use memscale_types::cancel::CancelToken;
 use memscale_types::serve::{CellFailure, CellOutcome, DoneReason, ErrorCode, JobSpec, JobSummary};
 use rayon::ThreadPool;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Longest request line the server will buffer before rejecting the
@@ -604,56 +605,76 @@ fn serve_line<B: SweepBackend>(
     ok
 }
 
-/// A scheduled (not yet finished) cell of an in-flight job.
+type CellResult = Result<memscale_types::serve::CellMetrics, CellFailure>;
+
+/// A cell of an in-flight job that has not reported yet: running, queued,
+/// or (once the deadline has struck) never scheduled.
 struct PendingCell {
     label: String,
     token: CancelToken,
     spawned: Instant,
 }
 
-/// Cancels every still-pending cell (client gone, deadline, …); their late
-/// results are discarded by the caller's bookkeeping.
-fn cancel_all(pending: &HashMap<usize, PendingCell>) {
-    for cell in pending.values() {
-        cell.token.cancel();
-    }
+/// The cell lines of one admitted job and the ok/failed tallies its `done`
+/// line reports: every cell line goes out through [`Reply::cell`].
+struct Reply<'a> {
+    id: &'a str,
+    send: &'a mut dyn FnMut(&Response) -> bool,
+    ok: usize,
+    failed: usize,
 }
 
-/// Deadline expiry: cancels every pending cell and reports each to the
-/// client as a structured `cancelled` cell, in grid order. Returns `false`
-/// when the client's socket died mid-report.
-fn report_deadline_cancellations(
-    pending: &mut HashMap<usize, PendingCell>,
-    id: &str,
-    cells_cancelled: &AtomicUsize,
-    failed_cells: &mut usize,
-    send: &mut impl FnMut(&Response) -> bool,
-) -> bool {
-    let mut expired: Vec<(usize, PendingCell)> = pending.drain().collect();
-    expired.sort_by_key(|(idx, _)| *idx);
-    for (_, cell) in expired {
-        cell.token.cancel();
-        cells_cancelled.fetch_add(1, Ordering::Relaxed);
-        *failed_cells += 1;
-        if !send(&Response::Cell {
-            id: id.to_string(),
-            outcome: CellOutcome {
-                label: cell.label,
-                cached: false,
-                result: Err(CellFailure::new(
-                    ErrorCode::Cancelled,
-                    "job deadline expired",
-                )),
-            },
-        }) {
-            return false;
+impl Reply<'_> {
+    /// Sends one cell line and counts it. `false` when the client's socket
+    /// is no longer writable.
+    fn cell(&mut self, label: String, cached: bool, result: CellResult) -> bool {
+        if result.is_ok() {
+            self.ok += 1;
+        } else {
+            self.failed += 1;
         }
+        (self.send)(&Response::Cell {
+            id: self.id.to_string(),
+            outcome: CellOutcome {
+                label,
+                cached,
+                result,
+            },
+        })
     }
-    true
+
+    /// Abandons the pending cells `pick` selects: cancels all of their
+    /// tokens, adds them to `counter`, then reports each as a failed cell
+    /// in grid order. Their late results are discarded, never cached.
+    /// `false` when the client's socket died mid-report.
+    fn fail(
+        &mut self,
+        pending: &mut BTreeMap<usize, PendingCell>,
+        pick: impl Fn(&PendingCell) -> bool,
+        (code, detail): (ErrorCode, String),
+        counter: Option<&AtomicUsize>,
+    ) -> bool {
+        let (picked, kept) = std::mem::take(pending)
+            .into_iter()
+            .partition::<BTreeMap<_, _>, _>(|(_, cell)| pick(cell));
+        *pending = kept;
+        for cell in picked.values() {
+            cell.token.cancel();
+        }
+        if let Some(counter) = counter {
+            counter.fetch_add(picked.len(), Ordering::Relaxed);
+        }
+        picked.into_values().all(|cell| {
+            self.cell(
+                cell.label,
+                false,
+                Err(CellFailure::new(code, detail.clone())),
+            )
+        })
+    }
 }
 
 /// Runs one admitted job end to end, streaming cell lines as they land.
-#[allow(clippy::too_many_lines)]
 fn run_job<B: SweepBackend>(
     shared: &Arc<Shared<B>>,
     job: &JobSpec,
@@ -676,7 +697,13 @@ fn run_job<B: SweepBackend>(
         trace_crc: plan.trace_crc,
         cells: plan.cells.clone(),
     });
-    if !send(&Response::Admitted {
+    let mut reply = Reply {
+        id: &id,
+        send,
+        ok: 0,
+        failed: 0,
+    };
+    if !(reply.send)(&Response::Admitted {
         id: id.clone(),
         cells: plan.cells.len(),
     }) {
@@ -685,8 +712,6 @@ fn run_job<B: SweepBackend>(
     let mut hits = 0u64;
     let mut misses = 0u64;
     let mut evictions = 0u64;
-    let mut ok_cells = 0usize;
-    let mut failed_cells = 0usize;
 
     // First pass: answer cached cells immediately (a resumed or repeated
     // job streams its warm cells without waiting on anything), collect
@@ -701,15 +726,7 @@ fn run_job<B: SweepBackend>(
         let hit = lock_recover(&shared.cells).get(&key).copied();
         if let Some(metrics) = hit {
             hits += 1;
-            ok_cells += 1;
-            if !send(&Response::Cell {
-                id: id.clone(),
-                outcome: CellOutcome {
-                    label: label.clone(),
-                    cached: true,
-                    result: Ok(metrics),
-                },
-            }) {
+            if !reply.cell(label.clone(), true, Ok(metrics)) {
                 return false;
             }
         } else {
@@ -718,13 +735,7 @@ fn run_job<B: SweepBackend>(
         }
     }
 
-    let mut deadline_hit = false;
-    let mut pending: HashMap<usize, PendingCell> = HashMap::new();
-    type CellMsg = (
-        usize,
-        Result<memscale_types::serve::CellMetrics, CellFailure>,
-    );
-    let (tx, rx) = mpsc::channel::<CellMsg>();
+    let (tx, rx) = mpsc::channel::<(usize, CellResult)>();
 
     // Baseline bundle, resolved lazily: a fully cached job (the warm
     // resubmit after a restart) never touches the calibration cache or
@@ -762,8 +773,8 @@ fn run_job<B: SweepBackend>(
                         // Terminal error: close the journal entry so the
                         // restart does not count this as a crash.
                         shared.journal(&JournalRecord::Abandoned { id: id.clone() });
-                        return send(&Response::Error {
-                            id: Some(id),
+                        return (reply.send)(&Response::Error {
+                            id: Some(id.clone()),
                             code,
                             detail,
                             depth: None,
@@ -776,22 +787,22 @@ fn run_job<B: SweepBackend>(
     };
 
     // Fan the misses out on the worker pool. Each gets its own cancel
-    // token so deadlines and disconnects can reach it individually.
+    // token so deadlines and disconnects can reach it individually. Once
+    // the deadline has passed, the remaining cells stay pending without
+    // being scheduled, and the deadline sweep below reports them.
+    let mut pending = BTreeMap::new();
     for (idx, label) in todo {
-        if !deadline_hit && deadline.is_some_and(|d| Instant::now() >= d) {
-            deadline_hit = true;
-        }
-        let mut report_unscheduled = deadline_hit;
-        if !report_unscheduled {
-            let token = CancelToken::new();
+        let token = CancelToken::new();
+        if deadline.is_none_or(|d| Instant::now() < d) {
             let worker_token = token.clone();
             let backend_shared = Arc::clone(shared);
             let baseline = Arc::clone(baseline.as_ref().expect("todo is non-empty"));
             let worker_label = label.clone();
             let tx = tx.clone();
             // The submit itself is bounded by the job deadline: a stuffed
-            // cell queue cannot pin this connection past it.
-            let enqueued = shared.pool.execute_cancellable(
+            // cell queue cannot pin this connection past it. A cell it
+            // gives up on stays pending, unscheduled.
+            shared.pool.execute_cancellable(
                 &token.flag(),
                 deadline,
                 move |cancelled_while_queued| {
@@ -808,204 +819,121 @@ fn run_job<B: SweepBackend>(
                     let _ = tx.send((idx, result));
                 },
             );
-            if enqueued {
-                pending.insert(
-                    idx,
-                    PendingCell {
-                        label: label.clone(),
-                        token,
-                        spawned: Instant::now(),
-                    },
-                );
-            } else {
-                deadline_hit = true;
-                report_unscheduled = true;
-            }
         }
-        if report_unscheduled {
-            // Deadline expired before this cell could even be scheduled.
-            shared.cells_cancelled.fetch_add(1, Ordering::Relaxed);
-            failed_cells += 1;
-            if !send(&Response::Cell {
-                id: id.clone(),
-                outcome: CellOutcome {
-                    label: label.clone(),
-                    cached: false,
-                    result: Err(CellFailure::new(
-                        ErrorCode::Cancelled,
-                        "job deadline expired before the cell was scheduled",
-                    )),
-                },
-            }) {
-                cancel_all(&pending);
-                return false;
-            }
-        }
+        pending.insert(
+            idx,
+            PendingCell {
+                label: label.clone(),
+                token,
+                spawned: Instant::now(),
+            },
+        );
     }
     // Workers hold their own sender clones; dropping ours makes a fully
     // dead channel detectable (every remaining worker panicked).
     drop(tx);
 
-    // A deadline that struck during scheduling must reach the cells that
-    // did get scheduled before it hit.
-    if deadline_hit
-        && !report_deadline_cancellations(
-            &mut pending,
-            &id,
-            &shared.cells_cancelled,
-            &mut failed_cells,
-            send,
-        )
-    {
-        return false;
-    }
-
-    // Stream results as workers finish them, waking early for the job
-    // deadline and the per-cell watchdog.
-    while !pending.is_empty() {
-        let mut wake: Option<Instant> = if deadline_hit { None } else { deadline };
-        if let Some(ct) = cell_timeout {
-            for cell in pending.values() {
-                let t = cell.spawned + ct;
-                wake = Some(wake.map_or(t, |w| w.min(t)));
-            }
-        }
+    // Stream results as workers finish them, waking for the job deadline
+    // and the per-cell watchdog.
+    let mut deadline_hit = false;
+    let mut delivered = true;
+    while delivered && !pending.is_empty() {
+        let wake = pending
+            .values()
+            .filter_map(|cell| cell_timeout.map(|ct| cell.spawned + ct))
+            .chain(deadline)
+            .min();
         let msg = match wake {
-            None => rx.recv().ok(),
-            Some(w) => {
-                let dur = w
-                    .saturating_duration_since(Instant::now())
-                    .max(Duration::from_millis(1));
-                match rx.recv_timeout(dur) {
-                    Ok(m) => Some(m),
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        let now = Instant::now();
-                        if !deadline_hit && deadline.is_some_and(|d| now >= d) {
-                            // Job deadline: cancel everything still in
-                            // flight and report each cell as cancelled.
-                            deadline_hit = true;
-                            if !report_deadline_cancellations(
-                                &mut pending,
-                                &id,
-                                &shared.cells_cancelled,
-                                &mut failed_cells,
-                                send,
-                            ) {
-                                return false;
-                            }
+            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            Some(w) => rx.recv_timeout(
+                w.saturating_duration_since(Instant::now())
+                    .max(Duration::from_millis(1)),
+            ),
+        };
+        let now = Instant::now();
+        delivered = match msg {
+            Ok((idx, result)) => {
+                // No pending entry: the late result of a cell the deadline
+                // or the watchdog already reported. It is discarded, never
+                // cached; the abandonment is what the client was told.
+                let Some(cell) = pending.remove(&idx) else {
+                    continue;
+                };
+                match &result {
+                    Ok(metrics) => {
+                        // Write-ahead: the cell is durable before its line
+                        // is visible — a client never sees a result a crash
+                        // loses.
+                        shared.journal(&JournalRecord::CellDone {
+                            fingerprint: plan.fingerprint,
+                            trace_crc: plan.trace_crc,
+                            label: cell.label.clone(),
+                            metrics: *metrics,
+                        });
+                        if lock_recover(&shared.cells).insert(
+                            CacheKey {
+                                fingerprint: plan.fingerprint,
+                                trace_crc: plan.trace_crc,
+                                label: cell.label.clone(),
+                            },
+                            *metrics,
+                        ) {
+                            evictions += 1;
                         }
-                        if let Some(ct) = cell_timeout {
-                            // Per-cell watchdog: abandon stuck cells
-                            // without touching their siblings.
-                            let stuck: Vec<usize> = pending
-                                .iter()
-                                .filter(|(_, c)| now.duration_since(c.spawned) >= ct)
-                                .map(|(i, _)| *i)
-                                .collect();
-                            for idx in stuck {
-                                let Some(cell) = pending.remove(&idx) else {
-                                    continue;
-                                };
-                                cell.token.cancel();
-                                shared.cells_timed_out.fetch_add(1, Ordering::Relaxed);
-                                failed_cells += 1;
-                                if !send(&Response::Cell {
-                                    id: id.clone(),
-                                    outcome: CellOutcome {
-                                        label: cell.label,
-                                        cached: false,
-                                        result: Err(CellFailure::new(
-                                            ErrorCode::CellTimeout,
-                                            format!(
-                                                "cell exceeded the {} ms watchdog and was abandoned",
-                                                shared.cfg.cell_timeout_ms
-                                            ),
-                                        )),
-                                    },
-                                }) {
-                                    cancel_all(&pending);
-                                    return false;
-                                }
-                            }
-                        }
-                        continue;
                     }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => None,
+                    Err(failure) if failure.code == ErrorCode::Cancelled => {
+                        shared.cells_cancelled.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Err(_) => {}
                 }
+                reply.cell(cell.label, false, result)
             }
-        };
-        let Some((idx, result)) = msg else {
+            // Job deadline: every cell still running, queued or never
+            // scheduled is cancelled. Never-scheduled cells have no worker,
+            // so this comes before the dead-worker sweep.
+            Err(_) if deadline.is_some_and(|d| now >= d) => {
+                deadline_hit = true;
+                reply.fail(
+                    &mut pending,
+                    |_| true,
+                    (ErrorCode::Cancelled, "job deadline expired".into()),
+                    Some(&shared.cells_cancelled),
+                )
+            }
+            // Per-cell watchdog: abandon stuck cells without touching
+            // their siblings.
+            Err(RecvTimeoutError::Timeout) => reply.fail(
+                &mut pending,
+                |cell| cell_timeout.is_some_and(|ct| now.duration_since(cell.spawned) >= ct),
+                (
+                    ErrorCode::CellTimeout,
+                    format!(
+                        "cell exceeded the {} ms watchdog and was abandoned",
+                        shared.cfg.cell_timeout_ms
+                    ),
+                ),
+                Some(&shared.cells_timed_out),
+            ),
             // Every sender is gone but cells remain: their workers died
-            // without reporting (a panicking backend). Surface each as a
-            // structured internal failure.
-            let mut orphaned: Vec<(usize, PendingCell)> = pending.drain().collect();
-            orphaned.sort_by_key(|(idx, _)| *idx);
-            for (_, cell) in orphaned {
-                failed_cells += 1;
-                if !send(&Response::Cell {
-                    id: id.clone(),
-                    outcome: CellOutcome {
-                        label: cell.label,
-                        cached: false,
-                        result: Err(CellFailure::new(
-                            ErrorCode::Internal,
-                            "cell worker died before reporting a result",
-                        )),
-                    },
-                }) {
-                    return false;
-                }
-            }
-            break;
+            // without reporting (a panicking backend).
+            Err(RecvTimeoutError::Disconnected) => reply.fail(
+                &mut pending,
+                |_| true,
+                (
+                    ErrorCode::Internal,
+                    "cell worker died before reporting a result".into(),
+                ),
+                None,
+            ),
         };
-        let Some(cell) = pending.remove(&idx) else {
-            // Late result of an abandoned cell (watchdog or deadline
-            // already reported it): discard — and never cache it, the
-            // abandonment is what the client was told.
-            continue;
-        };
-        match &result {
-            Ok(metrics) => {
-                ok_cells += 1;
-                // Write-ahead: the cell is durable before its line is
-                // visible — a client never sees a result a crash loses.
-                shared.journal(&JournalRecord::CellDone {
-                    fingerprint: plan.fingerprint,
-                    trace_crc: plan.trace_crc,
-                    label: cell.label.clone(),
-                    metrics: *metrics,
-                });
-                if lock_recover(&shared.cells).insert(
-                    CacheKey {
-                        fingerprint: plan.fingerprint,
-                        trace_crc: plan.trace_crc,
-                        label: cell.label.clone(),
-                    },
-                    *metrics,
-                ) {
-                    evictions += 1;
-                }
-            }
-            Err(failure) => {
-                if failure.code == ErrorCode::Cancelled {
-                    shared.cells_cancelled.fetch_add(1, Ordering::Relaxed);
-                }
-                failed_cells += 1;
-            }
+    }
+    if !delivered {
+        // The client went away: stop the remaining work instead of
+        // computing into a dead socket.
+        for cell in pending.values() {
+            cell.token.cancel();
         }
-        if !send(&Response::Cell {
-            id: id.clone(),
-            outcome: CellOutcome {
-                label: cell.label,
-                cached: false,
-                result,
-            },
-        }) {
-            // Client went away: stop the remaining work instead of
-            // computing into a dead socket.
-            cancel_all(&pending);
-            return false;
-        }
+        return false;
     }
 
     let reason = if deadline_hit {
@@ -1019,12 +947,12 @@ fn run_job<B: SweepBackend>(
     // Write-ahead: the job is closed in the journal before the client
     // sees `done`.
     shared.journal(&JournalRecord::JobDone { id: id.clone() });
-    send(&Response::Done {
-        id,
+    (reply.send)(&Response::Done {
+        id: id.clone(),
         summary: JobSummary {
             cells: plan.cells.len(),
-            ok: ok_cells,
-            failed: failed_cells,
+            ok: reply.ok,
+            failed: reply.failed,
             cache_hits: hits,
             cache_misses: misses,
             evictions,

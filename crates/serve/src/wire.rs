@@ -1,4 +1,5 @@
-//! Encoding and decoding of protocol lines.
+//! Encoding and decoding of protocol lines, and [`Connection`], the one
+//! client that speaks them.
 //!
 //! One request line (a [`JobSpec`]) flows client → server; a stream of
 //! [`Response`] lines flows back. Every line is one compact JSON object
@@ -11,6 +12,9 @@ use memscale_types::json::{parse, Json};
 use memscale_types::serve::{
     CellFailure, CellMetrics, CellOutcome, DoneReason, ErrorCode, JobSpec, JobSummary,
 };
+use std::io::{BufRead, BufReader, Write};
+use std::net::{TcpStream, ToSocketAddrs};
+use std::time::Duration;
 
 /// One server → client protocol line.
 #[derive(Debug, Clone, PartialEq)]
@@ -386,6 +390,83 @@ pub fn decode_response(line: &str) -> Result<Response, String> {
             })
         }
         other => Err(format!("unknown response type `{other}`")),
+    }
+}
+
+/// The client end of one server connection: request lines go out, decoded
+/// response lines come back. Retries, timeouts of whole jobs and what a
+/// bad line means are the caller's policy.
+#[derive(Debug)]
+pub struct Connection {
+    stream: BufReader<TcpStream>,
+    line: String,
+}
+
+impl Connection {
+    /// Connects to `addr`. A zero `connect_timeout_ms` waits as long as the
+    /// OS does; a zero `io_timeout_ms` leaves reads and writes unbounded.
+    ///
+    /// # Errors
+    ///
+    /// A message naming `addr` when it does not resolve or refuses.
+    pub fn open(addr: &str, connect_timeout_ms: u64, io_timeout_ms: u64) -> Result<Self, String> {
+        let sock_addr = addr
+            .to_socket_addrs()
+            .map_err(|e| format!("cannot resolve {addr}: {e}"))?
+            .next()
+            .ok_or_else(|| format!("cannot resolve {addr}: no addresses"))?;
+        let stream = if connect_timeout_ms > 0 {
+            TcpStream::connect_timeout(&sock_addr, Duration::from_millis(connect_timeout_ms))
+        } else {
+            TcpStream::connect(sock_addr)
+        }
+        .map_err(|e| format!("cannot connect to {addr}: {e} — is the server running?"))?;
+        if io_timeout_ms > 0 {
+            let timeout = Some(Duration::from_millis(io_timeout_ms));
+            let _ = stream.set_read_timeout(timeout);
+            let _ = stream.set_write_timeout(timeout);
+        }
+        Ok(Connection {
+            stream: BufReader::new(stream),
+            line: String::new(),
+        })
+    }
+
+    /// Sends `line` and its terminating newline.
+    ///
+    /// # Errors
+    ///
+    /// The socket's write error.
+    pub fn send_line(&mut self, line: &str) -> std::io::Result<()> {
+        self.stream
+            .get_mut()
+            .write_all(format!("{line}\n").as_bytes())
+    }
+
+    /// Sends `job` as one request line.
+    ///
+    /// # Errors
+    ///
+    /// The socket's write error.
+    pub fn submit(&mut self, job: &JobSpec) -> std::io::Result<()> {
+        self.send_line(&encode_job(job))
+    }
+
+    /// The next non-blank response line: `None` once the stream has ended
+    /// (EOF, reset or read timeout), `Some(Err)` for a line that does not
+    /// decode.
+    pub fn next_response(&mut self) -> Option<Result<Response, String>> {
+        loop {
+            self.line.clear();
+            match self.stream.read_line(&mut self.line) {
+                Ok(0) | Err(_) => return None,
+                Ok(_) => {}
+            }
+            let line = self.line.trim();
+            if !line.is_empty() {
+                return Some(decode_response(line));
+            }
+        }
     }
 }
 

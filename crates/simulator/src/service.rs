@@ -297,20 +297,6 @@ mod tests {
         assert_eq!(failure.code, ErrorCode::UnknownPolicy);
     }
 
-    /// Every field of a cell's metrics, floats as bits, so that equality
-    /// is bit-for-bit.
-    fn metric_bits(m: &CellMetrics) -> [Option<u64>; 7] {
-        [
-            Some(m.memory_savings.to_bits()),
-            Some(m.system_savings.to_bits()),
-            Some(m.cpi_increase_avg.to_bits()),
-            Some(m.cpi_increase_max.to_bits()),
-            Some(m.mean_frequency_mhz.to_bits()),
-            m.p99_ms.map(f64::to_bits),
-            m.slo_violations,
-        ]
-    }
-
     /// Calibrates `job`, round-trips its baseline through the persisted
     /// bytes, and checks the recovered baseline against the original: the
     /// calibrated run, and every planned cell bit-for-bit. The original
@@ -336,7 +322,7 @@ mod tests {
             let b = SimulatorBackend
                 .run_cell(&back, &label, &idle)
                 .expect("recovered cell");
-            assert_eq!(metric_bits(&a), metric_bits(&b), "{label}");
+            assert_eq!(a.bits(), b.bits(), "{label}");
         }
     }
 

@@ -242,6 +242,22 @@ pub struct CellMetrics {
     pub slo_violations: Option<u64>,
 }
 
+impl CellMetrics {
+    /// Every field, floats as their bits, so that two results are equal
+    /// bit for bit exactly when their images are.
+    pub fn bits(&self) -> [Option<u64>; 7] {
+        [
+            Some(self.memory_savings.to_bits()),
+            Some(self.system_savings.to_bits()),
+            Some(self.cpi_increase_avg.to_bits()),
+            Some(self.cpi_increase_max.to_bits()),
+            Some(self.mean_frequency_mhz.to_bits()),
+            self.p99_ms.map(f64::to_bits),
+            self.slo_violations,
+        ]
+    }
+}
+
 /// A structured per-cell failure: the machine-readable code clients switch
 /// on plus the human-readable detail that explains it.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -11,12 +11,10 @@
 
 use memscale_serve::loadgen::{self, LoadgenConfig};
 use memscale_serve::server::{JobPlan, ServerConfig, SweepBackend, SweepServer};
-use memscale_serve::wire::{decode_response, encode_job, Response};
+use memscale_serve::wire::{Connection, Response};
 use memscale_serve::{open_flood, ChaosConfig, ChaosProxy};
 use memscale_types::serve::{CellFailure, CellMetrics, DoneReason, ErrorCode, JobSpec};
 use memscale_types::CancelToken;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -24,7 +22,8 @@ use std::time::{Duration, Instant};
 /// A backend whose cells run a scripted behaviour per policy label:
 /// `quick` completes instantly, `slow` works ~300 ms while polling its
 /// cancellation token, `stuck` sleeps 400 ms ignoring the token (the
-/// watchdog's prey), and `boom` fails structurally.
+/// watchdog's prey), `boom` fails structurally, and `panic` kills its
+/// worker job before it can report.
 struct ChaosStub;
 
 fn metrics() -> CellMetrics {
@@ -87,6 +86,7 @@ impl SweepBackend for ChaosStub {
                 Ok(metrics())
             }
             "boom" => Err(CellFailure::sim("scripted failure")),
+            "panic" => panic!("scripted worker death"),
             other => Err(CellFailure::new(
                 ErrorCode::UnknownPolicy,
                 format!("unknown scripted cell {other}"),
@@ -104,35 +104,37 @@ fn spawn_server(cfg: ServerConfig) -> std::net::SocketAddr {
     addr
 }
 
-fn connect(addr: std::net::SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
-    let stream = TcpStream::connect(addr).expect("connect");
-    let reader = BufReader::new(stream.try_clone().expect("clone"));
-    (stream, reader)
+fn connect(addr: std::net::SocketAddr) -> Connection {
+    Connection::open(&addr.to_string(), 0, 0).expect("connect")
 }
 
-/// Submits one job line and reads responses until `done` or `error`.
-fn submit(
-    stream: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
-    job: &JobSpec,
-) -> Vec<Response> {
-    stream
-        .write_all(format!("{}\n", encode_job(job)).as_bytes())
-        .expect("write job");
+/// Reads responses until `done` or `error`.
+fn read_job(conn: &mut Connection) -> Vec<Response> {
     let mut responses = Vec::new();
     loop {
-        let mut buf = String::new();
-        assert!(
-            reader.read_line(&mut buf).expect("read line") > 0,
-            "server hung up mid-job"
-        );
-        let resp = decode_response(buf.trim()).expect("decodable response");
+        let resp = conn
+            .next_response()
+            .expect("server hung up mid-job")
+            .expect("decodable response");
         let terminal = matches!(resp, Response::Done { .. } | Response::Error { .. });
         responses.push(resp);
         if terminal {
             return responses;
         }
     }
+}
+
+/// Submits one job and reads its responses until `done` or `error`.
+fn submit(conn: &mut Connection, job: &JobSpec) -> Vec<Response> {
+    conn.submit(job).expect("write job");
+    read_job(conn)
+}
+
+/// Submits one job and reads its `admitted` line.
+fn submit_admitted(conn: &mut Connection, job: &JobSpec) {
+    conn.submit(job).expect("write job");
+    let first = conn.next_response().expect("read admitted");
+    assert!(matches!(first, Ok(Response::Admitted { .. })), "{first:?}");
 }
 
 fn job_with(id: &str, policies: &[&str]) -> JobSpec {
@@ -147,10 +149,10 @@ fn deadline_cancels_slow_cells_and_reports_deadline_reason() {
         threads: 2,
         ..ServerConfig::default()
     });
-    let (mut stream, mut reader) = connect(addr);
+    let mut conn = connect(addr);
     let mut job = job_with("d1", &["slow", "slow"]);
     job.deadline_ms = Some(60);
-    let responses = submit(&mut stream, &mut reader, &job);
+    let responses = submit(&mut conn, &job);
     assert!(matches!(&responses[0], Response::Admitted { cells: 2, .. }));
     let cancelled = responses
         .iter()
@@ -169,12 +171,69 @@ fn deadline_cancels_slow_cells_and_reports_deadline_reason() {
     }
 
     // The connection survives a deadline-missed job.
-    let responses = submit(&mut stream, &mut reader, &job_with("d2", &["quick"]));
+    let responses = submit(&mut conn, &job_with("d2", &["quick"]));
     match responses.last().expect("non-empty") {
         Response::Done { summary, .. } => {
             assert_eq!(summary.reason, DoneReason::Complete);
             assert_eq!(summary.ok, 1);
         }
+        other => panic!("expected done, got {other:?}"),
+    }
+}
+
+/// With one worker and a one-slot cell queue, the first stuck cell runs,
+/// the second waits in the queue, the submit of the third gives up at the
+/// deadline, and the fourth is never submitted. All four come back as
+/// `cancelled` cells of a `done{reason:"deadline"}` job.
+#[test]
+fn deadline_during_scheduling_cancels_queued_and_unscheduled_cells() {
+    let addr = spawn_server(ServerConfig {
+        threads: 1,
+        cell_queue: 1,
+        ..ServerConfig::default()
+    });
+    let mut conn = connect(addr);
+    let mut job = job_with("s1", &["stuck", "stuck", "stuck", "stuck"]);
+    job.deadline_ms = Some(50);
+    let responses = submit(&mut conn, &job);
+    let cancelled = responses
+        .iter()
+        .filter(|r| {
+            matches!(r, Response::Cell { outcome, .. }
+                if matches!(&outcome.result, Err(f) if f.code == ErrorCode::Cancelled))
+        })
+        .count();
+    assert_eq!(cancelled, 4, "every cell cancelled: {responses:?}");
+    match responses.last().expect("non-empty") {
+        Response::Done { summary, .. } => {
+            assert_eq!(summary.reason, DoneReason::Deadline);
+            assert_eq!((summary.ok, summary.failed), (0, 4));
+        }
+        other => panic!("expected done, got {other:?}"),
+    }
+}
+
+/// A cell whose worker dies without reporting (a panicking backend) is
+/// surfaced as a structured `internal` failure; its sibling still lands.
+#[test]
+fn dead_worker_is_reported_as_an_internal_cell_failure() {
+    let addr = spawn_server(ServerConfig {
+        threads: 2,
+        ..ServerConfig::default()
+    });
+    let mut conn = connect(addr);
+    let responses = submit(&mut conn, &job_with("p1", &["quick", "panic"]));
+    for r in &responses {
+        if let Response::Cell { outcome, .. } = r {
+            match (outcome.label.as_str(), &outcome.result) {
+                ("quick", Ok(_)) => {}
+                ("panic", Err(f)) => assert_eq!(f.code, ErrorCode::Internal, "{f}"),
+                other => panic!("unexpected cell {other:?}"),
+            }
+        }
+    }
+    match responses.last().expect("non-empty") {
+        Response::Done { summary, .. } => assert_eq!((summary.ok, summary.failed), (1, 1)),
         other => panic!("expected done, got {other:?}"),
     }
 }
@@ -186,12 +245,8 @@ fn watchdog_abandons_stuck_cell_without_poisoning_siblings_or_cache() {
         cell_timeout_ms: 80,
         ..ServerConfig::default()
     });
-    let (mut stream, mut reader) = connect(addr);
-    let responses = submit(
-        &mut stream,
-        &mut reader,
-        &job_with("w1", &["stuck", "quick"]),
-    );
+    let mut conn = connect(addr);
+    let responses = submit(&mut conn, &job_with("w1", &["stuck", "quick"]));
     let mut timed_out = 0;
     let mut ok = 0;
     for r in &responses {
@@ -222,11 +277,7 @@ fn watchdog_abandons_stuck_cell_without_poisoning_siblings_or_cache() {
     // Let the abandoned worker finish in the background, then resubmit:
     // its late result must not have been cached.
     std::thread::sleep(Duration::from_millis(500));
-    let responses = submit(
-        &mut stream,
-        &mut reader,
-        &job_with("w2", &["stuck", "quick"]),
-    );
+    let responses = submit(&mut conn, &job_with("w2", &["stuck", "quick"]));
     let stuck_cached = responses.iter().any(
         |r| matches!(r, Response::Cell { outcome, .. } if outcome.label == "stuck" && outcome.cached),
     );
@@ -243,21 +294,13 @@ fn client_disconnect_mid_job_releases_admission_slot() {
         threads: 2,
         ..ServerConfig::default()
     });
-    {
-        let (mut stream, mut reader) = connect(addr);
-        stream
-            .write_all(format!("{}\n", encode_job(&job_with("gone", &["slow"]))).as_bytes())
-            .expect("write job");
-        let mut buf = String::new();
-        reader.read_line(&mut buf).expect("read admitted");
-        assert!(buf.contains("admitted"), "{buf}");
-        // Drop both halves: the client dies mid-job.
-    }
+    // The client dies mid-job: its connection drops after `admitted`.
+    submit_admitted(&mut connect(addr), &job_with("gone", &["slow"]));
     // The slot must come back once the server notices the dead socket.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let (mut stream, mut reader) = connect(addr);
-        let responses = submit(&mut stream, &mut reader, &job_with("next", &["quick"]));
+        let mut conn = connect(addr);
+        let responses = submit(&mut conn, &job_with("next", &["quick"]));
         match responses.last().expect("non-empty") {
             Response::Done { .. } => break,
             Response::Error { code, .. } if *code == ErrorCode::Overloaded => {
@@ -332,21 +375,15 @@ fn sigterm_drain_finishes_in_flight_cells_and_rejects_new_jobs() {
     let runner = std::thread::spawn(move || server.run_with_shutdown(&flag));
 
     // Both connections exist before the shutdown signal.
-    let (mut in_flight, mut in_flight_reader) = connect(addr);
-    let (mut late, mut late_reader) = connect(addr);
-
-    in_flight
-        .write_all(format!("{}\n", encode_job(&job_with("drain", &["slow"]))).as_bytes())
-        .expect("write job");
-    let mut buf = String::new();
-    in_flight_reader.read_line(&mut buf).expect("read admitted");
-    assert!(buf.contains("admitted"), "{buf}");
+    let mut in_flight = connect(addr);
+    let mut late = connect(addr);
+    submit_admitted(&mut in_flight, &job_with("drain", &["slow"]));
 
     shutdown.store(true, Ordering::Release);
     std::thread::sleep(Duration::from_millis(100));
 
     // A pre-existing connection submitting now is turned away.
-    let responses = submit(&mut late, &mut late_reader, &job_with("late", &["quick"]));
+    let responses = submit(&mut late, &job_with("late", &["quick"]));
     match &responses[0] {
         Response::Error { code, detail, .. } => {
             assert_eq!(*code, ErrorCode::Draining);
@@ -356,20 +393,7 @@ fn sigterm_drain_finishes_in_flight_cells_and_rejects_new_jobs() {
     }
 
     // The in-flight job still completes — its cell is not cancelled.
-    let mut responses = Vec::new();
-    loop {
-        let mut buf = String::new();
-        assert!(
-            in_flight_reader.read_line(&mut buf).expect("read line") > 0,
-            "server dropped an in-flight job during drain"
-        );
-        let resp = decode_response(buf.trim()).expect("decodable response");
-        let terminal = matches!(resp, Response::Done { .. } | Response::Error { .. });
-        responses.push(resp);
-        if terminal {
-            break;
-        }
-    }
+    let responses = read_job(&mut in_flight);
     match responses.last().expect("non-empty") {
         Response::Done { summary, .. } => {
             assert_eq!((summary.ok, summary.failed), (1, 0));
@@ -378,7 +402,7 @@ fn sigterm_drain_finishes_in_flight_cells_and_rejects_new_jobs() {
         other => panic!("expected done, got {other:?}"),
     }
 
-    drop((in_flight, in_flight_reader, late, late_reader));
+    drop((in_flight, late));
     let result = runner.join().expect("accept thread joins");
     assert!(result.is_ok(), "drain exit must be clean: {result:?}");
 }

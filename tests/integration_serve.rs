@@ -9,11 +9,9 @@
 
 use memscale_serve::loadgen::{self, LoadgenConfig};
 use memscale_serve::server::{JobPlan, ServerConfig, SweepBackend, SweepServer};
-use memscale_serve::wire::{decode_response, encode_job, Response};
+use memscale_serve::wire::{encode_job, Connection, Response};
 use memscale_types::serve::{CellFailure, CellMetrics, ErrorCode, JobSpec};
 use memscale_types::CancelToken;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -124,23 +122,15 @@ impl Drop for ScratchDir {
     }
 }
 
-/// Submits one raw line and reads responses until `done` or `error`.
-fn submit_raw(
-    stream: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
-    line: &str,
-) -> Vec<Response> {
-    stream
-        .write_all(format!("{line}\n").as_bytes())
-        .expect("write job");
+/// Sends one raw line and reads responses until `done` or `error`.
+fn submit_raw(conn: &mut Connection, line: &str) -> Vec<Response> {
+    conn.send_line(line).expect("write job");
     let mut responses = Vec::new();
     loop {
-        let mut buf = String::new();
-        assert!(
-            reader.read_line(&mut buf).expect("read line") > 0,
-            "server hung up"
-        );
-        let resp = decode_response(buf.trim()).expect("decodable response");
+        let resp = conn
+            .next_response()
+            .expect("server hung up")
+            .expect("decodable response");
         let terminal = matches!(resp, Response::Done { .. } | Response::Error { .. });
         responses.push(resp);
         if terminal {
@@ -149,19 +139,17 @@ fn submit_raw(
     }
 }
 
-fn connect(addr: std::net::SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
-    let stream = TcpStream::connect(addr).expect("connect");
-    let reader = BufReader::new(stream.try_clone().expect("clone"));
-    (stream, reader)
+fn connect(addr: std::net::SocketAddr) -> Connection {
+    Connection::open(&addr.to_string(), 0, 0).expect("connect")
 }
 
 #[test]
 fn job_streams_admitted_cells_done() {
     let (addr, _) = spawn_server(8);
-    let (mut stream, mut reader) = connect(addr);
+    let mut conn = connect(addr);
     let mut job = JobSpec::for_mix("j1", "MID1");
     job.policies = vec!["static:800".into(), "memscale".into()];
-    let responses = submit_raw(&mut stream, &mut reader, &encode_job(&job));
+    let responses = submit_raw(&mut conn, &encode_job(&job));
     assert!(
         matches!(&responses[0], Response::Admitted { id, cells } if id == "j1" && *cells == 2),
         "first line admits: {responses:?}"
@@ -193,11 +181,11 @@ fn job_streams_admitted_cells_done() {
 #[test]
 fn resubmitted_job_answers_from_cache() {
     let (addr, backend) = spawn_server(8);
-    let (mut stream, mut reader) = connect(addr);
+    let mut conn = connect(addr);
     let job = JobSpec::for_mix("warm", "MID1");
     let line = encode_job(&job);
-    submit_raw(&mut stream, &mut reader, &line);
-    let responses = submit_raw(&mut stream, &mut reader, &line);
+    submit_raw(&mut conn, &line);
+    let responses = submit_raw(&mut conn, &line);
     let cached_cells = responses
         .iter()
         .filter(|r| matches!(r, Response::Cell { outcome, .. } if outcome.cached))
@@ -227,12 +215,12 @@ fn resubmitted_job_answers_from_cache() {
 #[test]
 fn moved_knob_reuses_nothing() {
     let (addr, backend) = spawn_server(8);
-    let (mut stream, mut reader) = connect(addr);
+    let mut conn = connect(addr);
     let mut job = JobSpec::for_mix("k1", "MID1");
-    submit_raw(&mut stream, &mut reader, &encode_job(&job));
+    submit_raw(&mut conn, &encode_job(&job));
     job.id = "k2".into();
     job.duration_ms += 1; // moves the fingerprint
-    let responses = submit_raw(&mut stream, &mut reader, &encode_job(&job));
+    let responses = submit_raw(&mut conn, &encode_job(&job));
     match responses.last().expect("non-empty") {
         Response::Done { summary, .. } => assert_eq!(summary.cache_hits, 0),
         other => panic!("expected done, got {other:?}"),
@@ -243,10 +231,10 @@ fn moved_knob_reuses_nothing() {
 #[test]
 fn failed_cell_reported_in_slot_without_poisoning_siblings() {
     let (addr, _) = spawn_server(8);
-    let (mut stream, mut reader) = connect(addr);
+    let mut conn = connect(addr);
     let mut job = JobSpec::for_mix("mixed", "MID1");
     job.policies = vec!["static:800".into(), "boom".into()];
-    let responses = submit_raw(&mut stream, &mut reader, &encode_job(&job));
+    let responses = submit_raw(&mut conn, &encode_job(&job));
     let (mut ok, mut failed) = (0, 0);
     for r in &responses {
         if let Response::Cell { outcome, .. } = r {
@@ -271,7 +259,7 @@ fn failed_cell_reported_in_slot_without_poisoning_siblings() {
 
     // A failed cell is not cached: resubmitting re-runs it.
     job.id = "mixed2".into();
-    let responses = submit_raw(&mut stream, &mut reader, &encode_job(&job));
+    let responses = submit_raw(&mut conn, &encode_job(&job));
     let boom_cached = responses.iter().any(
         |r| matches!(r, Response::Cell { outcome, .. } if outcome.label == "boom" && outcome.cached),
     );
@@ -281,8 +269,8 @@ fn failed_cell_reported_in_slot_without_poisoning_siblings() {
 #[test]
 fn malformed_line_gets_bad_request() {
     let (addr, _) = spawn_server(8);
-    let (mut stream, mut reader) = connect(addr);
-    let responses = submit_raw(&mut stream, &mut reader, "{\"type\":\"job\"");
+    let mut conn = connect(addr);
+    let responses = submit_raw(&mut conn, "{\"type\":\"job\"");
     match &responses[0] {
         Response::Error { id, code, .. } => {
             assert_eq!(*code, ErrorCode::BadRequest);
@@ -292,16 +280,16 @@ fn malformed_line_gets_bad_request() {
     }
     // The connection survives a bad line: a good job still works.
     let job = JobSpec::for_mix("after-bad", "MID1");
-    let responses = submit_raw(&mut stream, &mut reader, &encode_job(&job));
+    let responses = submit_raw(&mut conn, &encode_job(&job));
     assert!(matches!(responses.last(), Some(Response::Done { .. })));
 }
 
 #[test]
 fn unknown_mix_error_names_valid_mixes() {
     let (addr, _) = spawn_server(8);
-    let (mut stream, mut reader) = connect(addr);
+    let mut conn = connect(addr);
     let job = JobSpec::for_mix("m1", "nope");
-    let responses = submit_raw(&mut stream, &mut reader, &encode_job(&job));
+    let responses = submit_raw(&mut conn, &encode_job(&job));
     match &responses[0] {
         Response::Error {
             id, code, detail, ..
@@ -317,9 +305,9 @@ fn unknown_mix_error_names_valid_mixes() {
 #[test]
 fn calibration_failure_is_structured() {
     let (addr, _) = spawn_server(8);
-    let (mut stream, mut reader) = connect(addr);
+    let mut conn = connect(addr);
     let job = JobSpec::for_mix("c1", "uncalibratable");
-    let responses = submit_raw(&mut stream, &mut reader, &encode_job(&job));
+    let responses = submit_raw(&mut conn, &encode_job(&job));
     assert!(matches!(&responses[0], Response::Admitted { .. }));
     match responses.last().expect("non-empty") {
         Response::Error { id, code, .. } => {
@@ -333,9 +321,9 @@ fn calibration_failure_is_structured() {
 #[test]
 fn zero_depth_server_rejects_with_structured_overloaded() {
     let (addr, _) = spawn_server(0);
-    let (mut stream, mut reader) = connect(addr);
+    let mut conn = connect(addr);
     let job = JobSpec::for_mix("o1", "MID1");
-    let responses = submit_raw(&mut stream, &mut reader, &encode_job(&job));
+    let responses = submit_raw(&mut conn, &encode_job(&job));
     match &responses[0] {
         Response::Error {
             id,
@@ -363,12 +351,12 @@ fn overflowing_cache_reports_evictions_in_done() {
         ..ServerConfig::default()
     };
     let (addr, _) = spawn_server_with(cfg);
-    let (mut stream, mut reader) = connect(addr);
+    let mut conn = connect(addr);
     let mut job = JobSpec::for_mix("e1", "MID1");
-    submit_raw(&mut stream, &mut reader, &encode_job(&job));
+    submit_raw(&mut conn, &encode_job(&job));
     job.id = "e2".into();
     job.duration_ms += 1; // new fingerprint: 2 fresh cells displace e1's
-    let responses = submit_raw(&mut stream, &mut reader, &encode_job(&job));
+    let responses = submit_raw(&mut conn, &encode_job(&job));
     match responses.last().expect("non-empty") {
         Response::Done { summary, .. } => {
             assert_eq!(summary.evictions, 2, "e1's two cells evicted: {summary:?}");
@@ -389,20 +377,20 @@ fn state_dir_server_restarts_with_warm_cell_cache() {
         ..ServerConfig::default()
     };
     let (addr, first_backend) = spawn_server_with(cfg.clone());
-    let (mut stream, mut reader) = connect(addr);
+    let mut conn = connect(addr);
     let job = JobSpec::for_mix("durable", "MID1");
     let line = encode_job(&job);
-    let responses = submit_raw(&mut stream, &mut reader, &line);
+    let responses = submit_raw(&mut conn, &line);
     assert!(matches!(responses.last(), Some(Response::Done { .. })));
     assert_eq!(first_backend.calibrations.load(Ordering::Relaxed), 1);
-    drop((stream, reader));
+    drop(conn);
 
     // A second server over the same state dir replays the journal: the
     // resubmitted job answers every cell from the recovered cache without
     // a single calibration.
     let (addr2, second_backend) = spawn_server_with(cfg);
-    let (mut stream, mut reader) = connect(addr2);
-    let responses = submit_raw(&mut stream, &mut reader, &line);
+    let mut conn = connect(addr2);
+    let responses = submit_raw(&mut conn, &line);
     let cached_cells = responses
         .iter()
         .filter(|r| matches!(r, Response::Cell { outcome, .. } if outcome.cached))
