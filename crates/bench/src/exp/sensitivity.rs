@@ -10,26 +10,9 @@ use memscale_types::time::Picos;
 use memscale_workloads::{Mix, WorkloadClass};
 
 /// Average MemScale system savings and worst CPI increase over the MID
-/// workloads for one configuration, with an optional governor override for
-/// sweeps that reuse the same baseline.
-fn mid_point(cfg: &SimConfig, gov_override: Option<&SimConfig>) -> (f64, f64) {
-    let mut sys = Vec::new();
-    let mut worst: f64 = 0.0;
-    for mix in Mix::by_class(WorkloadClass::Mid) {
-        let exp = Experiment::calibrate(&mix, cfg).unwrap();
-        let (_, cmp) = match gov_override {
-            Some(o) => exp.evaluate_configured(PolicyKind::MemScale, o).unwrap(),
-            None => exp.evaluate(PolicyKind::MemScale).unwrap(),
-        };
-        sys.push(cmp.system_savings);
-        worst = worst.max(cmp.max_cpi_increase());
-    }
-    (mean(&sys), worst)
-}
-
-/// Like [`mid_point`] but reusing pre-calibrated experiments (for sweeps
-/// where only governor parameters change).
-fn mid_point_reuse(exps: &[Experiment], cfg: &SimConfig) -> (f64, f64) {
+/// workloads `exps` (calibrated by `calibrate_mid`) under `cfg`, which
+/// may change governor parameters but not the hardware.
+fn mid_point(exps: &[Experiment], cfg: &SimConfig) -> (f64, f64) {
     let mut sys = Vec::new();
     let mut worst: f64 = 0.0;
     for exp in exps {
@@ -64,7 +47,7 @@ pub fn fig12() -> Table {
     for gamma in [0.01, 0.05, 0.10, 0.15] {
         let mut cfg = base.clone();
         cfg.governor.gamma = gamma;
-        let (sys, worst) = mid_point_reuse(&exps, &cfg);
+        let (sys, worst) = mid_point(&exps, &cfg);
         by_gamma.push(sys);
         t.row(vec![pct(gamma), pct(sys), pct(worst)]);
     }
@@ -95,7 +78,7 @@ pub fn fig13() -> Table {
     for channels in [4u8, 3, 2] {
         let mut cfg = sweep_cfg();
         cfg.system.topology.channels = channels;
-        let (sys, worst) = mid_point(&cfg, None);
+        let (sys, worst) = mid_point(&calibrate_mid(&cfg), &cfg);
         series.push((channels, sys, worst));
         t.row(vec![channels.to_string(), pct(sys), pct(worst)]);
     }
@@ -129,7 +112,7 @@ pub fn fig14() -> Table {
     for frac in [0.3, 0.4, 0.5] {
         let mut cfg = sweep_cfg();
         cfg.system.power.mem_power_fraction = frac;
-        let (sys, worst) = mid_point(&cfg, None);
+        let (sys, worst) = mid_point(&calibrate_mid(&cfg), &cfg);
         series.push(sys);
         t.row(vec![pct(frac), pct(sys), pct(worst)]);
     }
@@ -159,7 +142,7 @@ pub fn fig15() -> Table {
     for idle in [0.0, 0.5, 1.0] {
         let mut cfg = sweep_cfg();
         cfg.system.power.mc_reg_idle_fraction = idle;
-        let (sys, worst) = mid_point(&cfg, None);
+        let (sys, worst) = mid_point(&calibrate_mid(&cfg), &cfg);
         series.push(sys);
         t.row(vec![pct(idle), pct(sys), pct(worst)]);
     }
@@ -201,7 +184,7 @@ pub fn sens_epoch() -> Table {
         let mut cfg = base.clone();
         cfg.governor.epoch = epoch;
         cfg.governor.profile_len = profile;
-        let (sys, worst) = mid_point_reuse(&exps, &cfg);
+        let (sys, worst) = mid_point(&exps, &cfg);
         sys_all.push(sys);
         t.row(vec![
             format!("{epoch}"),
@@ -238,7 +221,7 @@ pub fn sens_cores() -> Table {
     for cores in [8usize, 16, 32] {
         let mut cfg = sweep_cfg();
         cfg.system.cpu.cores = cores;
-        let (sys, worst) = mid_point(&cfg, None);
+        let (sys, worst) = mid_point(&calibrate_mid(&cfg), &cfg);
         series.push((cores, sys, worst));
         t.row(vec![cores.to_string(), pct(sys), pct(worst)]);
     }

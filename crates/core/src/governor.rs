@@ -348,7 +348,7 @@ impl MemScaleGovernor {
     /// Estimates the queue factors at candidate frequency `f` by linear
     /// interpolation (in bus period, to which queueing roughly scales) over
     /// the observed history; falls back to the profiled values.
-    fn interpolated_xi(&self, profile: &EpochProfile, f: MemFreq) -> Option<(f64, f64)> {
+    fn interpolated_xi(&self, f: MemFreq) -> Option<(f64, f64)> {
         if !self.cfg.queue_interpolation {
             return None;
         }
@@ -380,7 +380,6 @@ impl MemScaleGovernor {
             return Some((b0, c0));
         }
         let t = (x - x0) / (x1 - x0);
-        let _ = profile;
         Some(((b0 + t * (b1 - b0)).max(1.0), (c0 + t * (c1 - c0)).max(1.0)))
     }
 
@@ -388,7 +387,7 @@ impl MemScaleGovernor {
     /// model sees the interpolated queue factors for frequency `f`.
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)] // clamped non-negative
     fn profile_for(&self, profile: &EpochProfile, f: MemFreq) -> EpochProfile {
-        let Some((xi_bank, xi_bus)) = self.interpolated_xi(profile, f) else {
+        let Some((xi_bank, xi_bus)) = self.interpolated_xi(f) else {
             return profile.clone();
         };
         let mut adjusted = profile.clone();
@@ -893,9 +892,7 @@ mod tests {
         at400.mc.cto *= 3;
         g.end_epoch(&at400);
         // Interpolation must now produce finite, >= 1 factors between them.
-        let xi = g
-            .interpolated_xi(&at800, MemFreq::F600)
-            .expect("two points");
+        let xi = g.interpolated_xi(MemFreq::F600).expect("two points");
         let lo = 1.0 + at800.mc.bank_queue_avg();
         let hi = 1.0 + at400.mc.bank_queue_avg();
         assert!(
@@ -912,7 +909,7 @@ mod tests {
         let mut g = governor(EnergyObjective::FullSystem);
         let p = mem_profile();
         g.end_epoch(&p);
-        assert!(g.interpolated_xi(&p, MemFreq::F400).is_none());
+        assert!(g.interpolated_xi(MemFreq::F400).is_none());
     }
 
     #[test]

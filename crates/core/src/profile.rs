@@ -5,35 +5,9 @@ use memscale_power::ActivitySummary;
 use memscale_types::freq::MemFreq;
 use memscale_types::time::Picos;
 
-/// Per-application counter activity over one window (TIC/TLM deltas).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct AppSample {
-    /// Instructions committed in the window.
-    pub tic: u64,
-    /// LLC misses in the window.
-    pub tlm: u64,
-}
-
-impl AppSample {
-    /// Fraction of instructions missing the LLC (the model's α).
-    pub fn alpha(&self) -> f64 {
-        if self.tic == 0 {
-            0.0
-        } else {
-            self.tlm as f64 / self.tic as f64
-        }
-    }
-
-    /// Measured seconds per instruction over `window`.
-    /// Returns `None` when no instruction retired.
-    pub fn tpi_secs(&self, window: Picos) -> Option<f64> {
-        if self.tic == 0 {
-            None
-        } else {
-            Some(window.as_secs_f64() / self.tic as f64)
-        }
-    }
-}
+/// Per-application counter activity over one window: the TIC/TLM deltas
+/// of one core (§3.1), read by the engine once per boundary.
+pub type AppSample = memscale_cpu::CoreCounters;
 
 /// Everything the policy reads at a profiling or epoch boundary.
 #[derive(Debug, Clone, PartialEq)]

@@ -79,6 +79,16 @@ impl CoreCounters {
             self.tlm as f64 / self.tic as f64
         }
     }
+
+    /// Measured seconds per instruction over `window`, for a delta.
+    /// Returns `None` when no instruction retired.
+    pub fn tpi_secs(&self, window: Picos) -> Option<f64> {
+        if self.tic == 0 {
+            None
+        } else {
+            Some(window.as_secs_f64() / self.tic as f64)
+        }
+    }
 }
 
 /// One in-order core with a single outstanding LLC miss.

@@ -270,21 +270,6 @@ impl MemoryController {
             .collect()
     }
 
-    /// Per-channel data-bus utilization over the window since `snapshots`
-    /// (one earlier [`ChannelStats`] per channel).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snapshots` length differs from the channel count.
-    pub fn channel_utilizations(&self, snapshots: &[ChannelStats], window: Picos) -> Vec<f64> {
-        assert_eq!(snapshots.len(), self.channels.len());
-        self.channels
-            .iter()
-            .zip(snapshots)
-            .map(|(c, s)| c.stats().delta(s).utilization(window))
-            .collect()
-    }
-
     /// Enables or disables aggressive idle powerdown on every rank.
     ///
     /// # Panics

@@ -190,6 +190,29 @@ impl LoadgenStats {
         self.jobs_ok + self.jobs_overloaded + self.jobs_failed + self.jobs_transport
     }
 
+    /// Adds `other`'s counts and latencies to this tally (a client's jobs
+    /// into its tally, the clients' tallies into the run's). The wall
+    /// clock is the run's own and stays as it is.
+    fn absorb(&mut self, other: LoadgenStats) {
+        self.jobs_ok += other.jobs_ok;
+        self.jobs_overloaded += other.jobs_overloaded;
+        self.jobs_failed += other.jobs_failed;
+        self.jobs_transport += other.jobs_transport;
+        self.protocol_errors += other.protocol_errors;
+        self.retries += other.retries;
+        self.deadline_misses += other.deadline_misses;
+        self.cells_ok += other.cells_ok;
+        self.cells_failed += other.cells_failed;
+        self.cells_cancelled += other.cells_cancelled;
+        self.cells_timed_out += other.cells_timed_out;
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+        self.evictions += other.evictions;
+        self.chaos_faults_injected += other.chaos_faults_injected;
+        self.late_submissions += other.late_submissions;
+        self.latencies_ms.extend(other.latencies_ms);
+    }
+
     /// Renders the `BENCH_serve.json` artifact (single line, stable field
     /// order).
     pub fn to_bench_json(&self, cfg: &LoadgenConfig) -> String {
@@ -288,27 +311,6 @@ impl LoadgenStats {
     }
 }
 
-/// Outcome of one submitted job, folded into [`LoadgenStats`].
-#[derive(Debug, Default)]
-struct JobOutcome {
-    done: bool,
-    overloaded: bool,
-    failed: bool,
-    transport: bool,
-    protocol_errors: usize,
-    retries: usize,
-    deadline_miss: bool,
-    cells_ok: usize,
-    cells_failed: usize,
-    cells_cancelled: usize,
-    cells_timed_out: usize,
-    cache_hits: u64,
-    cache_misses: u64,
-    evictions: u64,
-    latency_ms: f64,
-    late: bool,
-}
-
 /// Sleeps the exponential backoff before retry number `attempt` (from 1):
 /// the base doubled per attempt (capped at 64×) plus seeded jitter below it.
 fn back_off(cfg: &LoadgenConfig, attempt: usize, rng: &mut SplitMix64) {
@@ -360,35 +362,10 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenStats, String> {
     }
     let mut stats = LoadgenStats::default();
     for handle in handles {
-        let outcomes = handle
+        let client = handle
             .join()
             .map_err(|_| "load-generator client panicked".to_string())?;
-        for o in outcomes {
-            if o.done {
-                stats.jobs_ok += 1;
-                stats.latencies_ms.push(o.latency_ms);
-            } else if o.overloaded {
-                stats.jobs_overloaded += 1;
-            } else if o.transport {
-                stats.jobs_transport += 1;
-            }
-            if o.failed {
-                stats.jobs_failed += 1;
-            }
-            if o.deadline_miss {
-                stats.deadline_misses += 1;
-            }
-            stats.protocol_errors += o.protocol_errors;
-            stats.retries += o.retries;
-            stats.late_submissions += usize::from(o.late);
-            stats.cells_ok += o.cells_ok;
-            stats.cells_failed += o.cells_failed;
-            stats.cells_cancelled += o.cells_cancelled;
-            stats.cells_timed_out += o.cells_timed_out;
-            stats.cache_hits += o.cache_hits;
-            stats.cache_misses += o.cache_misses;
-            stats.evictions += o.evictions;
-        }
+        stats.absorb(client);
     }
     stats.wall_s = started.elapsed().as_secs_f64();
     Ok(stats)
@@ -398,8 +375,8 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenStats, String> {
 /// overloaded rejections with backoff, replace dead connections, repeat.
 /// Closed loop by default; with `open_loop_rps > 0` each submission
 /// waits for its seeded Poisson arrival instant instead of the previous
-/// completion.
-fn run_client(cfg: &LoadgenConfig, client: usize, fleet_start: Instant) -> Vec<JobOutcome> {
+/// completion. Returns the tally of the client's jobs.
+fn run_client(cfg: &LoadgenConfig, client: usize, fleet_start: Instant) -> LoadgenStats {
     let mut rng = SplitMix64::new(cfg.seed ^ (client as u64).wrapping_mul(GOLDEN_GAMMA));
     let mut schedule = (cfg.open_loop_rps > 0.0).then(|| {
         #[allow(clippy::cast_precision_loss)]
@@ -413,7 +390,7 @@ fn run_client(cfg: &LoadgenConfig, client: usize, fleet_start: Instant) -> Vec<J
         )
     });
     let mut conn: Option<Connection> = None;
-    let mut outcomes = Vec::with_capacity(cfg.jobs_per_client);
+    let mut tally = LoadgenStats::default();
     for job_idx in 0..cfg.jobs_per_client {
         // Open loop: wait for this job's scheduled arrival. A slot that
         // has already passed submits immediately, and the slip counts
@@ -432,14 +409,14 @@ fn run_client(cfg: &LoadgenConfig, client: usize, fleet_start: Instant) -> Vec<J
             }
         }
         let mut retries = 0usize;
-        let outcome = loop {
+        let mut job = loop {
             if conn.is_none() {
                 conn = connect_with_retries(cfg, &mut rng).ok();
             }
             let Some(c) = conn.as_mut() else {
-                break JobOutcome {
-                    transport: true,
-                    ..JobOutcome::default()
+                break LoadgenStats {
+                    jobs_transport: 1,
+                    ..LoadgenStats::default()
                 };
             };
             let mut spec = cfg.template.clone();
@@ -450,7 +427,7 @@ fn run_client(cfg: &LoadgenConfig, client: usize, fleet_start: Instant) -> Vec<J
             if !usable {
                 conn = None;
             }
-            if o.overloaded && retries < cfg.max_retries {
+            if o.jobs_overloaded > 0 && retries < cfg.max_retries {
                 retries += 1;
                 back_off(cfg, retries, &mut rng);
                 continue;
@@ -458,23 +435,23 @@ fn run_client(cfg: &LoadgenConfig, client: usize, fleet_start: Instant) -> Vec<J
             o.retries = retries;
             break o;
         };
-        let mut outcome = outcome;
-        outcome.late = late;
-        if outcome.done {
-            outcome.latency_ms += slip_ms;
+        job.late_submissions = usize::from(late);
+        for latency in &mut job.latencies_ms {
+            *latency += slip_ms;
         }
-        outcomes.push(outcome);
+        tally.absorb(job);
     }
-    outcomes
+    tally
 }
 
-/// Submits one job and consumes its response stream. Returns the outcome
-/// plus whether the connection is still usable for the next submission.
-fn submit_one(conn: &mut Connection, spec: &JobSpec) -> (JobOutcome, bool) {
-    let mut outcome = JobOutcome::default();
+/// Submits one job and consumes its response stream. Returns the job's
+/// tally plus whether the connection is still usable for the next
+/// submission.
+fn submit_one(conn: &mut Connection, spec: &JobSpec) -> (LoadgenStats, bool) {
+    let mut outcome = LoadgenStats::default();
     let started = Instant::now();
     if conn.submit(spec).is_err() {
-        outcome.transport = true;
+        outcome.jobs_transport = 1;
         return (outcome, false);
     }
     let mut expected_cells: Option<usize> = None;
@@ -484,7 +461,7 @@ fn submit_one(conn: &mut Connection, spec: &JobSpec) -> (JobOutcome, bool) {
             // EOF, reset or read timeout mid-job: the transport died, not
             // the protocol.
             None => {
-                outcome.transport = true;
+                outcome.jobs_transport = 1;
                 return (outcome, false);
             }
             Some(Err(_)) => {
@@ -501,7 +478,7 @@ fn submit_one(conn: &mut Connection, spec: &JobSpec) -> (JobOutcome, bool) {
         // violation, the server answered what it was (mis)given.
         if resp.id().is_some_and(|id| id != spec.id) {
             if matches!(resp, Response::Done { .. } | Response::Error { .. }) {
-                outcome.failed = true;
+                outcome.jobs_failed = 1;
                 return (outcome, true);
             }
             continue;
@@ -523,12 +500,12 @@ fn submit_one(conn: &mut Connection, spec: &JobSpec) -> (JobOutcome, bool) {
                 }
             }
             Response::Done { summary, .. } => {
-                outcome.done = true;
-                outcome.latency_ms = started.elapsed().as_secs_f64() * 1e3;
+                outcome.jobs_ok = 1;
+                outcome.latencies_ms = vec![started.elapsed().as_secs_f64() * 1e3];
                 outcome.cache_hits += summary.cache_hits;
                 outcome.cache_misses += summary.cache_misses;
                 outcome.evictions += summary.evictions;
-                outcome.deadline_miss = summary.reason == DoneReason::Deadline;
+                outcome.deadline_misses = usize::from(summary.reason == DoneReason::Deadline);
                 if expected_cells != Some(seen_cells) || summary.cells != seen_cells {
                     outcome.protocol_errors += 1;
                 }
@@ -536,8 +513,8 @@ fn submit_one(conn: &mut Connection, spec: &JobSpec) -> (JobOutcome, bool) {
             }
             Response::Error { code, .. } => {
                 match code {
-                    ErrorCode::Overloaded => outcome.overloaded = true,
-                    _ => outcome.failed = true,
+                    ErrorCode::Overloaded => outcome.jobs_overloaded = 1,
+                    _ => outcome.jobs_failed = 1,
                 }
                 return (outcome, true);
             }

@@ -532,6 +532,18 @@ mod tests {
                 r#"{"type":"job","id":"a","mix":"M","deadline_ms":-1}"#,
                 "deadline_ms",
             ),
+            (
+                r#"{"type":"job","id":"a","mix":"M","gamma_pct":-5}"#,
+                "gamma_pct",
+            ),
+            (
+                r#"{"type":"job","id":"a","mix":"M","epoch_ms":18446744074}"#,
+                "epoch_ms above 10000",
+            ),
+            (
+                r#"{"type":"job","id":"a","mix":"M","margin_pct":100000000000}"#,
+                "margin_pct above 1000",
+            ),
         ] {
             let err = decode_job(line).unwrap_err();
             assert!(err.contains(needle), "{line}: {err}");

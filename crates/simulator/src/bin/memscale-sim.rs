@@ -217,6 +217,9 @@ impl Cli {
             Command::Chaos if self.fleet.addr.is_empty() => {
                 "chaos requires --addr HOST:PORT (a running server)"
             }
+            // The server's bounds, less its admission caps on the horizon
+            // and the grid: a local run may be as long and wide as wanted.
+            Command::Run | Command::Record | Command::Slo => return job.validate_ranges(),
             _ => return Ok(()),
         };
         Err(message.into())
@@ -388,12 +391,7 @@ const SLO: &[Flag] = &[
         a.set_some(&mut c.job().arrivals)
     }),
     Flag("--slo-p99-ms", "MS", |c, a| {
-        let ms: f64 = a.parse()?;
-        if !ms.is_finite() || ms <= 0.0 {
-            return Err(format!("--slo-p99-ms must be positive, got {ms}"));
-        }
-        c.job().slo_p99_ms = Some(ms);
-        Ok(())
+        a.set_some(&mut c.job().slo_p99_ms)
     }),
     POLICIES,
     Flag("--misses-per-request", "N", |c, a| {
@@ -1380,7 +1378,10 @@ mod tests {
             ("check --generation x", "unknown generation x; use all"),
             ("--faults all=2", "--faults: "),
             ("loadgen --open-loop -1", "--open-loop must be a positive"),
-            ("slo --slo-p99-ms nan", "--slo-p99-ms must be positive"),
+            (
+                "slo --arrivals p --slo-p99-ms nan",
+                "slo_p99_ms must be a positive",
+            ),
             ("record", "record requires --out PATH"),
             ("record --out t --replay r", "unknown record flag --replay"),
             ("record --out t --json", "unknown record flag --json"),
@@ -1396,6 +1397,14 @@ mod tests {
             ("chaos --kill9", "chaos --kill9 requires --state-dir DIR"),
             ("trace-info", "trace-info requires a trace PATH"),
             ("trace-info a b", "trace-info takes exactly one PATH"),
+            ("--gamma -5", "gamma_pct must be a finite, non-negative"),
+            ("--gamma nan", "gamma_pct must be a finite, non-negative"),
+            ("--epoch-ms 10001", "epoch_ms above 10000"),
+            ("--epoch-ms 18446744074", "epoch_ms above 10000"),
+            ("--duration-ms 0", "duration_ms must be positive"),
+            ("--duration-ms 18446744074", "duration_ms overflows"),
+            ("record --out t --margin 1001", "margin_pct above 1000"),
+            ("slo --arrivals p --margin 100000000000", "margin_pct above"),
         ] {
             let e = error(args);
             assert!(e.starts_with(want), "{args}: {e}");

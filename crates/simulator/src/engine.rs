@@ -13,6 +13,7 @@ use crate::slo::{request_sources, request_tracker};
 use memscale::policies::{Policy, PolicyKind};
 use memscale::profile::{AppSample, EpochProfile};
 use memscale_cpu::{CoreCounters, CoreState, InOrderCore};
+use memscale_dram::{ChannelStats, RankStats};
 use memscale_faults::FaultInjector;
 use memscale_mc::{McCounters, MemoryController};
 use memscale_power::{ActivitySummary, EnergyAccount, PowerModel};
@@ -111,10 +112,47 @@ impl AuditStream {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CorePhase {
-    Computing,
-    WaitingMemory,
+/// One reading of the counters the engine integrates over windows: each
+/// core's TIC/TLM (§3.1), the controller's counters, and every rank's and
+/// channel's cumulative statistics. Each boundary takes one; the epoch
+/// profile, the energy segment and the timeline sample are its
+/// [`since`](Reading::since) deltas against the reading that opened their
+/// window.
+#[derive(Debug, Clone)]
+struct Reading {
+    /// When it was taken; in a delta, the window's length.
+    at: Picos,
+    cores: Vec<CoreCounters>,
+    mc: McCounters,
+    ranks: Vec<RankStats>,
+    chans: Vec<ChannelStats>,
+}
+
+impl Reading {
+    /// Reads every counter at `at` (after the controller's `sync(at)`).
+    fn take(at: Picos, cores: &[InOrderCore], mc: &MemoryController) -> Self {
+        Reading {
+            at,
+            cores: cores.iter().map(|core| core.counters_at(at)).collect(),
+            mc: *mc.counters(),
+            ranks: mc.rank_stats(),
+            chans: mc.channel_stats(),
+        }
+    }
+
+    /// The growth of every counter over the window since `earlier`.
+    fn since(&self, earlier: &Reading) -> Reading {
+        fn deltas<T>(now: &[T], then: &[T], delta: fn(&T, &T) -> T) -> Vec<T> {
+            now.iter().zip(then).map(|(n, t)| delta(n, t)).collect()
+        }
+        Reading {
+            at: self.at - earlier.at,
+            cores: deltas(&self.cores, &earlier.cores, CoreCounters::delta),
+            mc: self.mc.delta(&earlier.mc),
+            ranks: deltas(&self.ranks, &earlier.ranks, RankStats::delta),
+            chans: deltas(&self.chans, &earlier.chans, ChannelStats::delta),
+        }
+    }
 }
 
 /// A configured, runnable simulation of one mix under one policy.
@@ -129,30 +167,19 @@ pub struct Simulation {
     cores: Vec<InOrderCore>,
     sources: Vec<Box<dyn MissSource + Send>>,
     pending: Vec<Option<MissEvent>>,
-    phase: Vec<CorePhase>,
     heap: BinaryHeap<Reverse<(Picos, usize)>>,
     mc: MemoryController,
 
-    // Epoch machinery.
-    epoch_start: Picos,
+    // The readings that opened the current epoch, energy segment and
+    // timeline interval.
+    epoch: Reading,
     profile_pending: bool,
-    epoch_cores: Vec<CoreCounters>,
-    epoch_mc: McCounters,
-    epoch_ranks: Vec<memscale_dram::RankStats>,
-    epoch_chans: Vec<memscale_dram::ChannelStats>,
-
-    // Energy segments.
-    seg_start: Picos,
-    seg_ranks: Vec<memscale_dram::RankStats>,
-    seg_chans: Vec<memscale_dram::ChannelStats>,
+    segment: Reading,
+    sampled: Reading,
     energy: EnergyAccount,
     freq_residency_ps: Vec<u64>,
-
-    // Timeline.
     timeline: Vec<TimelineSample>,
     tl_next: Option<Picos>,
-    tl_cores: Vec<CoreCounters>,
-    tl_chans: Vec<memscale_dram::ChannelStats>,
 
     // Work targets (None = fixed-duration baseline mode).
     targets: Option<Vec<u64>>,
@@ -260,8 +287,7 @@ impl Simulation {
         let audit = AuditStream::new(&system, policy.initial_frequency());
 
         let n = system.cpu.cores;
-        let rank_zero = mc.rank_stats();
-        let chan_zero = mc.channel_stats();
+        let start = Reading::take(Picos::ZERO, &cores, &mc);
         // Power is always computed against the *unmodified* system config.
         let power = PowerModel::new(&cfg.system);
         Ok(Simulation {
@@ -276,24 +302,16 @@ impl Simulation {
             cores,
             sources,
             pending: vec![None; n],
-            phase: vec![CorePhase::Computing; n],
             heap: BinaryHeap::with_capacity(n + 1),
             mc,
-            epoch_start: Picos::ZERO,
+            epoch: start.clone(),
             profile_pending: true,
-            epoch_cores: vec![CoreCounters::default(); n],
-            epoch_mc: McCounters::new(),
-            epoch_ranks: rank_zero.clone(),
-            epoch_chans: chan_zero.clone(),
-            seg_start: Picos::ZERO,
-            seg_ranks: rank_zero.clone(),
-            seg_chans: chan_zero.clone(),
+            segment: start.clone(),
+            sampled: start,
             energy: EnergyAccount::new(),
             freq_residency_ps: vec![0; MemFreq::ALL.len()],
             timeline: Vec::new(),
             tl_next: cfg.timeline_interval.map(|i| Picos::ZERO + i),
-            tl_cores: vec![CoreCounters::default(); n],
-            tl_chans: chan_zero,
             targets: None,
             completion: vec![None; n],
             remaining_targets: 0,
@@ -381,7 +399,6 @@ impl Simulation {
             let ev = self.pull_miss(c, Picos::ZERO)?;
             let done = self.cores[c].start_compute(Picos::ZERO, ev.gap_instructions);
             self.pending[c] = Some(ev);
-            self.phase[c] = CorePhase::Computing;
             self.heap.push(Reverse((done, c)));
         }
 
@@ -413,7 +430,7 @@ impl Simulation {
                 }
             }
             self.now = boundary;
-            self.handle_boundary(boundary)?;
+            self.handle_boundary(boundary);
             if self.cancel.is_cancelled() {
                 return Err(SimError::Cancelled { at: boundary });
             }
@@ -427,9 +444,9 @@ impl Simulation {
 
     fn next_boundary(&self, deadline: Option<Picos>) -> Picos {
         let epoch_b = if self.profile_pending {
-            self.epoch_start + self.cfg.governor.profile_len
+            self.epoch.at + self.cfg.governor.profile_len
         } else {
-            self.epoch_start + self.cfg.governor.epoch
+            self.epoch.at + self.cfg.governor.epoch
         };
         let mut b = epoch_b;
         if let Some(t) = self.tl_next {
@@ -443,18 +460,14 @@ impl Simulation {
 
     fn advance_core(&mut self, c: usize, t: Picos) -> Result<(), SimError> {
         self.now = t;
-        match self.phase[c] {
-            CorePhase::Computing => {
+        match self.cores[c].state() {
+            CoreState::Computing {
+                since,
+                until,
+                instructions,
+            } => {
                 // Work-target crossing with intra-interval interpolation.
-                if let (
-                    Some(targets),
-                    CoreState::Computing {
-                        since,
-                        until,
-                        instructions,
-                    },
-                ) = (self.targets.as_ref(), self.cores[c].state())
-                {
+                if let Some(targets) = self.targets.as_ref() {
                     let before = self.cores[c].instructions_retired();
                     let after = before + instructions;
                     let target = targets[c];
@@ -481,10 +494,11 @@ impl Simulation {
                 // Every later controller call is at or after `t`.
                 self.audit.poll(&mut self.mc, t);
                 self.cores[c].start_memory_wait(t);
-                self.phase[c] = CorePhase::WaitingMemory;
                 self.heap.push(Reverse((res.completion, c)));
             }
-            CorePhase::WaitingMemory => {
+            // Waiting for memory; an idle core here is an engine bug and
+            // panics in `finish_memory_wait`.
+            _ => {
                 self.cores[c].finish_memory_wait(t);
                 if let Some(tracker) = self.request_tracker.as_mut() {
                     tracker.note_miss(c, t);
@@ -492,28 +506,29 @@ impl Simulation {
                 let ev = self.pull_miss(c, t)?;
                 let done = self.cores[c].start_compute(t, ev.gap_instructions);
                 self.pending[c] = Some(ev);
-                self.phase[c] = CorePhase::Computing;
                 self.heap.push(Reverse((done, c)));
             }
         }
         Ok(())
     }
 
-    fn handle_boundary(&mut self, b: Picos) -> Result<(), SimError> {
+    fn handle_boundary(&mut self, b: Picos) {
         self.mc.sync(b);
-        self.integrate_segment(b);
+        let now = Reading::take(b, &self.cores, &self.mc);
+        self.integrate_segment(&now);
 
         if self.tl_next == Some(b) {
-            self.sample_timeline(b)?;
+            self.sample_timeline(&now);
             self.tl_next = self.cfg.timeline_interval.map(|i| b + i);
         }
 
-        let profile_b = self.epoch_start + self.cfg.governor.profile_len;
-        let epoch_b = self.epoch_start + self.cfg.governor.epoch;
+        let profile_b = self.epoch.at + self.cfg.governor.profile_len;
+        let epoch_b = self.epoch.at + self.cfg.governor.epoch;
         if self.profile_pending && b == profile_b {
             self.profile_pending = false;
             if self.policy.is_adaptive() {
-                let mut profile = self.epoch_profile(b);
+                let window = now.since(&self.epoch);
+                let mut profile = self.epoch_profile(&window);
                 if let Some(fault) = self.epoch_faults.counter {
                     if apply_counter_fault(&mut profile, fault, &mut self.stale_decide) {
                         if let Some(inj) = self.injector.as_mut() {
@@ -523,8 +538,11 @@ impl Simulation {
                 }
                 if self.policy.is_per_channel() {
                     // §6 extension: independent operating points per channel.
-                    let window = b - self.epoch_start;
-                    let utils = self.mc.channel_utilizations(&self.epoch_chans, window);
+                    let utils: Vec<f64> = window
+                        .chans
+                        .iter()
+                        .map(|d| d.utilization(window.at))
+                        .collect();
                     let mut freqs = self.policy.decide_per_channel(&profile, &utils);
                     if let Some(cap) = self.injector.as_ref().and_then(FaultInjector::thermal_cap) {
                         for f in &mut freqs {
@@ -542,19 +560,17 @@ impl Simulation {
             }
         } else if b == epoch_b {
             if self.policy.is_adaptive() {
-                let mut measured = self.epoch_profile(b);
+                let mut measured = self.epoch_profile(&now.since(&self.epoch));
                 if let Some(fault) = self.epoch_faults.counter {
                     // Same draw as the decision read; tallied once there.
                     apply_counter_fault(&mut measured, fault, &mut self.stale_measured);
                 }
                 self.policy.end_epoch(&measured);
             }
-            self.epoch_start = b;
+            self.epoch = now;
             self.profile_pending = true;
-            self.snapshot_epoch(b);
             self.begin_epoch_faults(b);
         }
-        Ok(())
     }
 
     /// Moves the memory system to `requested`, routing the switch through
@@ -609,42 +625,8 @@ impl Simulation {
         }
     }
 
-    fn snapshot_epoch(&mut self, at: Picos) {
-        for (i, core) in self.cores.iter().enumerate() {
-            self.epoch_cores[i] = core.counters_at(at);
-        }
-        self.epoch_mc = *self.mc.counters();
-        self.epoch_ranks = self.mc.rank_stats();
-        self.epoch_chans = self.mc.channel_stats();
-    }
-
-    fn epoch_profile(&self, at: Picos) -> EpochProfile {
-        let window = at - self.epoch_start;
-        let apps = self
-            .cores
-            .iter()
-            .enumerate()
-            .map(|(i, core)| {
-                let d = core.counters_at(at).delta(&self.epoch_cores[i]);
-                AppSample {
-                    tic: d.tic,
-                    tlm: d.tlm,
-                }
-            })
-            .collect();
-        let mc = self.mc.counters().delta(&self.epoch_mc);
-        let ranks = self.mc.rank_stats();
-        let chans = self.mc.channel_stats();
-        let rank_d: Vec<_> = ranks
-            .iter()
-            .zip(&self.epoch_ranks)
-            .map(|(now, then)| now.delta(then))
-            .collect();
-        let chan_d: Vec<_> = chans
-            .iter()
-            .zip(&self.epoch_chans)
-            .map(|(now, then)| now.delta(then))
-            .collect();
+    /// The governor's view of `window`, a delta of two readings.
+    fn epoch_profile(&self, window: &Reading) -> EpochProfile {
         let freq = self
             .mc
             .channel_frequencies()
@@ -652,95 +634,65 @@ impl Simulation {
             .max()
             .unwrap_or_else(|| self.mc.frequency());
         EpochProfile {
-            window,
+            window: window.at,
             freq,
-            apps,
-            mc,
-            activity: ActivitySummary::from_deltas(&rank_d, &chan_d, window),
+            apps: window.cores.clone(),
+            mc: window.mc,
+            activity: ActivitySummary::from_deltas(&window.ranks, &window.chans, window.at),
         }
     }
 
-    fn integrate_segment(&mut self, b: Picos) {
-        let window = b.saturating_sub(self.seg_start);
-        if window == Picos::ZERO {
+    /// Charges the energy of the segment that `now` closes. A boundary at
+    /// or before the segment's start (a second one at the same instant)
+    /// closes nothing.
+    fn integrate_segment(&mut self, now: &Reading) {
+        if now.at <= self.segment.at {
             return;
         }
-        let ranks = self.mc.rank_stats();
-        let chans = self.mc.channel_stats();
-        let rank_d: Vec<_> = ranks
-            .iter()
-            .zip(&self.seg_ranks)
-            .map(|(now, then)| now.delta(then))
-            .collect();
-        let chan_d: Vec<_> = chans
-            .iter()
-            .zip(&self.seg_chans)
-            .map(|(now, then)| now.delta(then))
-            .collect();
+        let d = now.since(&self.segment);
         let freqs = self.mc.channel_frequencies();
         let heterogeneous = freqs.windows(2).any(|w| w[0] != w[1]);
         let p = if heterogeneous {
             self.power
-                .memory_power_heterogeneous(&rank_d, &chan_d, window, &freqs)
+                .memory_power_heterogeneous(&d.ranks, &d.chans, d.at, &freqs)
         } else {
             let interface = freqs[0];
             let device = self.policy.device_power_freq(interface);
             self.power
-                .memory_power_split(&rank_d, &chan_d, window, device, interface)
+                .memory_power_split(&d.ranks, &d.chans, d.at, device, interface)
         };
-        self.energy.add(&p, 0.0, window);
+        self.energy.add(&p, 0.0, d.at);
         // Residency: average across channels (identical for tandem scaling).
-        let share = window.as_ps() / freqs.len() as u64;
+        let share = d.at.as_ps() / freqs.len() as u64;
         for f in &freqs {
             self.freq_residency_ps[f.index()] += share;
         }
-        self.seg_ranks = ranks;
-        self.seg_chans = chans;
-        self.seg_start = b;
+        self.segment = now.clone();
     }
 
-    fn sample_timeline(&mut self, b: Picos) -> Result<(), SimError> {
-        let interval = self
-            .cfg
-            .timeline_interval
-            .ok_or(SimError::TimelineDisabled)?;
-        let window = interval.min(b);
-        let cpu_cycle = self.cfg.system.cpu.cycle();
+    /// Records the timeline sample of the interval that `now` closes.
+    fn sample_timeline(&mut self, now: &Reading) {
+        let d = now.since(&self.sampled);
         let core_cpi = self
             .cores
             .iter()
-            .enumerate()
-            .map(|(i, core)| {
-                let d = core.counters_at(b).delta(&self.tl_cores[i]);
-                if d.tic == 0 {
-                    0.0
-                } else {
-                    window.ratio(cpu_cycle) / d.tic as f64
-                }
-            })
+            .zip(&d.cores)
+            .map(|(core, c)| core.observed_cpi(c, d.at).unwrap_or(0.0))
             .collect();
-        let chans = self.mc.channel_stats();
-        let channel_util = chans
-            .iter()
-            .zip(&self.tl_chans)
-            .map(|(now, then)| now.delta(then).utilization(window))
-            .collect();
-        for (i, core) in self.cores.iter().enumerate() {
-            self.tl_cores[i] = core.counters_at(b);
-        }
-        self.tl_chans = chans;
+        let channel_util = d.chans.iter().map(|c| c.utilization(d.at)).collect();
         self.timeline.push(TimelineSample {
-            at: b,
+            at: now.at,
             bus_mhz: self.mc.frequency().mhz(),
             core_cpi,
             channel_util,
         });
-        Ok(())
+        self.sampled = now.clone();
     }
 
     fn finish(mut self, end: Picos, rest_w: f64) -> RunResult {
         self.mc.sync(end.max(self.now));
-        self.integrate_segment(end.max(self.seg_start));
+        let last = Reading::take(end.max(self.segment.at), &self.cores, &self.mc);
+        self.integrate_segment(&last);
         // Replay the rest of the run's command stream through the
         // independent conformance checker.
         let (audit, audit_peak_held) = self.audit.finish(&mut self.mc);
@@ -752,12 +704,7 @@ impl Simulation {
             .map(|c| c.instructions_at(end))
             .collect::<Vec<_>>();
         let completion = self.completion.iter().map(|c| c.unwrap_or(end)).collect();
-        let deep_pd_time = self
-            .mc
-            .rank_stats()
-            .iter()
-            .map(|s| s.deep_pd_time)
-            .sum::<Picos>();
+        let deep_pd_time = last.ranks.iter().map(|s| s.deep_pd_time).sum::<Picos>();
         // Fold the device-level applied tallies and the governor's
         // degradation counters into the injector's draw record.
         let faults = self.injector.as_mut().map(|inj| {

@@ -42,8 +42,6 @@ pub enum SimError {
         /// Simulated time of the violation.
         at: Picos,
     },
-    /// Timeline sampling fired while timeline capture was disabled.
-    TimelineDisabled,
     /// The run watchdog observed no forward progress: simulated time did
     /// not advance across a full event budget.
     Stalled {
@@ -90,12 +88,6 @@ impl fmt::Display for SimError {
             }
             SimError::MissingPendingMiss { core, at } => {
                 write!(f, "core {core} has no pending miss at {} ps", at.as_ps())
-            }
-            SimError::TimelineDisabled => {
-                write!(
-                    f,
-                    "timeline sample requested but timeline capture is disabled"
-                )
             }
             SimError::Stalled { at, events } => {
                 write!(
@@ -170,7 +162,6 @@ mod tests {
             at: Picos::from_us(1),
         };
         assert!(e.to_string().contains("core 5"));
-        assert!(SimError::TimelineDisabled.to_string().contains("disabled"));
         let e = SimError::Cancelled {
             at: Picos::from_us(3),
         };

@@ -65,7 +65,6 @@ pub struct Experiment {
     mix: Mix,
     cfg: SimConfig,
     baseline: RunResult,
-    rest_w: f64,
 }
 
 impl Experiment {
@@ -121,7 +120,6 @@ impl Experiment {
             mix: mix.clone(),
             cfg: cfg.clone(),
             baseline,
-            rest_w,
         })
     }
 
@@ -134,7 +132,7 @@ impl Experiment {
     /// The calibrated rest-of-system power (W).
     #[inline]
     pub fn rest_w(&self) -> f64 {
-        self.rest_w
+        self.baseline.rest_w
     }
 
     /// The workload under study.
@@ -230,8 +228,8 @@ impl Experiment {
         let run = if cfg.service.is_some() {
             sim.run_for(self.baseline.duration, 0.0)?
         } else {
-            sim.set_rest_of_system_w(self.rest_w);
-            sim.run_until_work(&self.baseline.work, self.rest_w)?
+            sim.set_rest_of_system_w(self.rest_w());
+            sim.run_until_work(&self.baseline.work, self.rest_w())?
         };
         let cmp = self.compare(&run);
         Ok((run, cmp))

@@ -109,9 +109,15 @@ impl SweepBackend for SimulatorBackend {
         // regeneration is deterministic.
         let mut input = mix.name.as_bytes().to_vec();
         if let Some(path) = &job.trace {
+            let unreadable = |e| (ErrorCode::Trace, format!("cannot read trace {path}: {e}"));
+            // A device or pipe could be read forever: look before reading.
+            if !std::fs::metadata(path).map_err(unreadable)?.is_file() {
+                let detail = format!("trace {path} is not a regular file");
+                return Err((ErrorCode::Trace, detail));
+            }
             File::open(path)
                 .and_then(|mut file| file.read_to_end(&mut input))
-                .map_err(|e| (ErrorCode::Trace, format!("cannot read trace {path}: {e}")))?;
+                .map_err(unreadable)?;
             // The header ends in its own CRC-32, so the input's CRC cannot
             // tell one header from another of the same length: check it
             // here, before admission and any cache lookup.
@@ -455,6 +461,15 @@ mod tests {
         assert_eq!(code, ErrorCode::Trace);
         assert!(detail.contains("config hash"), "{detail}");
         assert_eq!(garbage.expect_err("not a trace").0, ErrorCode::Trace);
+    }
+
+    #[test]
+    fn plan_refuses_a_trace_that_is_not_a_regular_file() {
+        let mut job = tiny_job();
+        job.trace = Some(std::env::temp_dir().display().to_string());
+        let (code, detail) = SimulatorBackend.plan(&job).expect_err("a directory");
+        assert_eq!(code, ErrorCode::Trace);
+        assert!(detail.contains("not a regular file"), "{detail}");
     }
 
     #[test]

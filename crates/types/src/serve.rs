@@ -91,9 +91,10 @@ impl JobSpec {
     }
 
     /// Shape checks that need no catalog: identifier present and
-    /// single-line, horizon/epoch non-zero, sane bounds on the grid size.
-    /// Catalog checks (mix exists, policies parse, hardware validates) are
-    /// the serving layer's job.
+    /// single-line, sane bounds on the horizon and the grid size, and the
+    /// [range checks](Self::validate_ranges) of every run. Catalog checks
+    /// (mix exists, policies parse, hardware validates) are the serving
+    /// layer's job.
     ///
     /// # Errors
     ///
@@ -108,17 +109,43 @@ impl JobSpec {
         if self.mix.is_empty() {
             return Err("mix name must not be empty".into());
         }
-        if self.duration_ms == 0 {
-            return Err("duration_ms must be positive".into());
-        }
-        if self.epoch_ms == 0 {
-            return Err("epoch_ms must be positive".into());
-        }
         if self.duration_ms > 10_000 {
             return Err("duration_ms above 10000 is not admissible".into());
         }
         if self.policies.len() > 256 {
             return Err("at most 256 policy cells per job".into());
+        }
+        self.validate_ranges()
+    }
+
+    /// The bounds a run of this description needs wherever it runs, on the
+    /// server or from `memscale-sim`: a non-zero horizon the picosecond
+    /// clock can hold, an epoch of 1..=10000 ms, a finite γ ≥ 0, a
+    /// recording margin of at most 1000 %, and well-formed service fields.
+    /// The server adds its admission caps
+    /// ([`validate_shape`](Self::validate_shape)).
+    ///
+    /// # Errors
+    ///
+    /// A human-readable description of the first out-of-range field.
+    pub fn validate_ranges(&self) -> Result<(), String> {
+        if self.duration_ms == 0 {
+            return Err("duration_ms must be positive".into());
+        }
+        if self.duration_ms > u64::MAX / 1_000_000_000 {
+            return Err("duration_ms overflows the picosecond clock".into());
+        }
+        if self.epoch_ms == 0 {
+            return Err("epoch_ms must be positive".into());
+        }
+        if self.epoch_ms > 10_000 {
+            return Err("epoch_ms above 10000 is not admissible".into());
+        }
+        if !self.gamma_pct.is_finite() || self.gamma_pct < 0.0 {
+            return Err("gamma_pct must be a finite, non-negative number".into());
+        }
+        if self.margin_pct > 1_000 {
+            return Err("margin_pct above 1000 is not admissible".into());
         }
         if self.deadline_ms == Some(0) {
             return Err("deadline_ms must be positive when present".into());
@@ -463,6 +490,36 @@ mod tests {
         job.mix = "MID1".into();
         job.policies = vec!["memscale".into(); 257];
         assert!(job.validate_shape().unwrap_err().contains("256"));
+    }
+
+    #[test]
+    fn run_ranges_bound_gamma_epoch_and_margin() {
+        let mut job = JobSpec::for_mix("j1", "MID1");
+        for gamma in [-5.0, f64::NAN, f64::INFINITY] {
+            job.gamma_pct = gamma;
+            assert!(job.validate_ranges().unwrap_err().contains("gamma_pct"));
+            assert!(job.validate_shape().unwrap_err().contains("gamma_pct"));
+        }
+        job.gamma_pct = 0.0;
+        for epoch in [10_001, 18_446_744_074] {
+            job.epoch_ms = epoch;
+            let err = job.validate_shape().unwrap_err();
+            assert!(err.contains("epoch_ms above 10000"), "{err}");
+        }
+        job.epoch_ms = 10_000;
+        job.margin_pct = 1_001;
+        let err = job.validate_shape().unwrap_err();
+        assert!(err.contains("margin_pct above 1000"), "{err}");
+        job.margin_pct = 1_000;
+        assert_eq!(job.validate_shape(), Ok(()));
+        job.duration_ms = 18_446_744_074;
+        let err = job.validate_ranges().unwrap_err();
+        assert!(err.contains("duration_ms overflows"), "{err}");
+        // Only the server caps the horizon and the grid.
+        job.duration_ms = 20_000;
+        job.policies = vec!["memscale".into(); 300];
+        assert_eq!(job.validate_ranges(), Ok(()));
+        assert!(job.validate_shape().is_err());
     }
 
     #[test]

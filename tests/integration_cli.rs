@@ -1,5 +1,6 @@
 //! `memscale-sim` end to end: every subcommand's `--help` lists its flags
-//! and exits 0, and an unknown flag is a usage error that exits 2.
+//! and exits 0, and an unknown flag or an out-of-range run description is
+//! a usage error that exits 2.
 
 use std::process::{Command, Output};
 
@@ -51,5 +52,20 @@ fn unknown_flag_exits_2() {
         assert!(out.stdout.is_empty());
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("flag --no-such-flag"), "{stderr}");
+    }
+}
+
+#[test]
+fn out_of_range_run_description_exits_2_before_simulating() {
+    for (args, field) in [
+        (["--gamma", "-5"], "gamma_pct"),
+        (["--gamma", "nan"], "gamma_pct"),
+        (["--epoch-ms", "18446744074"], "epoch_ms"),
+    ] {
+        let out = sim("", &[args[0], args[1], "--duration-ms", "2"]);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with(&format!("error: {field}")), "{stderr}");
     }
 }
