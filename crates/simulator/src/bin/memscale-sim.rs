@@ -68,6 +68,7 @@ use memscale_types::serve::JobSpec;
 use memscale_types::time::Picos;
 use memscale_workloads::Mix;
 use std::fmt::Display;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -1127,7 +1128,7 @@ fn simulate(cli: &Cli) -> Outcome {
     if let Some(svc) = &mut cfg.service {
         svc.model = cli.model;
     }
-    cfg.system.validate().map_err(Exit::usage)?;
+    cfg.validate().map_err(Exit::usage)?;
     let Some(policy) = policy else {
         return run_slo(&mix, &cfg, cli);
     };
@@ -1227,13 +1228,17 @@ fn simulate(cli: &Cli) -> Outcome {
 }
 
 fn main() -> ExitCode {
+    // The usage and error paths write with `writeln!` and ignore a failed
+    // write, so a closed stderr (`2>&1 | head -1`) cannot turn the exit
+    // code into a panic's 101.
+    let mut stderr = std::io::stderr();
     let cli = match parse_args(std::env::args().skip(1)) {
         Ok(cli) => cli,
         Err((name, error)) => {
             if let Some(e) = &error {
-                eprintln!("error: {e}\n");
+                writeln!(stderr, "error: {e}\n").ok();
             }
-            eprintln!("{}", usage(name));
+            writeln!(stderr, "{}", usage(name)).ok();
             return ExitCode::from(if error.is_some() { 2 } else { 0 });
         }
     };
@@ -1248,7 +1253,7 @@ fn main() -> ExitCode {
         Command::Run | Command::Record | Command::Slo => simulate(&cli),
     };
     outcome.unwrap_or_else(|Exit(code, e)| {
-        eprintln!("error: {e}");
+        writeln!(stderr, "error: {e}").ok();
         ExitCode::from(code)
     })
 }

@@ -4,7 +4,7 @@ use crate::slo::ServiceConfig;
 use memscale::governor::GovernorConfig;
 use memscale_arrivals::{ArrivalError, ArrivalSpec};
 use memscale_mc::RowPolicy;
-use memscale_types::config::SystemConfig;
+use memscale_types::config::{ConfigError, SystemConfig};
 use memscale_types::faults::FaultPlan;
 use memscale_types::requests::SloSpec;
 use memscale_types::serve::JobSpec;
@@ -36,6 +36,13 @@ pub struct SimConfig {
     /// set, the cores serve its request stream for the run's duration
     /// and every run reports its request latencies (DESIGN.md §16).
     pub service: Option<ServiceConfig>,
+    /// Whether the run records its DRAM command stream and replays it
+    /// through the protocol auditor (DESIGN.md §7), filling
+    /// [`RunResult::audit`](crate::RunResult::audit). On by default; the
+    /// sweep server turns it off, because nothing reads a served cell's
+    /// audit. Recording only observes, so every other result is the same
+    /// either way.
+    pub audit: bool,
 }
 
 impl Default for SimConfig {
@@ -51,6 +58,7 @@ impl Default for SimConfig {
             row_policy: RowPolicy::ClosedPage,
             faults: None,
             service: None,
+            audit: true,
         }
     }
 }
@@ -139,6 +147,35 @@ impl SimConfig {
         self
     }
 
+    /// Checks the hardware system ([`SystemConfig::validate`]) and the
+    /// run's boundary schedule: a positive epoch, a profiling phase shorter
+    /// than the epoch, and a positive timeline interval. A zero epoch or
+    /// interval would revisit one boundary forever, and a profiling phase
+    /// that reaches the epoch's end would move the boundary clock
+    /// backwards.
+    ///
+    /// # Errors
+    ///
+    /// A [`ConfigError`] naming the first offending field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.system.validate()?;
+        let GovernorConfig {
+            epoch, profile_len, ..
+        } = self.governor;
+        if epoch == Picos::ZERO {
+            return Err(ConfigError::new("governor epoch must be > 0"));
+        }
+        if profile_len >= epoch {
+            return Err(ConfigError::new(format!(
+                "governor profile_len ({profile_len}) must be shorter than the epoch ({epoch})"
+            )));
+        }
+        if self.timeline_interval == Some(Picos::ZERO) {
+            return Err(ConfigError::new("timeline_interval must be > 0"));
+        }
+        Ok(())
+    }
+
     /// A 64-bit fingerprint of every knob that shapes a run's miss stream
     /// and results — the hardware system, governor, duration, seed, slice
     /// size, timeline, row policy, fault plan and service workload
@@ -152,7 +189,11 @@ impl SimConfig {
     /// (the trace format version covers cross-build skew). The workload
     /// joins the rendering only when one is set, so a batch configuration
     /// keeps the hash its recorded traces, cache keys and journal entries
-    /// carry.
+    /// carry. The [`audit`](SimConfig::audit) switch is left out: recording
+    /// the command stream only observes the run
+    /// (`crates/dram/tests/audit_oracle.rs::recording_only_observes`), so
+    /// an audited and an unaudited run of one configuration produce the
+    /// same results and share its traces, cache entries and journal.
     pub fn fingerprint(&self) -> u64 {
         let mut canonical = format!(
             "{:?}|{:?}|{:?}|{}|{}|{:?}|{:?}|{:?}",
@@ -185,8 +226,9 @@ mod tests {
     fn defaults_are_sane() {
         let c = SimConfig::default();
         assert!(c.duration >= c.governor.epoch);
-        assert!(c.system.validate().is_ok());
+        assert!(c.validate().is_ok());
         assert_eq!(c.timeline_interval, None);
+        assert!(c.audit);
     }
 
     #[test]

@@ -203,8 +203,9 @@ pub struct Simulation {
     stale_decide: StaleCache,
     stale_measured: StaleCache,
 
-    /// The streamed conformance audit of the run's command stream.
-    audit: AuditStream,
+    /// The streamed conformance audit of the run's command stream (`None`
+    /// when the config turns the audit off: nothing is recorded then).
+    audit: Option<AuditStream>,
 }
 
 impl Simulation {
@@ -212,10 +213,11 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] for an invalid configuration,
-    /// [`SimError::PolicyUnavailable`] if the policy does not exist on the
-    /// configured memory generation (e.g. deep power-down outside LPDDR),
-    /// and [`SimError::InvalidFaultPlan`] for an out-of-bounds fault plan.
+    /// Returns [`SimError::InvalidConfig`] for an invalid configuration
+    /// (see [`SimConfig::validate`]), [`SimError::PolicyUnavailable`] if
+    /// the policy does not exist on the configured memory generation (e.g.
+    /// deep power-down outside LPDDR), and [`SimError::InvalidFaultPlan`]
+    /// for an out-of-bounds fault plan.
     pub fn new(mix: &Mix, policy_kind: PolicyKind, cfg: &SimConfig) -> Result<Self, SimError> {
         Simulation::with_sources(mix, policy_kind, cfg, live_sources(mix, cfg))
     }
@@ -225,7 +227,10 @@ impl Simulation {
     /// the replay entry point ([`memscale_trace::ReplayTrace::streams`]
     /// supplies such sources from a recorded artifact). When `cfg` carries
     /// a service workload, the run tracks its requests and the result
-    /// reports their latencies ([`RunResult::requests`]).
+    /// reports their latencies ([`RunResult::requests`]). When `cfg` asks
+    /// for the audit ([`SimConfig::audit`]), the controller records every
+    /// DRAM command and the run streams them through the protocol auditor
+    /// ([`RunResult::audit`]); otherwise nothing is recorded.
     ///
     /// # Errors
     ///
@@ -238,7 +243,7 @@ impl Simulation {
         cfg: &SimConfig,
         sources: Vec<Box<dyn MissSource + Send>>,
     ) -> Result<Self, SimError> {
-        cfg.system.validate()?;
+        cfg.validate()?;
         if sources.len() != cfg.system.cpu.cores {
             return Err(TraceError::ConfigMismatch {
                 field: "app count",
@@ -283,8 +288,10 @@ impl Simulation {
         let mut mc = MemoryController::new(&system, policy.initial_frequency());
         mc.set_auto_power_down(policy.auto_power_down());
         mc.set_row_policy(cfg.row_policy);
-        mc.set_event_recording(true);
-        let audit = AuditStream::new(&system, policy.initial_frequency());
+        mc.set_event_recording(cfg.audit);
+        let audit = cfg
+            .audit
+            .then(|| AuditStream::new(&system, policy.initial_frequency()));
 
         let n = system.cpu.cores;
         let start = Reading::take(Picos::ZERO, &cores, &mc);
@@ -492,7 +499,9 @@ impl Simulation {
                 }
                 let res = self.mc.read(ev.addr, t);
                 // Every later controller call is at or after `t`.
-                self.audit.poll(&mut self.mc, t);
+                if let Some(audit) = self.audit.as_mut() {
+                    audit.poll(&mut self.mc, t);
+                }
                 self.cores[c].start_memory_wait(t);
                 self.heap.push(Reverse((res.completion, c)));
             }
@@ -695,7 +704,11 @@ impl Simulation {
         self.integrate_segment(&last);
         // Replay the rest of the run's command stream through the
         // independent conformance checker.
-        let (audit, audit_peak_held) = self.audit.finish(&mut self.mc);
+        let (audit, audit_peak_held) = self
+            .audit
+            .take()
+            .map(|stream| stream.finish(&mut self.mc))
+            .unzip();
         let mut energy = self.energy;
         energy.rest_j = rest_w * energy.elapsed.as_secs_f64();
         let work = self
@@ -737,8 +750,8 @@ impl Simulation {
                 .request_tracker
                 .as_ref()
                 .map(memscale_arrivals::RequestTracker::finalize),
-            audit: Some(audit),
-            audit_peak_held,
+            audit,
+            audit_peak_held: audit_peak_held.unwrap_or(0),
         }
     }
 }
@@ -926,6 +939,45 @@ mod tests {
             err.to_string(),
             "DDR4: policy Deep-PD is not available on this generation"
         );
+    }
+
+    /// The message of the [`SimError::InvalidConfig`] that building a run
+    /// of `cfg` returns (`None` when the run builds).
+    fn refused(cfg: &SimConfig) -> Option<String> {
+        let mix = Mix::by_name("ILP2").unwrap();
+        match Simulation::new(&mix, PolicyKind::MemScale, cfg).err()? {
+            SimError::InvalidConfig(e) => Some(e.to_string()),
+            other => panic!("expected an invalid configuration, got {other}"),
+        }
+    }
+
+    #[test]
+    fn zero_epoch_is_refused() {
+        let mut cfg = quick();
+        cfg.governor.epoch = Picos::ZERO;
+        let msg = refused(&cfg).expect("refused");
+        assert!(msg.contains("epoch must be > 0"), "{msg}");
+    }
+
+    #[test]
+    fn profile_reaching_the_epoch_end_is_refused() {
+        let mut cfg = quick();
+        cfg.governor.epoch = Picos::from_us(300);
+        let msg = refused(&cfg).expect("refused");
+        assert!(
+            msg.contains("profile_len (300us) must be shorter than the epoch (300us)"),
+            "{msg}"
+        );
+        cfg.governor.epoch = Picos::from_us(200);
+        assert!(refused(&cfg).is_some());
+        cfg.governor.epoch = Picos::from_us(301);
+        assert_eq!(refused(&cfg), None);
+    }
+
+    #[test]
+    fn zero_timeline_interval_is_refused() {
+        let msg = refused(&quick().with_timeline(Picos::ZERO)).expect("refused");
+        assert!(msg.contains("timeline_interval must be > 0"), "{msg}");
     }
 
     #[test]

@@ -56,14 +56,18 @@ pub struct RunResult {
     /// open-loop service workload with a request tracker installed).
     pub requests: Option<memscale_types::requests::RequestStats>,
     /// Protocol conformance report for the run's full command stream,
-    /// checked against its generation's rule pack. Every [`Simulation`]
-    /// run fills it; results built by hand may leave it `None`.
+    /// checked against its generation's rule pack. A [`Simulation`] fills
+    /// it when its config asks for the audit ([`SimConfig::audit`], the
+    /// default) and leaves it `None` when it does not, as in the sweep
+    /// server's runs; results built by hand may leave it `None` too. Every
+    /// other field is the same either way.
     ///
     /// [`Simulation`]: crate::Simulation
+    /// [`SimConfig::audit`]: crate::SimConfig::audit
     pub audit: Option<memscale_audit::AuditReport>,
     /// Most DRAM commands held at once between recording and audit replay:
     /// a deterministic measure of audit memory, kept out of the report and
-    /// of every output format.
+    /// of every output format (0 for an unaudited run).
     pub audit_peak_held: usize,
 }
 

@@ -21,6 +21,10 @@
 //! A job's service workload (`arrivals`, `slo_p99_ms`) is part of its
 //! [`SimConfig`], so the fingerprint separates batch from service jobs and
 //! one service workload from another, and the same calls run both kinds.
+//!
+//! Every simulation the backend runs is unaudited ([`SimConfig::audit`]
+//! off): no cell reports an audit, and recording only observes, so each
+//! cell equals the audited run of the same job bit for bit.
 
 use crate::config::SimConfig;
 use crate::error::SimError;
@@ -63,12 +67,15 @@ fn sim_error_code(e: &SimError) -> ErrorCode {
 }
 
 impl SimulatorBackend {
+    /// The mix and the unaudited run `job` describes: the one place the
+    /// server derives a run, so calibration, a decoded baseline's
+    /// recalibration and every cell run without the audit.
     fn resolve(&self, job: &JobSpec) -> Result<(Mix, SimConfig), (ErrorCode, String)> {
         let mix = Mix::by_name(&job.mix).map_err(|e| (ErrorCode::UnknownMix, e.to_string()))?;
-        let cfg = SimConfig::for_job(job)
+        let mut cfg = SimConfig::for_job(job)
             .map_err(|e| (ErrorCode::BadRequest, format!("arrivals: {e}")))?;
-        cfg.system
-            .validate()
+        cfg.audit = false;
+        cfg.validate()
             .map_err(|e| (ErrorCode::InvalidConfig, e.to_string()))?;
         Ok((mix, cfg))
     }
@@ -301,6 +308,26 @@ mod tests {
             .run_cell(&baseline, "warp-drive", &idle)
             .expect_err("unknown policy fails");
         assert_eq!(failure.code, ErrorCode::UnknownPolicy);
+    }
+
+    /// The server skips the audit but keys its caches as an audited run of
+    /// the job would: the switch is not part of the fingerprint.
+    #[test]
+    fn served_runs_are_unaudited_under_the_audited_fingerprint() {
+        let job = tiny_job();
+        let audited = SimConfig::for_job(&job).unwrap();
+        assert!(audited.audit);
+        let plan = SimulatorBackend.plan(&job).expect("plan");
+        assert_eq!(plan.fingerprint, audited.fingerprint());
+        let baseline = SimulatorBackend.calibrate(&job).expect("calibrate");
+        let (cell, _) = baseline
+            .exp
+            .evaluate_replay(PolicyKind::MemScale, &baseline.trace)
+            .expect("cell");
+        for run in [baseline.exp.baseline(), &cell] {
+            assert!(run.audit.is_none(), "{}", run.policy);
+            assert_eq!(run.audit_peak_held, 0, "{}", run.policy);
+        }
     }
 
     /// Calibrates `job`, round-trips its baseline through the persisted

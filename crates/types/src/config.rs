@@ -13,7 +13,8 @@ pub struct ConfigError {
 }
 
 impl ConfigError {
-    pub(crate) fn new(message: impl Into<String>) -> Self {
+    /// An error whose `message` names the offending field and its bound.
+    pub fn new(message: impl Into<String>) -> Self {
         ConfigError {
             message: message.into(),
         }

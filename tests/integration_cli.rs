@@ -1,8 +1,8 @@
 //! `memscale-sim` end to end: every subcommand's `--help` lists its flags
 //! and exits 0, and an unknown flag or an out-of-range run description is
-//! a usage error that exits 2.
+//! a usage error that exits 2, even when stderr is closed.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 /// Runs the binary under test with `sub` (if any) followed by `args`.
 fn sim(sub: &str, args: &[&str]) -> Output {
@@ -67,5 +67,23 @@ fn out_of_range_run_description_exits_2_before_simulating() {
         assert!(out.stdout.is_empty());
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.starts_with(&format!("error: {field}")), "{stderr}");
+    }
+}
+
+#[test]
+fn usage_errors_exit_2_when_stderr_is_closed() {
+    // The first is refused while parsing, the second once the run is
+    // described: the two paths by which `main` reports an error.
+    for args in [["--gamma", "-5"], ["--mix", "NOPE"]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let status = Command::new(env!("CARGO_BIN_EXE_memscale-sim"))
+            .args(args)
+            .args(["--duration-ms", "2"])
+            .stdout(Stdio::null())
+            .stderr(writer)
+            .status()
+            .expect("memscale-sim runs");
+        assert_eq!(status.code(), Some(2), "{args:?}");
     }
 }

@@ -1,9 +1,13 @@
 //! End-to-end integration: full simulations spanning every crate.
 
 use memscale::policies::PolicyKind;
-use memscale_simulator::harness::Experiment;
-use memscale_simulator::{SimConfig, Simulation};
+use memscale_simulator::harness::{record_trace, Experiment};
+use memscale_simulator::{RunResult, SimConfig, Simulation};
+use memscale_trace::ReplayTrace;
+use memscale_types::config::MemGeneration;
+use memscale_types::faults::FaultPlan;
 use memscale_types::freq::MemFreq;
+use memscale_types::serve::JobSpec;
 use memscale_types::time::Picos;
 use memscale_workloads::{Mix, WorkloadClass};
 
@@ -123,7 +127,7 @@ fn full_runs_replay_clean_through_the_conformance_checker() {
             .unwrap()
             .run_for(Picos::from_ms(6), 40.0)
             .unwrap();
-        let audit = run.audit.as_ref().expect("audit enabled in test builds");
+        let audit = run.audit.as_ref().expect("the default SimConfig audits");
         assert!(audit.is_clean(), "{policy:?}: {}", audit.summary());
         assert!(audit.commands_checked > 1_000);
     }
@@ -141,7 +145,7 @@ fn streamed_audit_memory_does_not_grow_with_the_horizon() {
             .unwrap()
             .run_for(Picos::from_us(us), 40.0)
             .unwrap();
-        let audit = run.audit.as_ref().expect("audit enabled in test builds");
+        let audit = run.audit.as_ref().expect("the default SimConfig audits");
         assert!(audit.is_clean(), "{us} us: {}", audit.summary());
         (run.audit_peak_held, audit.commands_checked)
     };
@@ -159,7 +163,6 @@ fn ddr4_and_lpddr3_full_runs_replay_clean() {
     // One configuration switch selects the generation; the run is audited
     // against that generation's rule pack (bank groups on DDR4, deep
     // power-down and per-bank refresh on LPDDR3).
-    use memscale_types::config::MemGeneration;
     let mix = Mix::by_name("MID1").unwrap();
     for (generation, policy) in [
         (MemGeneration::Ddr4, PolicyKind::MemScale),
@@ -171,12 +174,95 @@ fn ddr4_and_lpddr3_full_runs_replay_clean() {
             .run_for(Picos::from_ms(6), 40.0)
             .unwrap();
         assert_eq!(run.generation, generation);
-        let audit = run.audit.as_ref().expect("audit enabled in test builds");
+        let audit = run.audit.as_ref().expect("the default SimConfig audits");
         assert!(audit.is_clean(), "{generation}: {}", audit.summary());
         assert!(audit.commands_checked > 1_000);
         if generation == MemGeneration::Lpddr3 {
             assert!(run.counters.edpc > 0, "deep power-down never engaged");
             assert!(run.deep_pd_time > Picos::ZERO);
+        }
+    }
+}
+
+/// `run` without its audit, rendered: `Debug` prints every float in its
+/// shortest round-trip form, so equal renderings hold equal bits.
+fn without_audit(run: &RunResult) -> String {
+    let mut run = run.clone();
+    run.audit = None;
+    run.audit_peak_held = 0;
+    format!("{run:?}")
+}
+
+/// The calibrated baselines and `policy` runs of `cfg`, live and replayed
+/// from `trace`.
+fn live_and_replayed(
+    mix: &Mix,
+    cfg: &SimConfig,
+    trace: &ReplayTrace,
+    policy: PolicyKind,
+) -> Vec<RunResult> {
+    let live = Experiment::calibrate(mix, cfg).unwrap();
+    let replayed = Experiment::calibrate_replay(mix, cfg, trace).unwrap();
+    let (live_run, _) = live.evaluate(policy).unwrap();
+    let (replayed_run, _) = replayed.evaluate_replay(policy, trace).unwrap();
+    vec![
+        live.baseline().clone(),
+        live_run,
+        replayed.baseline().clone(),
+        replayed_run,
+    ]
+}
+
+#[test]
+fn unaudited_runs_equal_audited_runs_bit_for_bit() {
+    // The sweep server runs unaudited, while the CLI and `experiments`
+    // audit. Recording the command stream only observes, so the two
+    // agree in every field but the audit's own: on every generation, with
+    // and without faults, for a service workload, live and replayed. The
+    // runs are derived from a job as the server derives them.
+    let mix = Mix::by_name("MID1").unwrap();
+    let faults = FaultPlan::parse("seed=7,all=0.4").unwrap();
+    let mut job = JobSpec::for_mix("contract", "MID1");
+    job.duration_ms = 2;
+    job.epoch_ms = 1;
+    let mut cases = Vec::new();
+    for generation in MemGeneration::ALL {
+        job.generation = generation;
+        let cfg = SimConfig::for_job(&job).unwrap();
+        cases.push(cfg.clone().with_faults(faults.clone()));
+        cases.push(cfg);
+    }
+    job.generation = MemGeneration::Ddr3;
+    job.arrivals = Some("poisson:2000".into());
+    cases.push(SimConfig::for_job(&job).unwrap());
+    for audited in cases {
+        assert!(audited.audit, "the default SimConfig audits");
+        let unaudited = SimConfig {
+            audit: false,
+            ..audited.clone()
+        };
+        let case = format!(
+            "{} faults={} service={}",
+            audited.system.timing.generation,
+            audited.faults.is_some(),
+            audited.service.is_some()
+        );
+        let (header, streams) =
+            record_trace(&mix, &audited, &[PolicyKind::Static(MemFreq::MIN)], 50).unwrap();
+        let trace = ReplayTrace::from_streams(header, streams);
+        let policy = PolicyKind::MemScaleFastPd;
+        let checked = live_and_replayed(&mix, &audited, &trace, policy);
+        let skipped = live_and_replayed(&mix, &unaudited, &trace, policy);
+        for (a, u) in checked.iter().zip(&skipped) {
+            let report = a.audit.as_ref().expect("the default SimConfig audits");
+            assert!(report.is_clean(), "{case}: {}", report.summary());
+            assert!(report.commands_checked > 1_000, "{case}");
+            assert!(u.audit.is_none(), "{case}: an unaudited run has no report");
+            assert_eq!(
+                u.audit_peak_held, 0,
+                "{case}: an unaudited run holds nothing"
+            );
+            assert_eq!(without_audit(a), without_audit(u), "{case}: {}", a.policy);
         }
     }
 }

@@ -175,7 +175,7 @@ fn scaled_and_decoupled_runs_are_protocol_conformant() {
             .unwrap()
             .run_for(Picos::from_ms(6), 0.0)
             .unwrap();
-        let audit = run.audit.as_ref().expect("audit enabled in test builds");
+        let audit = run.audit.as_ref().expect("the default SimConfig audits");
         assert!(audit.is_clean(), "{policy:?}: {}", audit.summary());
         assert!(audit.commands_checked > 0);
     }
@@ -199,7 +199,7 @@ fn lpddr3_deep_powerdown_saves_background_energy_and_audits_clean() {
         .unwrap();
     for run in [&fast, &deep] {
         assert_eq!(run.generation, MemGeneration::Lpddr3);
-        let audit = run.audit.as_ref().expect("audit enabled in test builds");
+        let audit = run.audit.as_ref().expect("the default SimConfig audits");
         assert!(audit.is_clean(), "{}", audit.summary());
     }
     assert!(deep.counters.edpc > 0, "deep power-down never engaged");

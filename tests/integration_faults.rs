@@ -55,7 +55,7 @@ fn fault_runs_stay_protocol_conformant_across_generations() {
             FaultPlan::uniform(0xF0_01, 0.6),
             Picos::from_ms(12),
         );
-        let audit = run.audit.as_ref().expect("audit enabled in test builds");
+        let audit = run.audit.as_ref().expect("the default SimConfig audits");
         assert!(
             audit.is_clean(),
             "{generation}: fault run violated protocol: {}",
@@ -112,7 +112,7 @@ fn single_class_plans_fire_only_their_class() {
     ];
     for (name, plan, count) in classes {
         let run = fault_run(MemGeneration::Ddr3, PolicyKind::MemScale, plan);
-        let audit = run.audit.as_ref().expect("audit enabled in test builds");
+        let audit = run.audit.as_ref().expect("the default SimConfig audits");
         assert!(audit.is_clean(), "{name}: {}", audit.summary());
         let faults = run.faults.expect("fault report attached");
         let fired = count(&faults);
@@ -133,7 +133,7 @@ fn pd_exit_spikes_fire_under_fast_pd() {
         ..FaultPlan::default()
     };
     let run = fault_run(MemGeneration::Ddr3, PolicyKind::FastPd, plan);
-    let audit = run.audit.as_ref().expect("audit enabled in test builds");
+    let audit = run.audit.as_ref().expect("the default SimConfig audits");
     assert!(audit.is_clean(), "{}", audit.summary());
     let faults = run.faults.expect("fault report attached");
     assert!(faults.pd_exit_spikes > 0, "no spikes despite rate 1.0");
@@ -204,7 +204,7 @@ fn thermal_cap_bounds_the_grid() {
         ..FaultPlan::default()
     };
     let run = fault_run(MemGeneration::Ddr3, PolicyKind::MemScale, plan);
-    let audit = run.audit.as_ref().expect("audit enabled in test builds");
+    let audit = run.audit.as_ref().expect("the default SimConfig audits");
     assert!(audit.is_clean(), "{}", audit.summary());
     let faults = run.faults.expect("fault report attached");
     assert!(faults.thermal_events > 0);

@@ -191,7 +191,7 @@ fn powerdown_and_per_channel_streams_are_conformant() {
             .unwrap()
             .run_for(Picos::from_ms(4), 30.0)
             .unwrap();
-        let audit = run.audit.as_ref().expect("audit enabled in test builds");
+        let audit = run.audit.as_ref().expect("the default SimConfig audits");
         assert!(audit.is_clean(), "{policy:?}: {}", audit.summary());
         assert!(audit.commands_checked > 0);
     }
@@ -214,7 +214,7 @@ fn ddr4_policy_runs_are_conformant() {
             .run_for(Picos::from_ms(4), 30.0)
             .unwrap();
         assert_eq!(run.generation, MemGeneration::Ddr4);
-        let audit = run.audit.as_ref().expect("audit enabled in test builds");
+        let audit = run.audit.as_ref().expect("the default SimConfig audits");
         assert!(audit.is_clean(), "{policy:?}: {}", audit.summary());
         assert!(audit.commands_checked > 0);
     }
@@ -233,7 +233,7 @@ fn open_page_streams_are_conformant() {
         .unwrap()
         .run_for(Picos::from_ms(2), 0.0)
         .unwrap();
-    let audit = run.audit.as_ref().expect("audit enabled in test builds");
+    let audit = run.audit.as_ref().expect("the default SimConfig audits");
     assert!(audit.is_clean(), "{}", audit.summary());
     assert!(audit.commands_checked > 0);
 }

@@ -162,7 +162,7 @@ fn narrow_topologies_replay_clean() {
         .unwrap()
         .run_for(Picos::from_ms(6), 30.0)
         .unwrap();
-    let audit = run.audit.as_ref().expect("audit enabled in test builds");
+    let audit = run.audit.as_ref().expect("the default SimConfig audits");
     assert!(audit.is_clean(), "{}", audit.summary());
     assert!(audit.commands_checked > 0);
 }
@@ -182,7 +182,7 @@ fn narrow_lpddr3_topology_replays_clean() {
         .run_for(Picos::from_ms(6), 30.0)
         .unwrap();
     assert_eq!(run.generation, MemGeneration::Lpddr3);
-    let audit = run.audit.as_ref().expect("audit enabled in test builds");
+    let audit = run.audit.as_ref().expect("the default SimConfig audits");
     assert!(audit.is_clean(), "{}", audit.summary());
     assert!(audit.commands_checked > 0);
 }

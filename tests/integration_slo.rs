@@ -182,7 +182,7 @@ fn service_runs_stay_audit_clean_on_every_generation() {
         let cfg = quick_cfg("poisson:2000").with_generation(generation);
         let sim = Simulation::new(&mix, PolicyKind::MemScale, &cfg).unwrap();
         let run = sim.run_for(cfg.duration, 0.0).unwrap();
-        let audit = run.audit.as_ref().expect("audit enabled in test builds");
+        let audit = run.audit.as_ref().expect("the default SimConfig audits");
         assert!(audit.is_clean(), "{generation}: {}", audit.summary());
         assert!(run.requests.is_some(), "{generation}: tracker missing");
     }
