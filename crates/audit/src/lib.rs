@@ -51,6 +51,7 @@ use memscale_types::config::DramTimingConfig;
 use memscale_types::events::{CmdEvent, CmdKind};
 use memscale_types::freq::MemFreq;
 use memscale_types::ids::{BankId, ChannelId, RankId};
+use memscale_types::invariants::TimingParam;
 use memscale_types::time::Picos;
 use std::collections::VecDeque;
 use std::fmt;
@@ -171,38 +172,38 @@ impl Rule {
         }
     }
 
-    /// The [`DramTimingConfig`] fields this rule independently re-derives a
-    /// latency from when replaying a command stream. A field listed here is
-    /// *guarded*: if the timing engine honors the wrong value, this rule's
-    /// recomputation from the raw config catches the discrepancy. Structural
-    /// rules (state machines, topology) return an empty slice — they guard
-    /// command legality, not a numeric parameter.
-    ///
-    /// Field names match `memscale_types::invariants::TimingParam::field`, so
-    /// coverage tooling can cross-reference the two universes mechanically.
-    pub fn guarded_params(self) -> &'static [&'static str] {
+    /// The [`DramTimingConfig`] parameters this rule independently
+    /// re-derives a latency from when replaying a command stream. A
+    /// parameter listed here is *guarded*: if the timing engine honors the
+    /// wrong value, this rule's recomputation from the raw config catches
+    /// the discrepancy. Structural rules (state machines, topology) return
+    /// an empty slice — they guard command legality, not a numeric
+    /// parameter.
+    pub fn guarded_params(self) -> &'static [TimingParam] {
         match self {
-            Rule::TRcd => &["t_rcd_ns"],
-            Rule::TRp => &["t_rp_ns"],
-            Rule::TCl => &["t_cl_ns"],
-            Rule::TRas => &["t_ras_ns"],
-            Rule::TRtp => &["t_rtp_ns"],
-            Rule::TWr => &["t_wr_ns"],
-            Rule::TRrd => &["t_rrd_ns"],
-            Rule::TFaw => &["t_faw_ns"],
-            Rule::TRefi => &["refresh_period_ms", "refresh_commands"],
-            Rule::TRfc => &["t_rfc_ns"],
-            Rule::TXp => &["t_xp_ns"],
-            Rule::TXpdll => &["t_xpdll_ns"],
-            Rule::RelockPenalty | Rule::RelockWindow => &["relock_cycles", "relock_extra_ns"],
+            Rule::TRcd => &[TimingParam::TRcd],
+            Rule::TRp => &[TimingParam::TRp],
+            Rule::TCl => &[TimingParam::TCl],
+            Rule::TRas => &[TimingParam::TRas],
+            Rule::TRtp => &[TimingParam::TRtp],
+            Rule::TWr => &[TimingParam::TWr],
+            Rule::TRrd => &[TimingParam::TRrd],
+            Rule::TFaw => &[TimingParam::TFaw],
+            Rule::TRefi => &[TimingParam::RefreshPeriod, TimingParam::RefreshCommands],
+            Rule::TRfc => &[TimingParam::TRfc],
+            Rule::TXp => &[TimingParam::TXp],
+            Rule::TXpdll => &[TimingParam::TXpdll],
+            Rule::RelockPenalty | Rule::RelockWindow => {
+                &[TimingParam::RelockCycles, TimingParam::RelockExtra]
+            }
             // The bus-overlap check spaces bursts by the larger of the burst
             // itself and the short CAS-to-CAS gap, so it guards both.
-            Rule::BusOverlap => &["burst_cycles", "t_ccd_s_cycles"],
-            Rule::BurstLength => &["burst_cycles"],
-            Rule::TCcdL => &["t_ccd_l_cycles", "bank_groups"],
-            Rule::TRrdL => &["t_rrd_l_ns", "bank_groups"],
-            Rule::TXdpd => &["t_xdpd_ns"],
-            Rule::TRfcPb => &["t_rfc_pb_ns", "per_bank_refresh"],
+            Rule::BusOverlap => &[TimingParam::BurstCycles, TimingParam::TCcdS],
+            Rule::BurstLength => &[TimingParam::BurstCycles],
+            Rule::TCcdL => &[TimingParam::TCcdL, TimingParam::BankGroups],
+            Rule::TRrdL => &[TimingParam::TRrdL, TimingParam::BankGroups],
+            Rule::TXdpd => &[TimingParam::TXdpd],
+            Rule::TRfcPb => &[TimingParam::TRfcPb, TimingParam::PerBankRefresh],
             Rule::BankState | Rule::RankPowerState | Rule::Topology => &[],
         }
     }
@@ -1455,6 +1456,10 @@ mod tests {
         assert!(lpddr3.contains(&Rule::TXdpd) && lpddr3.contains(&Rule::TRfcPb));
         assert!(!lpddr3.contains(&Rule::TCcdL));
 
+        // Structural rules guard no numeric parameter.
+        assert!(Rule::BankState.guarded_params().is_empty());
+        assert!(Rule::Topology.guarded_params().is_empty());
+
         // Every pack is drawn from the closed rule universe, no duplicates.
         for gen in MemGeneration::ALL {
             let pack = Rule::rule_pack(&DramTimingConfig::for_generation(gen));
@@ -1463,23 +1468,6 @@ mod tests {
                 assert!(!pack[i + 1..].contains(r), "{r} duplicated");
             }
         }
-    }
-
-    #[test]
-    fn guarded_params_name_real_config_fields() {
-        use memscale_types::invariants::TimingParam;
-        let fields: Vec<&str> = TimingParam::ALL.iter().map(|p| p.field()).collect();
-        for rule in Rule::ALL {
-            for param in rule.guarded_params() {
-                assert!(
-                    fields.contains(param),
-                    "{rule} guards unknown field {param}"
-                );
-            }
-        }
-        // Structural rules guard no numeric parameter.
-        assert!(Rule::BankState.guarded_params().is_empty());
-        assert!(Rule::Topology.guarded_params().is_empty());
     }
 
     #[test]

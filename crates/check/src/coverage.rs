@@ -107,13 +107,13 @@ pub fn check_coverage_with(
         .into_iter()
         .filter(|w| w.generation.is_none_or(|g| g == gen))
         .collect();
-    let guarded: Vec<&str> = pack
+    let guarded: Vec<TimingParam> = pack
         .iter()
         .flat_map(|r| r.guarded_params().iter().copied())
         .collect();
 
     for param in TimingParam::ALL {
-        if !param.relevant_for(gen) || guarded.contains(&param.field()) {
+        if !param.relevant_for(gen) || guarded.contains(&param) {
             continue;
         }
         if applicable.iter().any(|w| w.field == param.field()) {
@@ -133,9 +133,8 @@ pub fn check_coverage_with(
         ));
     }
 
-    let known_fields: Vec<&str> = TimingParam::ALL.iter().map(|p| p.field()).collect();
     for w in &applicable {
-        if !known_fields.contains(&w.field) {
+        let Some(param) = TimingParam::ALL.into_iter().find(|p| p.field() == w.field) else {
             out.push(Diagnostic::new(
                 "coverage-waiver-unknown",
                 gen,
@@ -146,7 +145,9 @@ pub fn check_coverage_with(
                 ),
                 vec![],
             ));
-        } else if guarded.contains(&w.field) {
+            continue;
+        };
+        if guarded.contains(&param) {
             out.push(Diagnostic::new(
                 "coverage-waiver-stale",
                 gen,
@@ -157,7 +158,7 @@ pub fn check_coverage_with(
                 ),
                 vec![],
             ));
-        } else if w.generation.is_some_and(|_| !field_relevant(w.field, gen)) {
+        } else if w.generation.is_some() && !param.relevant_for(gen) {
             out.push(Diagnostic::new(
                 "coverage-waiver-stale",
                 gen,
@@ -171,13 +172,6 @@ pub fn check_coverage_with(
         }
     }
     out
-}
-
-/// Whether the named field is relevant for `gen` (unknown fields: false).
-fn field_relevant(field: &str, gen: MemGeneration) -> bool {
-    TimingParam::ALL
-        .iter()
-        .any(|p| p.field() == field && p.relevant_for(gen))
 }
 
 #[cfg(test)]

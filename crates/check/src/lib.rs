@@ -5,11 +5,12 @@
 //! from. This crate analyzes, without running a single simulated cycle,
 //! the three kinds of static structure the simulator trusts implicitly:
 //!
-//! 1. **Device tables** ([`tables`]) — the shared pure-table invariants
-//!    (positivity, cross-parameter orderings, IDD ladder), re-checked here,
-//!    plus properties only visible once the table is resolved at each of
-//!    the ten grid frequencies (cycle-denominated parameters stretch as the
-//!    bus slows) and monotonicity of the MC/register/PLL power grid.
+//! 1. **Device tables** ([`tables`]) — the at-rest invariants startup
+//!    validation also enforces (positivity, ranges, cross-parameter
+//!    orderings, IDD ladder), plus properties only visible once the table
+//!    is resolved at each of the ten grid frequencies (cycle-denominated
+//!    parameters stretch as the bus slows) and monotonicity of the
+//!    MC/register/PLL power grid.
 //! 2. **Power-state machines** ([`fsm`]) — the rank power FSM and the
 //!    governor hardening ladder, published as declarative transition tables,
 //!    are model-checked per generation: well-formed, deterministic, fully

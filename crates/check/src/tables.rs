@@ -1,8 +1,9 @@
 //! Pass 1: device-table consistency, at rest and at every grid frequency.
 //!
-//! The pure-table invariants live in `memscale_types::invariants` (shared
-//! with startup validation); this module re-runs them, then extends the
-//! analysis to properties only visible once a
+//! The at-rest invariants live in `memscale_types::invariants`
+//! (`check_at_rest`, the list startup validation reports the first entry
+//! of); this module runs them, then extends the analysis to properties only
+//! visible once a
 //! [`DramTimingConfig`](memscale_types::config::DramTimingConfig) is
 //! *resolved* at an operating point: cycle-denominated parameters convert to
 //! wall-clock time through the bus period, so an inequality that holds at
@@ -16,22 +17,17 @@ use memscale_types::config::SystemConfig;
 use memscale_types::freq::MemFreq;
 use memscale_types::invariants::{self, Diagnostic};
 
-/// Runs every table check against `sys`: the shared pure-table invariants
-/// (timing, topology coupling, IDD orderings), then — only when those are
+/// Runs every table check against `sys`: the shared at-rest invariants
+/// (timing, topology coupling, power table), then — only when those are
 /// clean, so garbage values do not cascade — the per-frequency resolved
 /// checks and the power-grid monotonicity checks.
 pub fn check_tables(sys: &SystemConfig) -> Vec<Diagnostic> {
-    let cfg = &sys.timing;
-    let gen = cfg.generation;
-    let mut out = invariants::check_timing(cfg);
-    out.extend(invariants::check_system_timing(
-        sys.topology.banks_per_rank,
-        cfg,
-    ));
-    out.extend(invariants::check_power(&sys.power, gen));
+    let mut out = invariants::check_at_rest(sys);
     if !out.is_empty() {
         return out;
     }
+    let cfg = &sys.timing;
+    let gen = cfg.generation;
 
     for freq in MemFreq::ALL {
         let ts = TimingSet::resolve(cfg, freq);

@@ -8,13 +8,15 @@
 //!
 //! Mutants are expressed as closures over `SystemConfig` so each generation
 //! derives its breakage from its own reference values rather than hard-coded
-//! DDR3 numbers. FSM-table and coverage mutants perturb the declarative
-//! structures directly through the checker's explicit-input entry points.
+//! DDR3 numbers. A table mutant that breaks an at-rest rule must also be
+//! refused by startup validation, which reports the first entry of the same
+//! list. FSM-table and coverage mutants perturb the declarative structures
+//! directly through the checker's explicit-input entry points.
 
 use memscale_audit::Rule;
 use memscale_check::{check_system, coverage, fsm};
-use memscale_types::config::{MemGeneration, SystemConfig};
-use memscale_types::invariants::{FsmFeature, FsmSpec, FsmTransition, TimingParam};
+use memscale_types::config::{ConfigError, MemGeneration, SystemConfig};
+use memscale_types::invariants::{check_at_rest, FsmFeature, FsmSpec, FsmTransition, TimingParam};
 
 type Mutator = fn(&mut SystemConfig);
 
@@ -148,6 +150,16 @@ fn universal_mutants() -> Vec<(&'static str, Mutator, &'static str)> {
             |s| s.power.i_ref_ma = s.power.i_act_stby_ma * 0.5,
             "idd-refresh-dominates-standby",
         ),
+        (
+            "memory-share-zero",
+            |s| s.power.mem_power_fraction = 0.0,
+            "mem-fraction-range",
+        ),
+        (
+            "idle-share-above-one",
+            |s| s.power.mc_reg_idle_fraction = 2.0,
+            "idle-fraction-range",
+        ),
     ]
 }
 
@@ -249,6 +261,41 @@ fn every_table_mutant_is_detected_on_every_generation() {
             assert!(
                 report.diagnostics.iter().any(|d| d.invariant == expected),
                 "{gen}/{name}: expected `{expected}`, got {report}"
+            );
+        }
+    }
+}
+
+/// Whether `invariant` is one only the analyzer's per-frequency stage
+/// reports: it needs the table resolved at a grid frequency, which startup
+/// validation never does.
+fn per_frequency(invariant: &str) -> bool {
+    matches!(
+        invariant,
+        "resolved-positive" | "ccdl-covers-burst" | "relock-covers-exit" | "refi-covers-access"
+    ) || invariant.ends_with("-power-monotonic")
+}
+
+#[test]
+fn startup_validation_refuses_every_at_rest_mutant() {
+    for gen in MemGeneration::ALL {
+        let mut mutants = universal_mutants();
+        mutants.extend(generation_mutants(gen));
+        for (name, mutate, expected) in mutants {
+            if per_frequency(expected) {
+                continue;
+            }
+            let mut sys = SystemConfig::for_generation(gen);
+            mutate(&mut sys);
+            let diags = check_at_rest(&sys);
+            assert!(
+                diags.iter().any(|d| d.invariant == expected),
+                "{gen}/{name}: the at-rest list misses `{expected}`: {diags:#?}"
+            );
+            assert_eq!(
+                sys.validate(),
+                Err(ConfigError::new(diags[0].message.clone())),
+                "{gen}/{name}"
             );
         }
     }

@@ -6,7 +6,6 @@
 //! request occupies its bank from activate to precharge and cannot complete
 //! until the data bus accepts its burst.
 
-use crate::generation::GenerationModel;
 use crate::rank::{PowerDownMode, Rank};
 use crate::stats::ChannelStats;
 use crate::timing::TimingSet;
@@ -64,7 +63,6 @@ pub struct AccessTimeline {
 pub struct DramChannel {
     cfg: DramTimingConfig,
     timing: TimingSet,
-    generation: GenerationModel,
     ranks: Vec<Rank>,
     bus_free_at: Picos,
     stats: ChannelStats,
@@ -93,18 +91,16 @@ impl DramChannel {
     pub fn new(cfg: &DramTimingConfig, ranks: usize, banks: usize, freq: MemFreq) -> Self {
         assert!(ranks > 0 && banks > 0, "channel needs ranks and banks");
         let timing = TimingSet::resolve(cfg, freq);
-        let generation = GenerationModel::from_config(cfg);
         let slots = ranks * banks;
         let ranks = (0..ranks)
             .map(|i| {
                 let stagger = Picos::from_ps(timing.t_refi.as_ps() * (i as u64 + 1) / ranks as u64);
-                Rank::new(banks, generation.bank_groups(), stagger)
+                Rank::new(banks, usize::from(cfg.bank_groups), stagger)
             })
             .collect();
         DramChannel {
             cfg: cfg.clone(),
             timing,
-            generation,
             ranks,
             bus_free_at: Picos::ZERO,
             stats: ChannelStats::new(),
@@ -202,13 +198,6 @@ impl DramChannel {
         self.timing.freq
     }
 
-    /// The generation model (bank groups, available low-power states) in
-    /// effect on this channel.
-    #[inline]
-    pub fn generation(&self) -> &GenerationModel {
-        &self.generation
-    }
-
     /// Current frequency-resolved timing.
     #[inline]
     pub fn timing(&self) -> &TimingSet {
@@ -271,7 +260,7 @@ impl DramChannel {
         keep_open: bool,
     ) -> AccessTimeline {
         let t = self.timing;
-        let group = self.generation.group_of(bank);
+        let group = self.cfg.bank_group_of(bank);
         let slot = rank.index() * self.ranks[0].bank_count() + bank.index();
         let r = &mut self.ranks[rank.index()];
         // Wake first (powerdown exit + residency accounting anchors at the
@@ -550,10 +539,10 @@ impl DramChannel {
     /// Refuses a low-power state this generation lacks: a DDR3 or DDR4
     /// rank would otherwise enter and leave deep power-down for free.
     fn assert_supported(&self, mode: PowerDownMode) {
+        let generation = self.cfg.generation;
         assert!(
-            self.generation.supports_power_down(mode),
-            "{}: power-down mode {mode:?} is not available on this generation",
-            self.generation.generation()
+            mode != PowerDownMode::Deep || generation.has_deep_power_down(),
+            "{generation}: power-down mode {mode:?} is not available on this generation"
         );
     }
 

@@ -1,6 +1,7 @@
 //! Cycle-approximate DRAM timing model for the MemScale simulator,
-//! pluggable across DDR3 (the paper's baseline), DDR4 and LPDDR3 via
-//! [`generation::GenerationModel`].
+//! pluggable across DDR3 (the paper's baseline), DDR4 and LPDDR3 through
+//! the generation of the [`DramTimingConfig`](memscale_types::config::DramTimingConfig)
+//! a channel is built from.
 //!
 //! The model is *event-analytic*: instead of stepping every DRAM clock, each
 //! access is resolved into an [`channel::AccessTimeline`] the
@@ -35,14 +36,12 @@
 
 pub mod bank;
 pub mod channel;
-pub mod generation;
 pub mod rank;
 pub mod stats;
 pub mod timing;
 
 pub use bank::HitWindow;
 pub use channel::{AccessKind, AccessTimeline, DramChannel, RowOutcome};
-pub use generation::GenerationModel;
 pub use rank::PowerDownMode;
 pub use stats::{ChannelStats, RankStats};
 pub use timing::TimingSet;

@@ -27,6 +27,7 @@
 use crate::wire::{Connection, Response};
 use memscale_arrivals::{ArrivalProcess, ArrivalSpec};
 use memscale_types::json::Json;
+use memscale_types::requests::nearest_rank;
 use memscale_types::rng::{SplitMix64, GOLDEN_GAMMA};
 use memscale_types::serve::{DoneReason, ErrorCode, JobSpec};
 use std::time::{Duration, Instant};
@@ -170,16 +171,9 @@ impl LoadgenStats {
     /// The `q`-quantile (`0.0..=1.0`) of job latency, by nearest-rank on
     /// the sorted sample; `0.0` when no jobs completed.
     pub fn latency_quantile(&self, q: f64) -> f64 {
-        if self.latencies_ms.is_empty() {
-            return 0.0;
-        }
         let mut sorted = self.latencies_ms.clone();
         sorted.sort_by(f64::total_cmp);
-        #[allow(clippy::cast_precision_loss)]
-        let n = sorted.len() as f64;
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let rank = ((q * n).ceil() as usize).clamp(1, sorted.len());
-        sorted[rank - 1]
+        nearest_rank(&sorted, q).unwrap_or(0.0)
     }
 
     /// Every job submitted is accounted for exactly once: completed,

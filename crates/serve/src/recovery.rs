@@ -15,6 +15,8 @@
 //!    simulate a torn final frame;
 //! 3. **restart** — the server relaunched on the crash state dir; the
 //!    job is resubmitted and the harness asserts:
+//!    * the crashed job's journal holds the `abandoned` mark the restart
+//!      writes for a job admitted but never closed,
 //!    * zero protocol violations and no duplicate cell labels,
 //!    * at least one warm cache hit (the journaled cells),
 //!    * results byte-identical (`f64::to_bits`) to the control run.
@@ -22,7 +24,9 @@
 //! The outcome feeds `BENCH_recovery.json` via
 //! [`RecoveryOutcome::to_bench_json`].
 
+use crate::persist::JournalRecord;
 use crate::wire::{Connection, Response};
+use memscale_store::log::{scan_frames, HEADER_LEN};
 use memscale_types::json::Json;
 use memscale_types::rng::SplitMix64;
 use memscale_types::serve::{CellMetrics, JobSpec, JobSummary};
@@ -78,7 +82,8 @@ pub struct RecoveryOutcome {
     pub cells_before_kill: usize,
     /// Bytes torn off the journal tail after the kill.
     pub torn_tail_bytes: u64,
-    /// True when the kill interrupted the job (no `done` line was seen).
+    /// True when the kill interrupted the job (no `done` line was seen)
+    /// and the restarted server marked it `abandoned` in the journal.
     pub interrupted_job: bool,
     /// Wall-clock from restart spawn until the server accepted a
     /// connection again (includes journal replay and baseline decoding).
@@ -287,6 +292,17 @@ fn run_job_against(
     Ok(obs)
 }
 
+/// Whether the journal at `path` holds an `abandoned` record for job `id`:
+/// the mark a restarting server writes for a job it finds admitted but
+/// never closed.
+fn journal_marks_abandoned(path: &Path, id: &str) -> Result<bool, String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let (records, _) = scan_frames(bytes.get(HEADER_LEN..).unwrap_or_default());
+    Ok(records.iter().any(|r| {
+        matches!(JournalRecord::decode(r), Some(JournalRecord::Abandoned { id: marked }) if marked == id)
+    }))
+}
+
 /// Tears `tear` bytes off the end of `path` (never into the 16-byte
 /// header), simulating a frame torn mid-write by the crash. Returns the
 /// bytes actually removed.
@@ -356,18 +372,20 @@ pub fn run(cfg: &RecoveryConfig) -> Result<RecoveryOutcome, String> {
     }
 
     // Phase 2: crash run — SIGKILL mid-job at the seeded point.
-    let cells_before_kill = {
+    let crash_id = format!("{}-crash", cfg.template.id);
+    let crash = {
         let addr = free_addr()?;
         let mut server = ServerProc::spawn(cfg, &addr, &crash_dir)?;
         let mut job = cfg.template.clone();
-        job.id = format!("{}-crash", cfg.template.id);
+        job.id.clone_from(&crash_id);
         let obs = run_job_against(cfg, &addr, &job, Some(kill_after))?;
         server.kill9();
-        obs.cells.len()
+        obs
     };
 
     // Phase 3: tear the journal tail, as a crash mid-append would.
-    let torn_tail_bytes = tear_tail(&crash_dir.join("journal.log"), tear)?;
+    let journal = crash_dir.join("journal.log");
+    let torn_tail_bytes = tear_tail(&journal, tear)?;
 
     // Phase 4: restart on the crashed state dir and resubmit.
     let addr = free_addr()?;
@@ -380,6 +398,7 @@ pub fn run(cfg: &RecoveryConfig) -> Result<RecoveryOutcome, String> {
     job.id = format!("{}-resubmit", cfg.template.id);
     let resubmit = run_job_against(cfg, &addr, &job, None)?;
     server.kill9();
+    let interrupted_job = crash.summary.is_none() && journal_marks_abandoned(&journal, &crash_id)?;
 
     // Invariants.
     let summary = resubmit
@@ -391,6 +410,11 @@ pub fn run(cfg: &RecoveryConfig) -> Result<RecoveryOutcome, String> {
         + control.duplicate_labels
         + resubmit.protocol_errors
         + resubmit.duplicate_labels;
+    if !interrupted_job {
+        violations.push(format!(
+            "the restarted server did not mark the crashed job {crash_id} abandoned"
+        ));
+    }
     if protocol_errors > 0 {
         violations.push(format!("{protocol_errors} protocol violations"));
     }
@@ -417,9 +441,9 @@ pub fn run(cfg: &RecoveryConfig) -> Result<RecoveryOutcome, String> {
     }
     Ok(RecoveryOutcome {
         cells,
-        cells_before_kill,
+        cells_before_kill: crash.cells.len(),
         torn_tail_bytes,
-        interrupted_job: true,
+        interrupted_job,
         recovery_wall_ms,
         resubmit_wall_ms: resubmit.wall_ms,
         warm_hits: summary.cache_hits,
@@ -512,6 +536,37 @@ mod tests {
         );
         let err = run(&cfg).unwrap_err();
         assert!(err.contains("at least 3"), "{err}");
+    }
+
+    #[test]
+    fn only_an_unclosed_job_is_marked_abandoned_on_reopen() {
+        use crate::persist::DurableState;
+        for (closed, marked) in [(false, true), (true, false)] {
+            let dir = std::env::temp_dir()
+                .join(format!("memscale_abandon_{closed}_{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            {
+                let (mut state, _) = DurableState::open(&dir).expect("open");
+                let admitted = JournalRecord::Admitted {
+                    id: "job".into(),
+                    fingerprint: 1,
+                    trace_crc: 2,
+                    cells: vec!["memscale".into()],
+                };
+                state.record(&admitted).expect("record");
+                if closed {
+                    let done = JournalRecord::JobDone { id: "job".into() };
+                    state.record(&done).expect("record");
+                }
+            }
+            // The restart: reopening replays the journal and marks what
+            // was never closed.
+            DurableState::open(&dir).expect("reopen");
+            let journal = dir.join("journal.log");
+            assert_eq!(journal_marks_abandoned(&journal, "job"), Ok(marked));
+            assert_eq!(journal_marks_abandoned(&journal, "other"), Ok(false));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

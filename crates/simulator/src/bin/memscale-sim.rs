@@ -73,6 +73,21 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
 
+/// `println!` that ignores a failed write: a closed stdout (`| head -1`)
+/// must not turn the exit code the command earned into a panic's 101.
+macro_rules! outln {
+    ($($arg:tt)*) => {{
+        writeln!(std::io::stdout(), $($arg)*).ok();
+    }};
+}
+
+/// `eprintln!` that ignores a failed write, for a closed stderr.
+macro_rules! errln {
+    ($($arg:tt)*) => {{
+        writeln!(std::io::stderr(), $($arg)*).ok();
+    }};
+}
+
 /// What a subcommand does once its flags are parsed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Command {
@@ -699,7 +714,7 @@ fn record(
     if policy != policies[0] && policy != PolicyKind::Baseline {
         policies.push(policy);
     }
-    eprintln!(
+    errln!(
         "recording {} under {} run(s) ...",
         mix.name,
         policies.len() + 1
@@ -707,7 +722,7 @@ fn record(
     let (header, streams) = record_trace(mix, cfg, &policies, margin_pct).map_err(Exit::sim)?;
     write_trace_file(out, &header, &streams).map_err(Exit::run)?;
     let total: usize = streams.iter().map(Vec::len).sum();
-    println!(
+    outln!(
         "wrote {} ({} apps, {} records, config {:#018x})",
         out.display(),
         streams.len(),
@@ -739,19 +754,19 @@ fn run_slo(mix: &Mix, cfg: &SimConfig, cli: &Cli) -> Outcome {
 
     let trace = if let Some(path) = &job.trace {
         let trace = ReplayTrace::open(Path::new(path)).map_err(Exit::run)?;
-        eprintln!(
+        errln!(
             "slo: replaying {} policy run(s) from {path} ...",
             shards.len()
         );
         Some(trace)
     } else if let Some(path) = &cli.record {
-        eprintln!("slo: recording service trace ...");
+        errln!("slo: recording service trace ...");
         let (header, streams) = record_trace(mix, cfg, &[], job.margin_pct).map_err(Exit::sim)?;
         let total: usize = streams.iter().map(Vec::len).sum();
         let trace = ReplayTrace::from_streams(header, streams);
         std::fs::write(path, trace.as_bytes())
             .map_err(|e| Exit::run(TraceError::io("writing trace file", &e)))?;
-        eprintln!(
+        errln!(
             "slo: wrote {} ({} records); replaying {} policy run(s) ...",
             path.display(),
             total,
@@ -759,7 +774,7 @@ fn run_slo(mix: &Mix, cfg: &SimConfig, cli: &Cli) -> Outcome {
         );
         Some(trace)
     } else {
-        eprintln!(
+        errln!(
             "slo: running {} policy run(s) (live sources) ...",
             shards.len()
         );
@@ -767,7 +782,7 @@ fn run_slo(mix: &Mix, cfg: &SimConfig, cli: &Cli) -> Outcome {
     };
     let report = run_slo_sweep(mix, cfg, &shards, trace.as_ref()).map_err(Exit::sim)?;
     let json = report.to_json();
-    println!("{json}");
+    outln!("{json}");
     if let Some(out) = &cli.out {
         write(out, format!("{json}\n"))?;
     }
@@ -790,23 +805,24 @@ fn trace_info(path: &Path) -> Outcome {
     let header = trace.header();
     let summary = trace.summary();
     let total: u64 = summary.records_per_app.iter().sum();
-    println!("trace           : {}", path.display());
-    println!("format version  : {}", summary.version);
-    println!("generation      : {}", header.generation);
-    println!("config hash     : {:#018x}", header.config_hash);
-    println!("seed            : {:#x}", header.seed);
-    println!("slice lines     : {}", header.slice_lines);
-    println!("apps            : {}", header.apps.len());
+    outln!("trace           : {}", path.display());
+    outln!("format version  : {}", summary.version);
+    outln!("generation      : {}", header.generation);
+    outln!("config hash     : {:#018x}", header.config_hash);
+    outln!("seed            : {:#x}", header.seed);
+    outln!("slice lines     : {}", header.slice_lines);
+    outln!("apps            : {}", header.apps.len());
     for (i, app) in header.apps.iter().enumerate() {
-        println!(
+        outln!(
             "  app {i:>2}        : {app} ({} records)",
             summary.records_per_app[i]
         );
     }
-    println!("records         : {total}");
-    println!(
+    outln!("records         : {total}");
+    outln!(
         "blocks          : {} ({} payload bytes)",
-        summary.blocks, summary.payload_bytes
+        summary.blocks,
+        summary.payload_bytes
     );
     Ok(ExitCode::SUCCESS)
 }
@@ -823,7 +839,7 @@ fn run_check(generation: Option<MemGeneration>, report_path: Option<&Path>) -> O
         text.push_str(&report.summary());
         text.push('\n');
     }
-    print!("{text}");
+    write!(std::io::stdout(), "{text}").ok();
     if let Some(path) = report_path {
         write(path, &text)?;
     }
@@ -888,7 +904,7 @@ fn run_serve(addr: &str, cfg: ServerConfig) -> Outcome {
     let server = SweepServer::bind(addr, cfg, SimulatorBackend)
         .map_err(|e| Exit::run(format!("cannot bind {addr}: {e}")))?;
     if let Some(report) = server.recovery_report() {
-        eprintln!(
+        errln!(
             "memscale-serve recovered {} cell(s), {} baseline(s), {} interrupted job(s) \
              in {} ms (corrupt records {}, journal truncated {} B, baselines truncated {} B)",
             report.cells_recovered,
@@ -901,14 +917,14 @@ fn run_serve(addr: &str, cfg: ServerConfig) -> Outcome {
         );
     }
     match server.local_addr() {
-        Ok(bound) => eprintln!("memscale-serve listening on {bound}"),
-        Err(_) => eprintln!("memscale-serve listening on {addr}"),
+        Ok(bound) => errln!("memscale-serve listening on {bound}"),
+        Err(_) => errln!("memscale-serve listening on {addr}"),
     }
     sigterm::install();
     server
         .run_with_shutdown(&sigterm::TERM)
         .map_err(|e| Exit::run(format!("accept loop failed: {e}")))?;
-    eprintln!("memscale-serve drained and exiting");
+    errln!("memscale-serve drained and exiting");
     Ok(ExitCode::SUCCESS)
 }
 
@@ -924,14 +940,16 @@ fn run_loadgen(cli: &Cli) -> Outcome {
         rps if rps > 0.0 => format!(" (open loop, {rps} req/s offered)"),
         _ => String::new(),
     };
-    eprintln!(
+    errln!(
         "loadgen: {} client(s) x {} job(s) against {}{open} ...",
-        cfg.clients, cfg.jobs_per_client, cfg.addr
+        cfg.clients,
+        cfg.jobs_per_client,
+        cfg.addr
     );
     let stats = memscale_serve::loadgen::run(cfg).map_err(Exit::run)?;
     let out = cli.out.clone().unwrap_or_else(|| "BENCH_serve.json".into());
     write(&out, stats.to_bench_json(cfg) + "\n")?;
-    println!(
+    outln!(
         "jobs ok {} | overloaded {} | failed {} | transport {} | protocol errors {}",
         stats.jobs_ok,
         stats.jobs_overloaded,
@@ -939,11 +957,14 @@ fn run_loadgen(cli: &Cli) -> Outcome {
         stats.jobs_transport,
         stats.protocol_errors
     );
-    println!(
+    outln!(
         "retries {} | deadline misses {} | cells cancelled {} | cells timed out {}",
-        stats.retries, stats.deadline_misses, stats.cells_cancelled, stats.cells_timed_out
+        stats.retries,
+        stats.deadline_misses,
+        stats.cells_cancelled,
+        stats.cells_timed_out
     );
-    println!(
+    outln!(
         "throughput {:.2} jobs/s | p50 {:.1} ms | p99 {:.1} ms | cache hit rate {:.1}%",
         stats.jobs_per_sec(),
         stats.latency_quantile(0.50),
@@ -951,19 +972,19 @@ fn run_loadgen(cli: &Cli) -> Outcome {
         stats.cache_hit_rate() * 100.0
     );
     if cfg.open_loop_rps > 0.0 {
-        println!(
+        outln!(
             "open loop: offered {:.2} req/s | achieved {:.2} req/s | late submissions {}",
             cfg.open_loop_rps,
             stats.jobs_per_sec(),
             stats.late_submissions
         );
     }
-    println!("wrote {}", out.display());
+    outln!("wrote {}", out.display());
     let starved = stats.jobs_ok == 0 && stats.jobs_overloaded == 0;
     let hits_missing = cli.require_cache_hits && stats.cache_hits == 0;
     if stats.protocol_errors > 0 || starved || hits_missing {
         if hits_missing {
-            eprintln!("error: --require-cache-hits: the run saw no cache hits");
+            errln!("error: --require-cache-hits: the run saw no cache hits");
         }
         return Ok(ExitCode::from(1));
     }
@@ -994,9 +1015,12 @@ fn run_chaos(cli: &Cli) -> Outcome {
         addr: handle.addr().to_string(),
         ..cli.fleet.clone()
     };
-    eprintln!(
+    errln!(
         "chaos: seed {seed} | {} client(s) x {} job(s) via {} -> {upstream} | {} flood conns",
-        cfg.clients, cfg.jobs_per_client, cfg.addr, cli.flood
+        cfg.clients,
+        cfg.jobs_per_client,
+        cfg.addr,
+        cli.flood
     );
     let flood = memscale_serve::open_flood(&cfg.addr, cli.flood);
     let stats = memscale_serve::loadgen::run(&cfg);
@@ -1015,14 +1039,14 @@ fn run_chaos(cli: &Cli) -> Outcome {
     let probe_ok = match memscale_serve::loadgen::run(&LoadgenConfig::new(upstream, 1, 1, probe)) {
         Ok(p) => p.jobs_ok == 1,
         Err(e) => {
-            eprintln!("error: post-chaos probe: {e}");
+            errln!("error: post-chaos probe: {e}");
             false
         }
     };
 
     write(&out, stats.to_bench_json_named(&cfg, "serve_chaos") + "\n")?;
     let offered = cfg.clients * cfg.jobs_per_client;
-    println!(
+    outln!(
         "faults injected {} (torn {} | dropped {} | disconnects {} | stalls {}) over {} conns",
         report.total_injected(),
         report.torn_frames,
@@ -1031,7 +1055,7 @@ fn run_chaos(cli: &Cli) -> Outcome {
         report.stalls,
         report.connections
     );
-    println!(
+    outln!(
         "jobs ok {} | overloaded {} | failed {} | transport {} | accounted {}/{}",
         stats.jobs_ok,
         stats.jobs_overloaded,
@@ -1040,14 +1064,14 @@ fn run_chaos(cli: &Cli) -> Outcome {
         stats.jobs_accounted(),
         offered
     );
-    println!(
+    outln!(
         "protocol errors {} | retries {} | deadline misses {} | post-chaos probe {}",
         stats.protocol_errors,
         stats.retries,
         stats.deadline_misses,
         if probe_ok { "ok" } else { "FAILED" }
     );
-    println!("wrote {}", out.display());
+    outln!("wrote {}", out.display());
     if stats.protocol_errors == 0 && stats.jobs_accounted() == offered && probe_ok {
         Ok(ExitCode::SUCCESS)
     } else {
@@ -1079,7 +1103,7 @@ fn run_kill9(cli: &Cli) -> Outcome {
     let template = cli.fleet.template.clone();
     let mut cfg = RecoveryConfig::new(server_bin, state_dir, template);
     cfg.seed = cli.fleet.seed;
-    eprintln!(
+    errln!(
         "chaos --kill9: seed {} | {} cell(s) | state dir {}",
         cfg.seed,
         cfg.template.policies.len(),
@@ -1088,14 +1112,14 @@ fn run_kill9(cli: &Cli) -> Outcome {
     let outcome = memscale_serve::recovery::run(&cfg)
         .map_err(|e| Exit::run(format!("recovery invariants violated: {e}")))?;
     write(&out, outcome.to_bench_json(cfg.seed) + "\n")?;
-    println!(
+    outln!(
         "killed after {} of {} cell(s) | journal tail torn {} B | interrupted job marked: {}",
         outcome.cells_before_kill,
         outcome.cells,
         outcome.torn_tail_bytes,
         if outcome.interrupted_job { "yes" } else { "no" }
     );
-    println!(
+    outln!(
         "recovery {:.1} ms | resubmit {:.1} ms | warm hits {}/{} ({:.0}%) | byte-identical {}",
         outcome.recovery_wall_ms,
         outcome.resubmit_wall_ms,
@@ -1104,7 +1128,7 @@ fn run_kill9(cli: &Cli) -> Outcome {
         outcome.warm_hit_rate() * 100.0,
         if outcome.byte_identical { "yes" } else { "NO" }
     );
-    println!("wrote {}", out.display());
+    outln!("wrote {}", out.display());
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1112,7 +1136,7 @@ fn run_kill9(cli: &Cli) -> Outcome {
 fn simulate(cli: &Cli) -> Outcome {
     if cli.list {
         for mix in Mix::table1() {
-            println!("{mix}  apps: {}", mix.apps.join(", "));
+            outln!("{mix}  apps: {}", mix.apps.join(", "));
         }
         return Ok(ExitCode::SUCCESS);
     }
@@ -1142,7 +1166,7 @@ fn simulate(cli: &Cli) -> Outcome {
         .as_deref()
         .map(|p| ReplayTrace::open(Path::new(p)));
     let replay = replay.transpose().map_err(Exit::run)?;
-    eprintln!(
+    errln!(
         "calibrating baseline for {mix} ({} ms{}) ...",
         job.duration_ms,
         if replay.is_some() { ", replay" } else { "" }
@@ -1152,7 +1176,7 @@ fn simulate(cli: &Cli) -> Outcome {
         Some(trace) => Experiment::calibrate_replay(&mix, &cfg, trace),
     };
     let exp = exp.map_err(Exit::sim)?;
-    eprintln!("running {} ...", policy.name());
+    errln!("running {} ...", policy.name());
     let evaluated = match &replay {
         None => exp.evaluate(policy),
         Some(trace) => exp.evaluate_replay(policy, trace),
@@ -1160,33 +1184,34 @@ fn simulate(cli: &Cli) -> Outcome {
     let (run, cmp) = evaluated.map_err(Exit::sim)?;
 
     if cli.json {
-        println!("{}", render_json(&run, &cmp, &exp, cfg.governor.gamma));
+        outln!("{}", render_json(&run, &cmp, &exp, cfg.governor.gamma));
     } else {
-        println!("workload            : {}", run.mix);
-        println!("policy              : {}", run.policy);
-        println!("generation          : {}", run.generation);
-        println!("memory energy saved : {:+.1}%", cmp.memory_savings * 100.0);
-        println!("system energy saved : {:+.1}%", cmp.system_savings * 100.0);
-        println!(
+        outln!("workload            : {}", run.mix);
+        outln!("policy              : {}", run.policy);
+        outln!("generation          : {}", run.generation);
+        outln!("memory energy saved : {:+.1}%", cmp.memory_savings * 100.0);
+        outln!("system energy saved : {:+.1}%", cmp.system_savings * 100.0);
+        outln!(
             "CPI increase        : avg {:.1}%, worst {:.1}% (bound {:.0}%)",
             cmp.avg_cpi_increase() * 100.0,
             cmp.max_cpi_increase() * 100.0,
             job.gamma_pct
         );
-        println!("mean bus frequency  : {:.0} MHz", run.mean_frequency_mhz());
-        println!(
+        outln!("mean bus frequency  : {:.0} MHz", run.mean_frequency_mhz());
+        outln!(
             "memory traffic      : {} reads, {} writebacks",
-            run.counters.reads, run.counters.writes
+            run.counters.reads,
+            run.counters.writes
         );
         if run.deep_pd_time > Picos::ZERO {
-            println!(
+            outln!(
                 "deep power-down     : {} exits, {:.2} rank-ms resident",
                 run.counters.edpc,
                 run.deep_pd_time.as_ms_f64()
             );
         }
         if let Some(f) = &run.faults {
-            println!(
+            outln!(
                 "faults injected     : {} (seed {:#x}): {} counter, {} relock, {} switch-fail, {} refresh, {} thermal, {} pd-exit",
                 f.total_injected(),
                 f.seed,
@@ -1197,19 +1222,20 @@ fn simulate(cli: &Cli) -> Outcome {
                 f.thermal_events,
                 f.pd_exit_spikes
             );
-            println!(
+            outln!(
                 "governor degraded   : {} discarded, {} clamped, {} forced-max epochs, {} failed switches",
                 f.discarded_profiles, f.clamped_profiles, f.forced_max_epochs, f.failed_switches
             );
         }
         if let Some(report) = &run.audit {
             if report.is_clean() {
-                println!(
+                outln!(
                     "{} conformance : clean ({} commands audited)",
-                    run.generation, report.commands_checked
+                    run.generation,
+                    report.commands_checked
                 );
             } else {
-                println!(
+                outln!(
                     "{} conformance : {} violation(s)\n{}",
                     run.generation,
                     report.violations.len(),
@@ -1228,17 +1254,13 @@ fn simulate(cli: &Cli) -> Outcome {
 }
 
 fn main() -> ExitCode {
-    // The usage and error paths write with `writeln!` and ignore a failed
-    // write, so a closed stderr (`2>&1 | head -1`) cannot turn the exit
-    // code into a panic's 101.
-    let mut stderr = std::io::stderr();
     let cli = match parse_args(std::env::args().skip(1)) {
         Ok(cli) => cli,
         Err((name, error)) => {
             if let Some(e) = &error {
-                writeln!(stderr, "error: {e}\n").ok();
+                errln!("error: {e}\n");
             }
-            writeln!(stderr, "{}", usage(name)).ok();
+            errln!("{}", usage(name));
             return ExitCode::from(if error.is_some() { 2 } else { 0 });
         }
     };
@@ -1253,7 +1275,7 @@ fn main() -> ExitCode {
         Command::Run | Command::Record | Command::Slo => simulate(&cli),
     };
     outcome.unwrap_or_else(|Exit(code, e)| {
-        writeln!(stderr, "error: {e}").ok();
+        errln!("error: {e}");
         ExitCode::from(code)
     })
 }

@@ -502,9 +502,8 @@ impl DramTimingConfig {
     /// Checks for physically sensible values.
     ///
     /// The checks themselves live in [`crate::invariants::check_timing`],
-    /// shared with the `memscale-check` static analyzer so startup
-    /// validation and `memscale-sim check` can never disagree on what a
-    /// legal table is. This method reports the first violated invariant.
+    /// part of the at-rest list [`SystemConfig::validate`] and `memscale-sim
+    /// check` share. This method reports the first violated invariant.
     ///
     /// # Errors
     ///
@@ -651,44 +650,6 @@ impl PowerConfig {
     pub fn mc_w_idle(&self) -> f64 {
         self.mc_w_peak * self.mc_reg_idle_fraction
     }
-
-    /// Checks for physically sensible values.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] naming the offending field.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        let non_negative = [
-            ("i_act_pre_ma", self.i_act_pre_ma),
-            ("i_pre_stby_ma", self.i_pre_stby_ma),
-            ("i_pre_pd_ma", self.i_pre_pd_ma),
-            ("i_act_stby_ma", self.i_act_stby_ma),
-            ("i_act_pd_ma", self.i_act_pd_ma),
-            ("i_rd_ma", self.i_rd_ma),
-            ("i_wr_ma", self.i_wr_ma),
-            ("i_ref_ma", self.i_ref_ma),
-            ("i_dpd_ma", self.i_dpd_ma),
-            ("term_w_per_dimm", self.term_w_per_dimm),
-            ("pll_w", self.pll_w),
-            ("reg_w_peak", self.reg_w_peak),
-            ("mc_w_peak", self.mc_w_peak),
-        ];
-        for (name, v) in non_negative {
-            if v < 0.0 || !v.is_finite() {
-                return Err(ConfigError::new(format!("{name} must be >= 0")));
-            }
-        }
-        if self.vdd <= 0.0 || !self.vdd.is_finite() {
-            return Err(ConfigError::new("vdd must be > 0"));
-        }
-        if !(0.0..=1.0).contains(&self.mc_reg_idle_fraction) {
-            return Err(ConfigError::new("mc_reg_idle_fraction must be in [0, 1]"));
-        }
-        if !(self.mem_power_fraction > 0.0 && self.mem_power_fraction < 1.0) {
-            return Err(ConfigError::new("mem_power_fraction must be in (0, 1)"));
-        }
-        Ok(())
-    }
 }
 
 /// Complete hardware configuration of the simulated server.
@@ -705,7 +666,9 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
-    /// Validates every section.
+    /// Validates every section: the topology and CPU checks, then the first
+    /// diagnostic of [`crate::invariants::check_at_rest`], the device-table
+    /// rules `memscale-sim check` runs before its per-frequency stage.
     ///
     /// # Errors
     ///
@@ -713,14 +676,7 @@ impl SystemConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.topology.validate()?;
         self.cpu.validate()?;
-        self.timing.validate()?;
-        self.power.validate()?;
-        // Cross-section checks tying timing to topology, shared with the
-        // static analyzer.
-        match crate::invariants::check_system_timing(self.topology.banks_per_rank, &self.timing)
-            .into_iter()
-            .next()
-        {
+        match crate::invariants::check_at_rest(self).into_iter().next() {
             None => Ok(()),
             Some(d) => Err(ConfigError::new(d.message)),
         }
@@ -810,16 +766,22 @@ mod tests {
         };
         assert!(d.validate().is_err());
 
-        let p = PowerConfig {
-            mem_power_fraction: 1.0,
-            ..PowerConfig::default()
-        };
-        assert!(p.validate().is_err());
-        let p = PowerConfig {
-            mc_reg_idle_fraction: 1.5,
-            ..PowerConfig::default()
-        };
-        assert!(p.validate().is_err());
+        for power in [
+            PowerConfig {
+                mem_power_fraction: 1.0,
+                ..PowerConfig::default()
+            },
+            PowerConfig {
+                mc_reg_idle_fraction: 1.5,
+                ..PowerConfig::default()
+            },
+        ] {
+            let sys = SystemConfig {
+                power,
+                ..SystemConfig::default()
+            };
+            assert!(sys.validate().is_err());
+        }
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! This module is the single source of truth for what a *legal* device table
 //! looks like. Two consumers share it so they can never disagree:
 //!
-//! * [`DramTimingConfig::validate`] (startup validation) maps the **first**
-//!   diagnostic to a [`crate::config::ConfigError`];
-//! * the `memscale-check` static analyzer collects **every** diagnostic and
-//!   extends the pure-table checks here with per-frequency, power-model and
+//! * startup validation ([`SystemConfig::validate`], and
+//!   [`DramTimingConfig::validate`] for a timing table alone) maps the
+//!   **first** diagnostic of [`check_at_rest`] to a
+//!   [`crate::config::ConfigError`];
+//! * the `memscale-check` static analyzer collects **every** diagnostic of
+//!   [`check_at_rest`] and extends it with per-frequency, power-model and
 //!   FSM analyses.
 //!
 //! Each violation is a structured [`Diagnostic`] carrying a stable invariant
@@ -16,7 +18,7 @@
 //! power-state machine, `memscale`'s governor hardening ladder) publish
 //! their transition structure as data that a model checker can enumerate.
 
-use crate::config::{DramTimingConfig, MemGeneration, PowerConfig};
+use crate::config::{DramTimingConfig, MemGeneration, PowerConfig, SystemConfig};
 use crate::freq::MemFreq;
 use std::fmt;
 
@@ -201,24 +203,25 @@ impl TimingParam {
         }
     }
 
-    /// Whether this parameter carries meaning for `generation`.
+    /// Whether this parameter carries meaning for `generation`: a
+    /// parameter that belongs to a generation capability ([`FsmFeature`])
+    /// matters only where that capability exists.
     ///
     /// Generations without bank groups collapse `tCCD_L`/`tRRD_L` onto the
     /// short spacings and pin `bank_groups` to 1; generations without deep
-    /// power-down pin `tXDPD` to 0; only LPDDR3 refreshes per bank. The
-    /// coverage pass skips irrelevant parameters instead of demanding rules
-    /// for fields that are structurally inert.
+    /// power-down pin `tXDPD` to 0; generations without per-bank refresh
+    /// never read `tRFCpb`. The coverage pass skips irrelevant parameters
+    /// instead of demanding rules for fields that are structurally inert.
     pub fn relevant_for(self, generation: MemGeneration) -> bool {
-        match self {
+        let feature = match self {
             TimingParam::TCcdL | TimingParam::TRrdL | TimingParam::BankGroups => {
-                generation.has_bank_groups()
+                FsmFeature::BankGroups
             }
-            TimingParam::TXdpd => generation.has_deep_power_down(),
-            TimingParam::TRfcPb | TimingParam::PerBankRefresh => {
-                generation == MemGeneration::Lpddr3
-            }
-            _ => true,
-        }
+            TimingParam::TXdpd => FsmFeature::DeepPowerDown,
+            TimingParam::TRfcPb | TimingParam::PerBankRefresh => FsmFeature::PerBankRefresh,
+            _ => return true,
+        };
+        feature.enabled(generation)
     }
 }
 
@@ -282,14 +285,30 @@ impl fmt::Display for Diagnostic {
     }
 }
 
+/// Every at-rest invariant of a system's device description, in one list:
+/// the timing table ([`check_timing`]), its coupling to the topology
+/// ([`check_system_timing`]), then the power table ([`check_power`]).
+///
+/// [`SystemConfig::validate`] reports the first entry; `memscale-sim check`
+/// reports them all before its per-frequency stage.
+pub fn check_at_rest(sys: &SystemConfig) -> Vec<Diagnostic> {
+    let mut out = check_timing(&sys.timing);
+    out.extend(check_system_timing(
+        sys.topology.banks_per_rank,
+        &sys.timing,
+    ));
+    out.extend(check_power(&sys.power, sys.timing.generation));
+    out
+}
+
 /// Checks every pure-table invariant of a timing configuration, returning
 /// all diagnostics in deterministic order (positivity first, then
 /// cross-parameter, then generation-specific).
 ///
-/// [`DramTimingConfig::validate`] reports the first entry; `memscale-sim
-/// check` reports them all. Cross-parameter checks are skipped when an
-/// operand already failed the positivity/finiteness stage so one bad value
-/// does not cascade into nonsense comparisons.
+/// [`DramTimingConfig::validate`] reports the first entry. Cross-parameter
+/// checks are skipped when an operand already failed the
+/// positivity/finiteness stage so one bad value does not cascade into
+/// nonsense comparisons.
 #[allow(clippy::too_many_lines)] // a linear checklist reads best unsplit
 pub fn check_timing(cfg: &DramTimingConfig) -> Vec<Diagnostic> {
     let gen = cfg.generation;
@@ -539,7 +558,7 @@ fn check_generation(cfg: &DramTimingConfig, out: &mut Vec<Diagnostic>) {
         ));
     }
     if cfg.per_bank_refresh {
-        if gen != MemGeneration::Lpddr3 {
+        if !FsmFeature::PerBankRefresh.enabled(gen) {
             out.push(Diagnostic::new(
                 "refpb-generation",
                 gen,
@@ -567,8 +586,7 @@ fn check_generation(cfg: &DramTimingConfig, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Cross-section invariants tying a timing table to the physical topology
-/// (shared by [`crate::config::SystemConfig::validate`] and the analyzer).
+/// Cross-section invariants tying a timing table to the physical topology.
 pub fn check_system_timing(banks_per_rank: u8, cfg: &DramTimingConfig) -> Vec<Diagnostic> {
     let gen = cfg.generation;
     let mut out = Vec::new();
@@ -611,12 +629,14 @@ pub fn check_system_timing(banks_per_rank: u8, cfg: &DramTimingConfig) -> Vec<Di
 
 /// Static IDD/power-table invariants for one generation.
 ///
-/// The orderings mirror how the power model consumes the currents: powerdown
-/// states must not draw more than the standby states they undercut, burst
-/// and refresh currents dominate standby, and the deep power-down floor must
-/// stay below the *frequency-scaled* precharge-powerdown current at every
-/// grid point (`i_dpd_ma` does not scale with frequency, so the binding
-/// comparison is at the slowest point).
+/// Currents and powers are finite and non-negative, `vdd` positive, and the
+/// two calibration fractions in range. The orderings mirror how the power
+/// model consumes the currents: powerdown states must not draw more than
+/// the standby states they undercut, burst and refresh currents dominate
+/// standby, and the deep power-down floor must stay below the
+/// *frequency-scaled* precharge-powerdown current at every grid point
+/// (`i_dpd_ma` does not scale with frequency, so the binding comparison is
+/// at the slowest point).
 pub fn check_power(power: &PowerConfig, generation: MemGeneration) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let non_negative = [
@@ -652,6 +672,22 @@ pub fn check_power(power: &PowerConfig, generation: MemGeneration) -> Vec<Diagno
             generation,
             "vdd must be > 0",
             vec![("vdd", power.vdd)],
+        ));
+    }
+    if !(0.0..=1.0).contains(&power.mc_reg_idle_fraction) {
+        out.push(Diagnostic::new(
+            "idle-fraction-range",
+            generation,
+            "mc_reg_idle_fraction must be in [0, 1]",
+            vec![("mc_reg_idle_fraction", power.mc_reg_idle_fraction)],
+        ));
+    }
+    if !(power.mem_power_fraction > 0.0 && power.mem_power_fraction < 1.0) {
+        out.push(Diagnostic::new(
+            "mem-fraction-range",
+            generation,
+            "mem_power_fraction must be in (0, 1)",
+            vec![("mem_power_fraction", power.mem_power_fraction)],
         ));
     }
     if !sane {
@@ -860,11 +896,7 @@ mod tests {
     #[test]
     fn reference_tables_are_clean() {
         for gen in MemGeneration::ALL {
-            let timing = DramTimingConfig::for_generation(gen);
-            let diags = check_timing(&timing);
-            assert!(diags.is_empty(), "{gen}: {diags:?}");
-            let power = PowerConfig::for_generation(gen);
-            let diags = check_power(&power, gen);
+            let diags = check_at_rest(&SystemConfig::for_generation(gen));
             assert!(diags.is_empty(), "{gen}: {diags:?}");
         }
     }

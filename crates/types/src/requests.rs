@@ -43,6 +43,20 @@ impl SloSpec {
     }
 }
 
+/// The nearest-rank `q`-quantile (`0.0..=1.0`) of an ascending sample: the
+/// smallest value with at least `q·n` observations at or below it, that is
+/// rank `ceil(q·n)` clamped to `[1, n]`. `None` for an empty sample.
+pub fn nearest_rank<T: Copy>(sorted: &[T], q: f64) -> Option<T> {
+    let last = sorted.len().checked_sub(1)?;
+    #[allow(
+        clippy::cast_precision_loss,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss
+    )] // a sample size is far below 2^52; the rank is clamped below
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    Some(sorted[rank.saturating_sub(1).min(last)])
+}
+
 /// Aggregated per-request latency statistics of one run.
 ///
 /// Latencies are measured submit-to-complete in simulated time: from the
@@ -87,14 +101,7 @@ impl RequestStats {
                 ..RequestStats::default()
             };
         }
-        let pct = |p: f64| -> f64 {
-            // Nearest-rank: the smallest latency with at least p·n
-            // observations at or below it.
-            let rank = (p * completed as f64).ceil().max(1.0);
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)] // rank in [1, n]
-            let idx = (rank as usize).min(latencies.len()) - 1;
-            latencies[idx].as_ms_f64()
-        };
+        let pct = |p: f64| nearest_rank(&latencies, p).map_or(0.0, Picos::as_ms_f64);
         let sum_ps: u128 = latencies.iter().map(|l| u128::from(l.as_ps())).sum();
         let mean_ms = (sum_ps as f64 / completed as f64) / 1e9;
         let slo_violations = slo.map_or(0, |s| {

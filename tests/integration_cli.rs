@@ -1,6 +1,7 @@
 //! `memscale-sim` end to end: every subcommand's `--help` lists its flags
-//! and exits 0, and an unknown flag or an out-of-range run description is
-//! a usage error that exits 2, even when stderr is closed.
+//! and exits 0, an unknown flag or an out-of-range run description is a
+//! usage error that exits 2, even when stderr is closed, and a run exits 0
+//! when its stdout or its stderr is a closed pipe.
 
 use std::process::{Command, Output, Stdio};
 
@@ -70,20 +71,45 @@ fn out_of_range_run_description_exits_2_before_simulating() {
     }
 }
 
+/// The exit code of the binary under test run with `args` while its stdout
+/// (`stdout_closed`) or its stderr writes into a pipe whose reader is
+/// gone; the other stream is discarded.
+fn code_with_closed_pipe(args: &[&str], stdout_closed: bool) -> Option<i32> {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let (stdout, stderr) = if stdout_closed {
+        (Stdio::from(writer), Stdio::null())
+    } else {
+        (Stdio::null(), Stdio::from(writer))
+    };
+    Command::new(env!("CARGO_BIN_EXE_memscale-sim"))
+        .args(args)
+        .stdout(stdout)
+        .stderr(stderr)
+        .status()
+        .expect("memscale-sim runs")
+        .code()
+}
+
 #[test]
 fn usage_errors_exit_2_when_stderr_is_closed() {
     // The first is refused while parsing, the second once the run is
     // described: the two paths by which `main` reports an error.
     for args in [["--gamma", "-5"], ["--mix", "NOPE"]] {
-        let (reader, writer) = std::io::pipe().expect("pipe");
-        drop(reader);
-        let status = Command::new(env!("CARGO_BIN_EXE_memscale-sim"))
-            .args(args)
-            .args(["--duration-ms", "2"])
-            .stdout(Stdio::null())
-            .stderr(writer)
-            .status()
-            .expect("memscale-sim runs");
-        assert_eq!(status.code(), Some(2), "{args:?}");
+        let code = code_with_closed_pipe(&[args[0], args[1], "--duration-ms", "2"], false);
+        assert_eq!(code, Some(2), "{args:?}");
     }
+}
+
+/// A short run that writes progress to stderr and its report to stdout.
+const RUN: [&str; 5] = ["--mix", "ILP2", "--duration-ms", "1", "--json"];
+
+#[test]
+fn a_run_exits_0_when_stdout_is_closed() {
+    assert_eq!(code_with_closed_pipe(&RUN, true), Some(0));
+}
+
+#[test]
+fn a_run_exits_0_when_stderr_is_closed() {
+    assert_eq!(code_with_closed_pipe(&RUN, false), Some(0));
 }
