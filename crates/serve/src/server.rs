@@ -302,17 +302,18 @@ impl<B: SweepBackend> SweepServer<B> {
     /// Binds `addr` (e.g. `127.0.0.1:7119`; port 0 picks an ephemeral
     /// port — read it back with [`SweepServer::local_addr`]).
     ///
-    /// With `cfg.state_dir` set, this also opens the durable logs,
+    /// With `cfg.state_dir` set, this first opens the durable logs,
     /// replays the journal into the caches (decoding persisted baselines
     /// through the backend) and marks interrupted jobs abandoned; the
-    /// result is available from [`SweepServer::recovery_report`].
+    /// result is available from [`SweepServer::recovery_report`]. Only
+    /// then does it bind, so a connect that succeeds reaches a recovered
+    /// server.
     ///
     /// # Errors
     ///
     /// Propagates the bind failure, and unrepairable state-dir defects
     /// (foreign files, newer formats) as [`std::io::ErrorKind::InvalidData`].
     pub fn bind(addr: &str, cfg: ServerConfig, backend: B) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
         let pool = ThreadPool::new(cfg.threads, cfg.cell_queue);
         let mut cells = LruCache::new(cfg.cache_cap);
         let mut baselines = LruCache::new(cfg.cache_cap);
@@ -341,6 +342,7 @@ impl<B: SweepBackend> SweepServer<B> {
             durable = Some(state);
             recovery = Some(report);
         }
+        let listener = TcpListener::bind(addr)?;
         let shared = Arc::new(Shared {
             pool,
             cells: Mutex::new(cells),

@@ -59,7 +59,7 @@ use memscale_serve::{ChaosConfig, ChaosProxy, SweepServer};
 use memscale_simulator::harness::{record_trace, Comparison, Experiment};
 use memscale_simulator::slo::run_slo_sweep;
 use memscale_simulator::{RunResult, ShardSpec, SimConfig, SimError, SimulatorBackend};
-use memscale_trace::{write_trace_file, ReplayTrace, TraceError};
+use memscale_trace::{ReplayTrace, TraceError};
 use memscale_types::config::MemGeneration;
 use memscale_types::faults::FaultPlan;
 use memscale_types::freq::MemFreq;
@@ -720,14 +720,14 @@ fn record(
         policies.len() + 1
     );
     let (header, streams) = record_trace(mix, cfg, &policies, margin_pct).map_err(Exit::sim)?;
-    write_trace_file(out, &header, &streams).map_err(Exit::run)?;
-    let total: usize = streams.iter().map(Vec::len).sum();
+    let trace = ReplayTrace::from_streams(header, streams);
+    write(out, trace.as_bytes())?;
     outln!(
         "wrote {} ({} apps, {} records, config {:#018x})",
         out.display(),
-        streams.len(),
-        total,
-        header.config_hash
+        trace.apps(),
+        trace.summary().records_per_app.iter().sum::<u64>(),
+        trace.header().config_hash
     );
     Ok(ExitCode::SUCCESS)
 }
@@ -762,14 +762,12 @@ fn run_slo(mix: &Mix, cfg: &SimConfig, cli: &Cli) -> Outcome {
     } else if let Some(path) = &cli.record {
         errln!("slo: recording service trace ...");
         let (header, streams) = record_trace(mix, cfg, &[], job.margin_pct).map_err(Exit::sim)?;
-        let total: usize = streams.iter().map(Vec::len).sum();
         let trace = ReplayTrace::from_streams(header, streams);
-        std::fs::write(path, trace.as_bytes())
-            .map_err(|e| Exit::run(TraceError::io("writing trace file", &e)))?;
+        write(path, trace.as_bytes())?;
         errln!(
             "slo: wrote {} ({} records); replaying {} policy run(s) ...",
             path.display(),
-            total,
+            trace.summary().records_per_app.iter().sum::<u64>(),
             shards.len()
         );
         Some(trace)

@@ -17,9 +17,9 @@ use crate::error::SimError;
 use crate::result::RunResult;
 use memscale::policies::PolicyKind;
 use memscale_power::PowerModel;
-use memscale_trace::{MissTape, ReplayTrace, TraceError, TraceHeader};
+use memscale_trace::{EncodedStream, MissTape, ReplayTrace, TraceError, TraceHeader};
 use memscale_types::CancelToken;
-use memscale_workloads::{MissEvent, MissSource, Mix};
+use memscale_workloads::{MissSource, Mix};
 
 /// Policy-vs-baseline summary for one workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -346,8 +346,9 @@ pub(crate) fn check_header(
 /// on the trace, without running the baseline a second time.
 ///
 /// Returns the experiment, the header to stamp on the artifact and the
-/// per-app streams, ready for [`memscale_trace::write_trace_file`] or
-/// [`ReplayTrace::from_streams`].
+/// per-app streams as the tape holds them: in the trace's record encoding
+/// (a few bytes per miss), ready for [`ReplayTrace::from_streams`] to
+/// frame. No recording run, and nothing returned, holds a decoded miss.
 ///
 /// # Errors
 ///
@@ -357,7 +358,7 @@ pub fn record_calibrated(
     cfg: &SimConfig,
     policies: &[PolicyKind],
     margin_pct: usize,
-) -> Result<(Experiment, TraceHeader, Vec<Vec<MissEvent>>), SimError> {
+) -> Result<(Experiment, TraceHeader, Vec<EncodedStream>), SimError> {
     let tape = MissTape::new(live_sources(mix, cfg));
     let exp = Experiment::calibrate_sources(mix, cfg, tape.cursors())?;
     for &policy in policies {
@@ -366,8 +367,9 @@ pub fn record_calibrated(
     Ok((exp, trace_header(mix, cfg), tape.finish(margin_pct)))
 }
 
-/// [`record_calibrated`] without the experiment: the header and per-app
-/// streams of a replayable trace of `mix` under `cfg`.
+/// [`record_calibrated`] without the experiment: the header and the
+/// encoded per-app streams of a replayable trace of `mix` under `cfg`,
+/// which [`ReplayTrace::from_streams`] turns into the trace.
 ///
 /// # Errors
 ///
@@ -377,7 +379,7 @@ pub fn record_trace(
     cfg: &SimConfig,
     policies: &[PolicyKind],
     margin_pct: usize,
-) -> Result<(TraceHeader, Vec<Vec<MissEvent>>), SimError> {
+) -> Result<(TraceHeader, Vec<EncodedStream>), SimError> {
     let (_, header, streams) = record_calibrated(mix, cfg, policies, margin_pct)?;
     Ok((header, streams))
 }

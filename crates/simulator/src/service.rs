@@ -435,8 +435,8 @@ mod tests {
         let (mix, cfg) = SimulatorBackend.resolve(job).expect("resolves");
         let name = format!("memscale_plan_{tag}_{}.trace", std::process::id());
         let path = std::env::temp_dir().join(name);
-        memscale_trace::write_trace_file(&path, &crate::trace_header(&mix, &cfg), &[])
-            .expect("writes");
+        let trace = ReplayTrace::from_streams(crate::trace_header(&mix, &cfg), Vec::new());
+        std::fs::write(&path, trace.as_bytes()).expect("writes");
         path
     }
 

@@ -13,8 +13,9 @@
 //!   whose every failure mode is a structured [`TraceError`] — arbitrary
 //!   bytes can never panic the reader;
 //! * a [`MissTape`] that recording runs read their live miss streams
-//!   through, drawing each event once, so a run's exact input becomes a
-//!   reusable artifact;
+//!   through, drawing each event once and holding it in the record
+//!   encoding ([`EncodedStream`]), so a run's exact input becomes a
+//!   reusable artifact without ever being held decoded;
 //! * [`ReplayTrace`] / [`ReplayStream`] — a trace held in memory as its
 //!   own file bytes, validated once, and replay cursors implementing the
 //!   same [`MissSource`] interface as the live generator. The cursors
@@ -42,4 +43,4 @@ pub mod writer;
 pub use error::TraceError;
 pub use reader::{ReplayStream, ReplayTrace, TraceReader, TraceSummary};
 pub use tape::MissTape;
-pub use writer::{write_trace_file, TraceHeader, TraceWriter};
+pub use writer::{EncodedStream, TraceHeader, TraceWriter};

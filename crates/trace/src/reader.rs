@@ -2,7 +2,7 @@
 
 use crate::error::TraceError;
 use crate::format::{crc32, decode_record, END_MARKER, FORMAT_VERSION, MAGIC};
-use crate::writer::{BlockIndex, TraceHeader, TraceWriter};
+use crate::writer::{BlockIndex, EncodedStream, TraceHeader, TraceWriter};
 use memscale_types::config::MemGeneration;
 use memscale_types::ids::AppId;
 use memscale_workloads::{MissEvent, MissSource};
@@ -26,7 +26,7 @@ pub struct TraceSummary {
 /// A validated, immutable trace held in its encoded form: the header, the
 /// trace file's bytes, and where each app's record blocks sit in them.
 ///
-/// The bytes are checked once, when the trace is read (or encoded by
+/// The bytes are checked once, when the trace is read (or framed by
 /// [`ReplayTrace::from_streams`]); [`ReplayStream`] cursors then decode
 /// records as they go, through the same record decoder. The bytes are
 /// held behind an [`Arc`], so cloning a `ReplayTrace` — or minting fresh
@@ -300,26 +300,31 @@ impl ReplayTrace {
         reader.read()
     }
 
-    /// Builds an in-memory trace from already-captured streams (the bench
-    /// path: record → replay without touching disk), encoding them once
-    /// into the bytes [`crate::write_trace_file`] would write.
+    /// Builds an in-memory trace from recorded streams, one per header
+    /// app (the recording path: record → replay without touching disk).
+    /// The streams are already in the record encoding, so
+    /// [`TraceWriter`] frames them into blocks without encoding them
+    /// again: every full block, app by app, then each app's partial tail
+    /// block in app order, then the end marker. Those are the bytes the
+    /// writer makes of the same events appended app by app.
+    ///
+    /// Decoded events become an [`EncodedStream`] through its
+    /// [`FromIterator`] impl.
     ///
     /// # Panics
     ///
     /// Panics if `header` cannot be encoded (an app name longer than
     /// 64 KiB, or more than `u32::MAX` apps), or if there are more streams
     /// than the header has apps.
-    pub fn from_streams(header: TraceHeader, streams: Vec<Vec<MissEvent>>) -> Self {
+    pub fn from_streams(header: TraceHeader, streams: Vec<EncodedStream>) -> Self {
         let mut writer = TraceWriter::new(Vec::new(), &header).expect("trace header encodes");
-        for (app, events) in streams.iter().enumerate() {
+        writer.reserve_for(&streams);
+        for (app, stream) in streams.into_iter().enumerate() {
             writer
-                .append_stream(app, events)
+                .append_encoded(app, stream)
                 .expect("one stream per header app");
         }
-        let (bytes, blocks) = writer.finish_indexed().expect("writing to memory");
-        let records = streams.iter().map(Vec::len).collect();
-        // Free the decoded streams before the bytes are copied into place.
-        drop(streams);
+        let (bytes, blocks, records) = writer.finish_indexed().expect("writing to memory");
         ReplayTrace::new(header, FORMAT_VERSION, Arc::from(bytes), blocks, records)
     }
 
@@ -341,8 +346,8 @@ impl ReplayTrace {
         self.apps.len()
     }
 
-    /// The trace file's bytes, exactly as [`crate::write_trace_file`]
-    /// writes them.
+    /// The trace file's bytes, exactly as [`TraceWriter`] writes them:
+    /// what `memscale-sim record` saves.
     #[inline]
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes

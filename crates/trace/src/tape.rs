@@ -1,14 +1,15 @@
 //! The miss tape: live miss sources drawn once, however many runs read them.
 
+use crate::writer::EncodedStream;
 use memscale_types::ids::AppId;
 use memscale_workloads::{MissEvent, MissSource};
 use std::sync::{Arc, Mutex};
 
-/// One app's live source and every event drawn from it so far.
+/// One app's live source and every event drawn from it so far, encoded.
 #[derive(Debug)]
 struct AppTape {
     source: Box<dyn MissSource + Send>,
-    events: Vec<MissEvent>,
+    stream: EncodedStream,
 }
 
 /// A generate-once recording of live miss sources, one per app.
@@ -21,6 +22,12 @@ struct AppTape {
 /// the tape ends up holding the longest prefix any run consumed, and each
 /// event is generated exactly once. [`MissTape::finish`] continues the same
 /// sources for the margin.
+///
+/// The tape holds what it draws in the trace's own record encoding, one
+/// [`EncodedStream`] per app (a few bytes per event, not a 32-byte
+/// [`MissEvent`]), and its cursors decode it with the decoder replay
+/// uses. Nothing it holds is ever decoded for keeps, and
+/// [`MissTape::finish`] hands the encoded streams over as they are.
 #[derive(Debug)]
 pub struct MissTape {
     apps: Vec<Arc<Mutex<AppTape>>>,
@@ -35,7 +42,7 @@ impl MissTape {
                 .map(|source| {
                     Arc::new(Mutex::new(AppTape {
                         source,
-                        events: Vec::new(),
+                        stream: EncodedStream::default(),
                     }))
                 })
                 .collect(),
@@ -52,6 +59,7 @@ impl MissTape {
                     app,
                     tape: Arc::clone(tape),
                     pos: 0,
+                    prev_line: 0,
                 }) as Box<dyn MissSource + Send>
             })
             .collect()
@@ -59,17 +67,18 @@ impl MissTape {
 
     /// Draws `margin_pct` percent more of each app's events (with a
     /// 64-event floor) from its live source, so replays slower than any
-    /// recording run still fit, and returns the per-app streams. A source
-    /// that runs dry ends its stream early.
-    pub fn finish(self, margin_pct: usize) -> Vec<Vec<MissEvent>> {
+    /// recording run still fit, and returns the per-app streams, still
+    /// encoded, for [`crate::ReplayTrace::from_streams`] to frame. A
+    /// source that runs dry ends its stream early.
+    pub fn finish(self, margin_pct: usize) -> Vec<EncodedStream> {
         self.apps
             .iter()
             .map(|tape| {
                 let mut tape = lock(tape);
-                let AppTape { source, events } = &mut *tape;
-                let extra = events.len().saturating_mul(margin_pct) / 100 + 64;
-                events.extend(std::iter::from_fn(|| source.next_event()).take(extra));
-                std::mem::take(events)
+                let AppTape { source, stream } = &mut *tape;
+                let extra = stream.records().saturating_mul(margin_pct) / 100 + 64;
+                stream.extend(std::iter::from_fn(|| source.next_event()).take(extra));
+                std::mem::take(stream)
             })
             .collect()
     }
@@ -84,7 +93,10 @@ fn lock(tape: &Mutex<AppTape>) -> std::sync::MutexGuard<'_, AppTape> {
 struct TapeCursor {
     app: AppId,
     tape: Arc<Mutex<AppTape>>,
+    /// Byte position of the next record in the app's stream.
     pos: usize,
+    /// The delta chain's previous cache line.
+    prev_line: u64,
 }
 
 impl MissSource for TapeCursor {
@@ -94,13 +106,11 @@ impl MissSource for TapeCursor {
 
     fn next_event(&mut self) -> Option<MissEvent> {
         let mut tape = lock(&self.tape);
-        if self.pos == tape.events.len() {
+        if self.pos == tape.stream.payload_bytes() {
             let ev = tape.source.next_event()?;
-            tape.events.push(ev);
+            tape.stream.push(&ev);
         }
-        let ev = tape.events[self.pos];
-        self.pos += 1;
-        Some(ev)
+        tape.stream.decode(&mut self.pos, &mut self.prev_line)
     }
 }
 
@@ -156,7 +166,10 @@ mod tests {
         assert_eq!(draws.load(Ordering::Relaxed), 8);
 
         // The margin continues the same source: 50 % of 8, plus 64.
-        assert_eq!(tape.finish(50), vec![(0..76).map(ev).collect::<Vec<_>>()]);
+        assert_eq!(
+            tape.finish(50),
+            vec![(0..76).map(ev).collect::<EncodedStream>()]
+        );
         assert_eq!(draws.load(Ordering::Relaxed), 76);
     }
 }

@@ -69,14 +69,20 @@ fn assert_cursors_replay(trace: &ReplayTrace, streams: &[Vec<MissEvent>]) {
 }
 
 /// The whole artifact round-trips: the bytes re-read and the bytes
-/// [`ReplayTrace::from_streams`] encodes are the writer's bytes, and both
+/// [`ReplayTrace::from_streams`] frames are the writer's bytes, and both
 /// traces give back the header and every app's events, through the cursors
 /// and through the lazy `events` view, which only then adds to the heap.
 fn assert_round_trips(streams: &[Vec<MissEvent>]) {
     let hdr = header(streams.len());
     let bytes = encode(&hdr, streams);
     let reread = TraceReader::new(&bytes[..]).read().unwrap();
-    let fresh = ReplayTrace::from_streams(hdr.clone(), streams.to_vec());
+    let fresh = ReplayTrace::from_streams(
+        hdr.clone(),
+        streams
+            .iter()
+            .map(|s| s.iter().copied().collect())
+            .collect(),
+    );
     let records: usize = streams.iter().map(Vec::len).sum();
     for trace in [&reread, &fresh] {
         assert_eq!(trace.header(), &hdr);

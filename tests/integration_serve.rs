@@ -12,15 +12,23 @@ use memscale_serve::server::{JobPlan, ServerConfig, SweepBackend, SweepServer};
 use memscale_serve::wire::{encode_job, Connection, Response};
 use memscale_types::serve::{CellFailure, CellMetrics, ErrorCode, JobSpec};
 use memscale_types::CancelToken;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// A backend whose "simulation" is instant and deterministic. A policy
 /// named `boom` fails its cell; a mix named `nope` fails planning; the
 /// calibration counter exposes how many baselines were actually built.
+/// Baselines persist as their 8 bytes, and decoding one back takes
+/// `decode_ms`.
 #[derive(Default)]
 struct StubBackend {
     calibrations: AtomicUsize,
+    /// Milliseconds each persisted baseline takes to decode.
+    decode_ms: u64,
+    /// Persisted baselines decoded so far.
+    decoded: AtomicUsize,
 }
 
 /// Local newtype so the foreign trait can be implemented for a shared stub
@@ -80,6 +88,17 @@ impl SweepBackend for Stub {
             p99_ms: None,
             slo_violations: None,
         })
+    }
+
+    fn encode_baseline(&self, _job: &JobSpec, baseline: &u64) -> Option<Vec<u8>> {
+        Some(baseline.to_le_bytes().to_vec())
+    }
+
+    fn decode_baseline(&self, bytes: &[u8]) -> Option<u64> {
+        std::thread::sleep(Duration::from_millis(self.0.decode_ms));
+        let baseline = u64::from_le_bytes(bytes.try_into().ok()?);
+        self.0.decoded.fetch_add(1, Ordering::SeqCst);
+        Some(baseline)
     }
 }
 
@@ -407,6 +426,55 @@ fn state_dir_server_restarts_with_warm_cell_cache() {
         0,
         "warm restart never recalibrates"
     );
+}
+
+/// A restarted server listens only once it has recovered: with a
+/// persisted baseline that takes 50 ms to decode, no connect to its
+/// address succeeds before the decode has ended, so a client's first
+/// connect times the whole recovery.
+#[test]
+fn restarted_server_listens_only_after_decoding_its_baselines() {
+    let scratch = ScratchDir::new("listen_after_recovery");
+    let cfg = ServerConfig {
+        queue_depth: 8,
+        threads: 2,
+        cell_queue: 16,
+        cache_cap: 64,
+        state_dir: Some(scratch.0.clone()),
+        ..ServerConfig::default()
+    };
+    let (first, _) = spawn_server_with(cfg.clone());
+    let line = encode_job(&JobSpec::for_mix("persisted", "MID1"));
+    let responses = submit_raw(&mut connect(first), &line);
+    assert!(matches!(responses.last(), Some(Response::Done { .. })));
+
+    // The restart's address is known before it binds.
+    let port = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("a free port")
+        .port();
+    let addr = format!("127.0.0.1:{port}");
+    let backend = Arc::new(StubBackend {
+        decode_ms: 50,
+        ..StubBackend::default()
+    });
+    let restart = {
+        let (addr, backend) = (addr.clone(), Arc::clone(&backend));
+        std::thread::spawn(move || SweepServer::bind(&addr, cfg, Stub(backend)))
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while TcpStream::connect(&addr).is_err() {
+        assert!(Instant::now() < deadline, "the restart never listened");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(
+        backend.decoded.load(Ordering::SeqCst),
+        1,
+        "a connect succeeded before the persisted baseline was decoded"
+    );
+    let server = restart.join().unwrap().expect("the restart binds");
+    let report = server.recovery_report().expect("a state dir was replayed");
+    assert_eq!(report.baselines_recovered, 1);
 }
 
 #[test]

@@ -13,7 +13,7 @@ use memscale_simulator::shard::ShardSpec;
 use memscale_simulator::slo::{run_slo_sweep, ServiceConfig};
 use memscale_simulator::{Experiment, SimConfig, SimError, Simulation};
 use memscale_trace::format::crc32;
-use memscale_trace::{write_trace_file, ReplayTrace, TraceError, TraceWriter};
+use memscale_trace::{ReplayTrace, TraceError};
 use memscale_types::config::MemGeneration;
 use memscale_types::freq::MemFreq;
 use memscale_types::requests::SloSpec;
@@ -58,13 +58,13 @@ fn recorded_sweep_replays_live_sweep_bit_exactly_through_disk() {
     let (header, streams) = record_trace(&mix, &cfg, &[], 50).unwrap();
 
     // In-memory replay reproduces the live sweep byte-for-byte.
-    let trace = ReplayTrace::from_streams(header.clone(), streams.clone());
+    let trace = ReplayTrace::from_streams(header, streams);
     let replayed = run_slo_sweep(&mix, &cfg, &shards, Some(&trace)).unwrap();
     assert_eq!(live.to_json(), replayed.to_json());
 
     // So does a replay of the trace after a disk round trip.
     let path = std::env::temp_dir().join(format!("memscale_slo_{}.trace", std::process::id()));
-    write_trace_file(&path, &header, &streams).unwrap();
+    std::fs::write(&path, trace.as_bytes()).unwrap();
     let reloaded = ReplayTrace::open(&path).unwrap();
     std::fs::remove_file(&path).ok();
     let from_disk = run_slo_sweep(&mix, &cfg, &shards, Some(&reloaded)).unwrap();
@@ -81,13 +81,10 @@ fn service_recording_is_pinned_and_its_baseline_is_the_replayed_baseline() {
     // encoder). The file starts with the header and the header's own
     // CRC-32, so the whole-file CRC cannot see a header byte: the config
     // hash is pinned beside it.
-    let mut writer = TraceWriter::new(Vec::new(), &header).unwrap();
-    for (app, events) in streams.iter().enumerate() {
-        writer.append_stream(app, events).unwrap();
-    }
-    let crc = crc32(&writer.finish().unwrap());
+    let trace = ReplayTrace::from_streams(header, streams);
+    let crc = crc32(trace.as_bytes());
     assert_eq!(crc, 0xbec0_1714, "service recording CRC {crc:#010x}");
-    let hash = header.config_hash;
+    let hash = trace.header().config_hash;
     assert_eq!(
         hash, 0xa15a_c0c2_29c8_4d4c,
         "service config hash {hash:#018x}"
@@ -96,7 +93,6 @@ fn service_recording_is_pinned_and_its_baseline_is_the_replayed_baseline() {
     // The recording run is the Baseline service run: its memory energy is
     // every service cell's savings denominator, and a replay of the trace
     // with the request tracker attached spends exactly the same.
-    let trace = ReplayTrace::from_streams(header, streams);
     let (tracked, _) = recorded
         .evaluate_replay(PolicyKind::Baseline, &trace)
         .unwrap();

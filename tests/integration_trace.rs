@@ -7,11 +7,11 @@ use memscale_simulator::harness::{check_trace, record_calibrated, record_trace, 
 use memscale_simulator::shard::{default_grid, replay_sequential, replay_sharded, ShardSpec};
 use memscale_simulator::{RunResult, SimConfig, SimError};
 use memscale_trace::format::crc32;
-use memscale_trace::{write_trace_file, ReplayTrace, TraceError, TraceHeader, TraceWriter};
+use memscale_trace::{EncodedStream, ReplayTrace, TraceError};
 use memscale_types::config::MemGeneration;
 use memscale_types::freq::MemFreq;
 use memscale_types::time::Picos;
-use memscale_workloads::{MissEvent, Mix};
+use memscale_workloads::Mix;
 
 /// Bit-identical comparison of everything a run reports. `RunResult`
 /// holds floats, so equality is exact by design: replay must reproduce the
@@ -36,13 +36,9 @@ fn record_mid1(cfg: &SimConfig) -> (Mix, ReplayTrace) {
     (mix, ReplayTrace::from_streams(header, streams))
 }
 
-/// CRC-32 of the trace file a recording encodes to.
-fn encoded_crc(header: &TraceHeader, streams: &[Vec<MissEvent>]) -> u32 {
-    let mut writer = TraceWriter::new(Vec::new(), header).unwrap();
-    for (app, events) in streams.iter().enumerate() {
-        writer.append_stream(app, events).unwrap();
-    }
-    crc32(&writer.finish().unwrap())
+/// CRC-32 of a recording's trace file.
+fn encoded_crc(trace: &ReplayTrace) -> u32 {
+    crc32(trace.as_bytes())
 }
 
 #[test]
@@ -61,14 +57,14 @@ fn replay_is_bit_identical_on_every_generation() {
         let mix = Mix::by_name("MID1").unwrap();
         let (recorded, header, streams) =
             record_calibrated(&mix, &cfg, &[PolicyKind::Static(MemFreq::MIN)], 50).unwrap();
-        let crc = encoded_crc(&header, &streams);
+        let trace = ReplayTrace::from_streams(header, streams);
+        let crc = encoded_crc(&trace);
         assert_eq!(crc, expected_crc, "{generation}: recording CRC {crc:#010x}");
-        let hash = header.config_hash;
+        let hash = trace.header().config_hash;
         assert_eq!(
             hash, expected_hash,
             "{generation}: config hash {hash:#018x}"
         );
-        let trace = ReplayTrace::from_streams(header, streams);
 
         let live = Experiment::calibrate(&mix, &cfg).unwrap();
         let replay = Experiment::calibrate_replay(&mix, &cfg, &trace).unwrap();
@@ -105,14 +101,7 @@ fn replay_survives_a_disk_round_trip() {
     let cfg = SimConfig::quick();
     let (mix, trace) = record_mid1(&cfg);
     let path = std::env::temp_dir().join(format!("memscale_it_{}.trace", std::process::id()));
-    write_trace_file(
-        &path,
-        trace.header(),
-        &(0..trace.apps())
-            .map(|a| trace.events(a).to_vec())
-            .collect::<Vec<_>>(),
-    )
-    .unwrap();
+    std::fs::write(&path, trace.as_bytes()).unwrap();
     let reloaded = ReplayTrace::open(&path).unwrap();
     std::fs::remove_file(&path).ok();
     assert_eq!(reloaded.header(), trace.header());
@@ -138,6 +127,29 @@ fn replayed_trace_stays_encoded() {
     let per_record = trace.heap_bytes() as f64 / records as f64;
     assert!(
         per_record <= 8.0,
+        "{per_record:.2} B per record over {records} records"
+    );
+}
+
+/// Recording holds nothing decoded: the tape keeps each app's misses in
+/// the record encoding, and those bytes are exactly the payload of the
+/// finished trace's blocks, under 8 bytes per record where a decoded miss
+/// takes 32.
+#[test]
+fn recording_holds_only_the_encoded_payload() {
+    let cfg = SimConfig::quick();
+    let mix = Mix::by_name("MID1").unwrap();
+    let (header, streams) =
+        record_trace(&mix, &cfg, &[PolicyKind::Static(MemFreq::MIN)], 50).unwrap();
+    let held: usize = streams.iter().map(EncodedStream::payload_bytes).sum();
+    let records: usize = streams.iter().map(EncodedStream::records).sum();
+    let trace = ReplayTrace::from_streams(header, streams);
+    let summary = trace.summary();
+    assert_eq!(held as u64, summary.payload_bytes);
+    assert_eq!(records as u64, summary.records_per_app.iter().sum::<u64>());
+    let per_record = held as f64 / records as f64;
+    assert!(
+        per_record < 8.0,
         "{per_record:.2} B per record over {records} records"
     );
 }
@@ -188,11 +200,15 @@ fn exhausted_trace_reports_cleanly_instead_of_panicking() {
     let mix = Mix::by_name("MID1").unwrap();
     // Record with no policy runs and zero margin... then cut each stream
     // to a tenth: no policy can finish on that.
-    let (header, mut streams) = record_trace(&mix, &cfg, &[], 0).unwrap();
-    for s in &mut streams {
-        s.truncate(s.len() / 10);
-    }
-    let trace = ReplayTrace::from_streams(header, streams);
+    let (header, streams) = record_trace(&mix, &cfg, &[], 0).unwrap();
+    let full = ReplayTrace::from_streams(header.clone(), streams);
+    let cut = (0..full.apps())
+        .map(|a| {
+            let events = full.events(a);
+            events[..events.len() / 10].iter().copied().collect()
+        })
+        .collect();
+    let trace = ReplayTrace::from_streams(header, cut);
     let err = Experiment::calibrate_replay(&mix, &cfg, &trace).unwrap_err();
     assert!(
         matches!(err, SimError::TraceExhausted { .. }),
